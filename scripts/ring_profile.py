@@ -2,7 +2,7 @@
 """Radial density profile of the single ring for a chosen singular value law.
 
 Writes the (s, L, L', L'', rho) table as CSV and prints a coarse sketch of
-rho(s) to the terminal.
+rho(s) and the exact ring-law mass of the tau-shrunk annulus to the terminal.
 
     python3 scripts/ring_profile.py --kind quarter_circle --n-atoms 500 \
         --n-radii 25 --out ring_profile.csv
@@ -29,7 +29,6 @@ def main():
     ap.add_argument("--n-radii", type=int, default=25)
     ap.add_argument("--tau", type=float, default=None,
                     help="edge shrink; default 5%% of the ring width")
-    ap.add_argument("--quad-tol", type=float, default=1e-8)
     ap.add_argument("--out", default="ring_profile.csv")
     args = ap.parse_args()
 
@@ -47,9 +46,7 @@ def main():
         sys.exit(f"tau = {tau} empties the annulus [{r_minus}, {r_plus}]")
     print(f"ring radii: r_minus = {r_minus:.6f}, r_plus = {r_plus:.6f}")
 
-    prof = ringlaw.radial_profile(
-        mu, np.linspace(lo, hi, args.n_radii), quad_tol=args.quad_tol
-    )
+    prof = ringlaw.radial_profile(mu, np.linspace(lo, hi, args.n_radii))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "L", "dL", "d2L", "rho"])
@@ -62,8 +59,8 @@ def main():
         bar = "#" * int(50 * max(rho, 0.0) / peak) if peak > 0 else ""
         print(f"  s = {s:8.4f}  rho = {rho:8.5f}  {bar}")
 
-    mass = ringlaw.ring_mass(mu, tau, n_radii=args.n_radii, quad_tol=args.quad_tol)
-    print(f"mass in the tau-shrunk annulus: {mass:.4f}")
+    mass = ringlaw.ring_mass(mu, tau)
+    print(f"exact mass in the tau-shrunk annulus: {mass:.10f}")
 
 
 if __name__ == "__main__":

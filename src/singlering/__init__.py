@@ -3,7 +3,7 @@ densities, and Monte Carlo verification of their bulk local laws."""
 
 __version__ = "0.1.0"
 
-from . import cli, freeconv, linalg, locallaw, measure, models, ringlaw  # noqa: F401
+from . import freeconv, linalg, locallaw, measure, models, ringlaw  # noqa: F401
 from .freeconv import (  # noqa: F401
     CertificateReport,
     ConvergenceError,

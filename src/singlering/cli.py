@@ -361,16 +361,7 @@ def _cmd_ring_density(ctx):
     n = int(_get(ctx.cfg, "params.n_radii", int, required=False, default=17))
     if not (0 < s_min <= s_max) or n < 2:
         raise ConfigError("params: need 0 < s_min <= s_max and n_radii >= 2")
-    h = _get(ctx.cfg, "params.h", (int, float), required=False, default=None)
-    K = _get(ctx.cfg, "params.K", (int, float), required=False, default=None)
-    quad_tol = float(_get(ctx.cfg, "params.quad_tol", (int, float), required=False, default=1e-9))
-    profile = ringlaw.radial_profile(
-        mu,
-        np.linspace(s_min, s_max, n),
-        h=None if h is None else float(h),
-        K=None if K is None else float(K),
-        quad_tol=quad_tol,
-    )
+    profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
     _write_csv(ctx.path("ring_density.csv"), ["s", "L", "dL", "d2L", "rho"], profile.rows())
 
 

@@ -383,13 +383,10 @@ def linear_statistic_rhs(
     f_spec: FSpec = FSpec(),
     quad2d: QuadGrid2D = QuadGrid2D(),
     n: int = 1,
-    n_radial: int = 65,
-    K: Optional[float] = None,
-    quad_tol: float = 1e-9,
 ) -> float:
     """Deterministic side of the statistic: Delta f paired with L(|w|).
 
-    L is radial, so it is evaluated on a radius table spanning the node
+    L is radial, so it is evaluated on a 65-radius table spanning the node
     radii and interpolated by a cubic spline; both statistics share the
     same zeta grid, which cancels quadrature-grid bias in their difference.
     """
@@ -401,11 +398,10 @@ def linear_statistic_rhs(
     radii_nodes = np.abs(w_nodes)
     lo, hi = float(np.min(radii_nodes)), float(np.max(radii_nodes))
     if hi > lo:
-        table = np.linspace(lo, hi, n_radial)
-        Lvals = [ringlaw.log_potential(mu_sigma, s, K=K, quad_tol=quad_tol) for s in table]
-        L = CubicSpline(table, Lvals)(radii_nodes)
+        table = np.linspace(lo, hi, 65)
+        L = CubicSpline(table, [ringlaw.log_potential(mu_sigma, s) for s in table])(radii_nodes)
     else:
-        L = np.full_like(radii_nodes, ringlaw.log_potential(mu_sigma, lo, K=K, quad_tol=quad_tol))
+        L = np.full_like(radii_nodes, ringlaw.log_potential(mu_sigma, lo))
     L0 = float(np.median(L))  # same centering as the eigenvalue side
     return float(prefactor * np.sum(lap * (L - L0)))
 
@@ -431,7 +427,6 @@ def linear_statistic_gap(
     f_spec: FSpec = FSpec(),
     quad2d: QuadGrid2D = QuadGrid2D(),
     threads: int = 1,
-    rhs_quad_tol: float = 1e-9,
 ) -> list:
     """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1.
 
@@ -439,9 +434,7 @@ def linear_statistic_gap(
     """
     base_seed = e.seed if seed is None else int(seed)
     mu = e.empirical_measure()
-    rhs = linear_statistic_rhs(
-        mu, w0, alpha, f_spec, quad2d, n=e.N, quad_tol=rhs_quad_tol
-    )
+    rhs = linear_statistic_rhs(mu, w0, alpha, f_spec, quad2d, n=e.N)
     norm = delta_bump_l1()
     scale = float(e.N) ** (1.0 - 2.0 * alpha) / norm
 

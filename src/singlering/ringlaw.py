@@ -1,20 +1,25 @@
 """Radial log-potential and limiting density of the single ring.
 
-The limiting spectral density of X = U S V* at radius s is
+The ring law of X = U diag(sigma) V* is known in closed form (Haagerup and
+Larsen; Guionnet, Krishnapur and Zeitouni identify it as the limit).  For
+mu_Sigma = sum_k p_k delta_{sigma_k} and y > 0 put
 
-    rho(s) = (1/2 pi) * (L''(s) + L'(s)/s),
-    L(s)   = int log|u| d(mu_Sigma^sym [+] delta_s^sym)(u),
+    t(y) = sum p / (1 + y sigma^2),
+    A(y) = sum p sigma^2 / (1 + y sigma^2),
+    q(y) = A / t.
 
-evaluated through the split, for any height K,
+s(y) = sqrt(q(y)) falls from r_plus to r_minus as y runs over (0, inf), and
+at y = y(s) the mass inside radius s, the radial log-potential and the
+density are
 
-    int log|u| dnu = int log|u - iK| dnu - int_0^K Im m_nu(i eta) deta.
+    F(s)   = t,
+    L(s)   = (log A + sum p log(1 + y sigma^2)) / 2,
+    rho(s) = t'(y) / (pi q'(y)),
 
-The first term has the expansion log K + m2(nu)/(2 K^2) + O(K^-4) for a
-symmetric nu with second moment m2; under free convolution of centered
-measures second moments add, so m2 = m2(mu^sym) + s^2 in closed form.  The
-eta integral is done adaptively up to eta0 ~ 10x the support radius and by
-the two-term asymptotic tail 1/eta - m2/eta^3 beyond, so a moderate K
-suffices where the exact identity would want an astronomically large one.
+with L' = F/s and L'' = 2 pi rho - F/s^2.  Outside the open ring
+L = log s (s >= r_plus) or L = int log sigma dmu_Sigma (s <= r_minus), and
+rho = 0.  F also equals Im omega2(i0) Im m(i0) of the eta = 0
+subordination solve for mu_Sigma^sym [+] delta_s^sym.
 """
 
 from __future__ import annotations
@@ -23,14 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 
-from .freeconv import solve_delta_conv
-from .measure import DiscreteMeasure, radii, support_stats, symmetrize
+from .measure import DiscreteMeasure, radii
 
 __all__ = [
     "RadialPotentialProfile",
-    "default_split_height",
     "log_potential",
     "ring_density",
     "ring_mass",
@@ -38,97 +41,72 @@ __all__ = [
 ]
 
 
-def default_split_height(s_plus: float, s: float = 0.0) -> float:
-    return max(100.0, 20.0 * s_plus, 20.0 * s)
+def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
+    """y with q(y) = s^2 for x = sigma^2; 0 or inf when s lies within
+    rounding of r_plus or r_minus, where no sign change is left to find."""
+    m2 = float(np.dot(p, x))
+    x_hat, s2_hat = x / m2, s * s / m2  # scale-free: y m2 = e^u
+
+    def gap(u):  # t(y) (q(y) - s^2) / m2, decreasing through 0
+        return float(np.dot(p, (x_hat - s2_hat) / (1.0 + math.exp(u) * x_hat)))
+
+    # |u| <= 64 reaches to within rounding of both edges; past it the sign
+    # of gap is rounding noise and d^2 = (1 + y x)^2 heads for overflow
+    lo, hi = -1.0, 1.0
+    while gap(lo) <= 0.0:
+        if lo <= -64.0:
+            return 0.0
+        lo *= 2.0
+    while gap(hi) >= 0.0:
+        if hi >= 64.0:
+            return math.inf
+        hi *= 2.0
+    return math.exp(brentq(gap, lo, hi, xtol=1e-14)) / m2
 
 
-def _density_on_axis(mu_sym: DiscreteMeasure, s: float, eta: float) -> float:
-    """Im m of mu^sym [+] delta_s^sym at i eta; 0 at eta = 0 off the ring."""
-    if eta == 0.0:
-        try:
-            return solve_delta_conv(mu_sym, s, 0.0).m.imag
-        except ValueError:
-            return 0.0  # boundary value outside the open ring: zero density at 0
-    return solve_delta_conv(mu_sym, s, 1j * eta).m.imag
-
-
-def log_potential(
-    mu_sigma: DiscreteMeasure,
-    s: float,
-    K: float | None = None,
-    quad_tol: float = 1e-9,
-) -> float:
-    """Radial log-potential L(s) of the ring law for mu_sigma at radius s > 0."""
+def _ring_point(mu_sigma: DiscreteMeasure, s: float):
+    """(F, L, rho) at radius s > 0: inner mass, log-potential, density."""
     if s <= 0:
-        raise ValueError("log_potential needs s > 0")
-    s_plus, _ = support_stats(mu_sigma)
-    if K is None:
-        K = default_split_height(s_plus, s)
-    if K < 10.0 * max(s_plus, s):
-        raise ValueError(f"split height K = {K} below 10*max(s_plus, s)")
-
-    mu_sym = symmetrize(mu_sigma)
-    m2 = mu_sym.second_moment() + s * s
-    eta0 = min(10.0 * (s_plus + s), K)
-
-    body, _err = quad(
-        lambda eta: _density_on_axis(mu_sym, s, eta),
-        0.0,
-        eta0,
-        epsabs=quad_tol / 2.0,
-        epsrel=1e-12,
-        limit=200,
-    )
-    tail = math.log(K / eta0) + m2 / (2.0 * K * K) - m2 / (2.0 * eta0 * eta0) if eta0 < K else 0.0
-    t1 = math.log(K) + m2 / (2.0 * K * K)
-    return t1 - (body + tail)
-
-
-def ring_density(
-    mu_sigma: DiscreteMeasure,
-    s: float,
-    h: float | None = None,
-    K: float | None = None,
-    quad_tol: float = 1e-9,
-) -> float:
-    """rho(s) = (L'' + L'/s)/(2 pi) with 5-point central differences of step h.
-
-    Meaningful inside the open ring at distance > 2h from its edges;
-    evaluates to ~0 (within differentiation error) outside the ring.
-    """
+        raise ValueError("the ring law needs s > 0")
     r_minus, r_plus = radii(mu_sigma)
-    if h is None:
-        h = 1e-2 * (r_plus - r_minus)
-    if h <= 0 or s - 2.0 * h <= 0:
-        raise ValueError("need h > 0 and s - 2h > 0")
-    L = [log_potential(mu_sigma, s + k * h, K=K, quad_tol=quad_tol) for k in (-2, -1, 0, 1, 2)]
-    dL = (L[0] - 8.0 * L[1] + 8.0 * L[3] - L[4]) / (12.0 * h)
-    d2L = (-L[0] + 16.0 * L[1] - 30.0 * L[2] + 16.0 * L[3] - L[4]) / (12.0 * h * h)
-    return (d2L + dL / s) / (2.0 * math.pi)
+    p, x = mu_sigma.weights, mu_sigma.atoms**2
+    y = 0.0 if s >= r_plus else math.inf if s <= r_minus else _inverse_radius(p, x, s)
+    if y == 0.0:
+        return 1.0, math.log(s), 0.0
+    if y == math.inf:
+        return 0.0, float(np.dot(p, np.log(mu_sigma.atoms))), 0.0
+    d = 1.0 + y * x
+    t, a = float(np.dot(p, 1.0 / d)), float(np.dot(p, x / d))
+    L = 0.5 * (math.log(a) + float(np.dot(p, np.log1p(y * x))))
+    # rho = t'/(pi q') with t' = -W xbar and t^2 q' = -W sum w (x - xbar)^2
+    # for w = p/d^2, W = sum w: the variance form avoids the cancellation
+    # in t'A - tA' as s approaches r_minus
+    w = p / d**2
+    xbar = float(np.dot(w, x)) / float(np.sum(w))
+    return t, L, t * t * xbar / (math.pi * float(np.dot(w, (x - xbar) ** 2)))
 
 
-def ring_mass(
-    mu_sigma: DiscreteMeasure,
-    tau: float,
-    n_radii: int = 33,
-    h: float | None = None,
-    K: float | None = None,
-    quad_tol: float = 1e-9,
-) -> float:
-    """int rho(s) 2 pi s ds over the tau-shrunk annulus, composite Simpson."""
+def log_potential(mu_sigma: DiscreteMeasure, s: float) -> float:
+    """Radial log-potential L(s) of the ring law for mu_sigma at radius s > 0."""
+    return _ring_point(mu_sigma, s)[1]
+
+
+def ring_density(mu_sigma: DiscreteMeasure, s: float) -> float:
+    """rho(s), the ring law's density per unit area at radius s > 0."""
+    return _ring_point(mu_sigma, s)[2]
+
+
+def ring_mass(mu_sigma: DiscreteMeasure, tau: float) -> float:
+    """Ring-law mass of the tau-shrunk annulus r_minus + tau < |w| < r_plus - tau."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     r_minus, r_plus = radii(mu_sigma)
     lo, hi = r_minus + tau, r_plus - tau
     if lo >= hi:
         return 0.0
-    if n_radii < 3:
-        raise ValueError("n_radii must be at least 3")
-    s_nodes = np.linspace(lo, hi, n_radii)
-    vals = np.array(
-        [2.0 * math.pi * s * ring_density(mu_sigma, s, h=h, K=K, quad_tol=quad_tol) for s in s_nodes]
-    )
-    return float(simpson(vals, x=s_nodes))
+    # lo = 0 only with an atom at the origin, whose weight sits at w = 0
+    inner = _ring_point(mu_sigma, lo)[0] if lo > 0 else float(mu_sigma.weights[0])
+    return _ring_point(mu_sigma, hi)[0] - inner
 
 
 @dataclass(frozen=True)
@@ -140,9 +118,6 @@ class RadialPotentialProfile:
     dL_values: np.ndarray
     d2L_values: np.ndarray
     rho_values: np.ndarray
-    K: float
-    m2_sigma: float
-    quad_tol: float
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float)
@@ -159,37 +134,8 @@ class RadialPotentialProfile:
         return zip(self.s_grid, self.L_values, self.dL_values, self.d2L_values, self.rho_values)
 
 
-def radial_profile(
-    mu_sigma: DiscreteMeasure,
-    s_values,
-    h: float | None = None,
-    K: float | None = None,
-    quad_tol: float = 1e-9,
-) -> RadialPotentialProfile:
-    """Evaluate (L, L', L'', rho) on a radius grid with a shared stencil step."""
-    r_minus, r_plus = radii(mu_sigma)
-    s_plus, _ = support_stats(mu_sigma)
-    if h is None:
-        h = 1e-2 * (r_plus - r_minus)
-    if K is None:
-        K = default_split_height(s_plus)
-    s_values = np.asarray(list(s_values), dtype=float)
-    L, dL, d2L, rho = [], [], [], []
-    for s in s_values:
-        Ls = [log_potential(mu_sigma, s + k * h, K=K, quad_tol=quad_tol) for k in (-2, -1, 0, 1, 2)]
-        L.append(Ls[2])
-        dv = (Ls[0] - 8.0 * Ls[1] + 8.0 * Ls[3] - Ls[4]) / (12.0 * h)
-        d2v = (-Ls[0] + 16.0 * Ls[1] - 30.0 * Ls[2] + 16.0 * Ls[3] - Ls[4]) / (12.0 * h * h)
-        dL.append(dv)
-        d2L.append(d2v)
-        rho.append((d2v + dv / s) / (2.0 * math.pi))
-    return RadialPotentialProfile(
-        s_values,
-        np.array(L),
-        np.array(dL),
-        np.array(d2L),
-        np.array(rho),
-        K=float(K),
-        m2_sigma=symmetrize(mu_sigma).second_moment(),
-        quad_tol=quad_tol,
-    )
+def radial_profile(mu_sigma: DiscreteMeasure, s_values) -> RadialPotentialProfile:
+    """Evaluate (L, L', L'', rho) on a radius grid."""
+    s = np.asarray(list(s_values), dtype=float)
+    F, L, rho = np.array([_ring_point(mu_sigma, si) for si in s]).reshape(-1, 3).T
+    return RadialPotentialProfile(s, L, F / s, 2.0 * math.pi * rho - F / s**2, rho)

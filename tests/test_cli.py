@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +151,7 @@ class TestRingDensityCommand:
         p = write_cfg(
             tmp_path / "c.json",
             {"measure": TWO_POINT,
-             "params": {"s_min": 1.38, "s_max": 1.42, "n_radii": 3, "quad_tol": 1e-8}},
+             "params": {"s_min": 1.38, "s_max": 1.42, "n_radii": 3}},
         )
         out = tmp_path / "run"
         assert main(["ring-density", "--config", p, "--out", str(out)]) == EXIT_OK
@@ -252,3 +255,17 @@ class TestUsage:
 
     def test_run_helper_rejects_unknown(self, tmp_path, capsys):
         assert cli.run("nope", "x.json", str(tmp_path / "o")) == EXIT_USAGE
+
+    def test_module_entry_point_imports_cleanly(self, tmp_path):
+        # `python -m singlering.cli` must not find the module already
+        # imported by the package (runpy's RuntimeWarning)
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "singlering.cli",
+             "validate", "--config", p],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr

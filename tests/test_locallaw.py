@@ -144,7 +144,6 @@ class TestLinearStatistics:
         R = 0.3
         val = linear_statistic_rhs(
             quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), QuadGrid2D(48), n=512,
-            n_radial=33, quad_tol=1e-7,
         )
         assert val == pytest.approx(R * R / 4.0, abs=1e-3)
         assert val == pytest.approx(R * R / 4.0, rel=5e-3)
@@ -155,11 +154,9 @@ class TestLinearStatistics:
         R = 0.3
         a0 = linear_statistic_rhs(
             quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), QuadGrid2D(48), n=512,
-            n_radial=33, quad_tol=1e-7,
         )
         a25 = linear_statistic_rhs(
             quarter_circle_2000, 0.5 + 0j, 0.25, FSpec(R), QuadGrid2D(48), n=512,
-            n_radial=33, quad_tol=1e-7,
         )
         assert a25 == pytest.approx(a0, rel=1e-4)
 
@@ -171,10 +168,7 @@ class TestLinearStatistics:
         # outside the ring L(s) = log s is harmonic, so Delta f pairs to
         # zero in the quadrature limit; check the value and its refinement
         vals = [
-            linear_statistic_rhs(
-                two_point, 4.0 + 0j, 0.0, FSpec(0.5), QuadGrid2D(n), n=16,
-                n_radial=17, quad_tol=1e-8,
-            )
+            linear_statistic_rhs(two_point, 4.0 + 0j, 0.0, FSpec(0.5), QuadGrid2D(n), n=16)
             for n in (32, 64)
         ]
         assert abs(vals[1]) < abs(vals[0])
