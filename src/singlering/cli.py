@@ -402,7 +402,6 @@ def _cmd_main_gap(ctx):
     alphas = [float(a) for a in _get(ctx.cfg, "params.alphas", list)]
     radii_cfg = _get(ctx.cfg, "params.support_radii", list, required=False, default=None)
     trials = int(_get(ctx.cfg, "grid.trials", int, required=False, default=10))
-    n_quad = int(_get(ctx.cfg, "params.grid_n", int, required=False, default=64))
     e = models.SingleRingEnsemble.from_measure(mu, N, sym, ctx.seed)
     rows = []
     for i, alpha in enumerate(alphas):
@@ -414,7 +413,6 @@ def _cmd_main_gap(ctx):
             trials,
             seed=ctx.seed,
             f_spec=locallaw.FSpec(radius),
-            quad2d=locallaw.QuadGrid2D(n_quad),
             threads=ctx.threads,
         )
         for r in recs:

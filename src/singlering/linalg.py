@@ -28,8 +28,6 @@ __all__ = [
     "HermitianSpectrum",
     "hermitian_eigensystem",
     "log_abs_det",
-    "hessenberg_form",
-    "shifted_log_abs_det",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -140,64 +138,3 @@ def log_abs_det(M: np.ndarray) -> float:
             stacklevel=2,
         )
     return float(np.sum(np.log(diag)))
-
-
-def hessenberg_form(M: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg form of M under a unitary similarity.
-
-    Shift-invariant: hess(M) - w I is similar to M - w I, so log |det(M - w)|
-    can be read off the Hessenberg matrix for every shift w at O(n^2) cost.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    return scipy.linalg.hessenberg(M)
-
-
-def shifted_log_abs_det(hess: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """log |det(H - w I)| for a batch of shifts w, H upper Hessenberg.
-
-    Gaussian elimination on a Hessenberg matrix only ever combines two
-    adjacent rows, so the whole batch advances one column per step with two
-    live rows per shift; row swaps change det only by sign, which |det|
-    ignores.  Singular shifts yield -inf.
-    """
-    H = np.asarray(hess, dtype=np.complex128)
-    n = H.shape[0]
-    w_all = np.asarray(shifts, dtype=np.complex128).reshape(-1)
-    if n == 0 or len(w_all) == 0:
-        return np.zeros(len(w_all))
-
-    out_all = np.empty(len(w_all))
-    # chunk the shift batch so the two live rows stay cache-resident
-    chunk = max(1, min(len(w_all), (1 << 21) // (16 * max(n, 1))))
-    for start in range(0, len(w_all), chunk):
-        w = w_all[start : start + chunk]
-        nw = len(w)
-        out = np.zeros(nw)
-        # live pivot row per shift: row 0 of H - wI, columns 0..n-1
-        cur = np.broadcast_to(H[0], (nw, n)).copy()
-        cur[:, 0] -= w
-        for j in range(n - 1):
-            m = n - j  # live tail length
-            nxt = np.broadcast_to(H[j + 1, j:], (nw, m)).copy()
-            nxt[:, 1] -= w
-
-            swap = np.abs(nxt[:, 0]) > np.abs(cur[:, 0])
-            if np.any(swap):
-                tmp = cur[swap].copy()
-                cur[swap] = nxt[swap]
-                nxt[swap] = tmp
-
-            piv = cur[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out += np.where(piv != 0, np.log(np.abs(np.where(piv != 0, piv, 1.0))), -np.inf)
-                mult = np.where(piv != 0, nxt[:, 0] / np.where(piv != 0, piv, 1.0), 0.0)
-            tail = cur[:, 1:]
-            tail *= mult[:, None]
-            nxt2 = nxt[:, 1:]
-            nxt2 -= tail
-            cur = nxt2
-        last = np.abs(cur[:, 0])
-        with np.errstate(divide="ignore"):
-            out += np.where(last > 0, np.log(np.where(last > 0, last, 1.0)), -np.inf)
-        out_all[start : start + chunk] = out
-    return out_all

@@ -17,11 +17,9 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import freeconv, linalg, measure, models, ringlaw
 from .freeconv import ConvergenceError
@@ -29,7 +27,6 @@ from .measure import DiscreteMeasure, RingGeometry
 
 __all__ = [
     "FSpec",
-    "QuadGrid2D",
     "ScanGrid",
     "DevRecord",
     "DominationReport",
@@ -71,7 +68,7 @@ def dyadic_etas(eta_min: float, eta_max: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the standard bump and 2D quadrature
+# the standard bump
 # ---------------------------------------------------------------------------
 
 
@@ -90,11 +87,13 @@ def bump_laplacian(s):
     return v if v.ndim else float(v)
 
 
-@lru_cache(maxsize=1)
 def delta_bump_l1() -> float:
-    """|| Delta f ||_{L^1} of the standard bump, by radial quadrature (= 32 pi/9)."""
-    val, _ = quad(lambda s: abs(bump_laplacian(s)) * 2.0 * math.pi * s, 0.0, 1.0, limit=100)
-    return float(val)
+    """|| Delta f ||_{L^1} of the standard bump: 32 pi / 9.
+
+    Delta f = -12 (1 - s^2)(1 - 3 s^2) changes sign at s^2 = 1/3, and the
+    radial flux 2 pi s f'(s) = -12 pi s^2 (1 - s^2)^2 there gives half the norm.
+    """
+    return 32.0 * math.pi / 9.0
 
 
 @dataclass(frozen=True)
@@ -109,28 +108,6 @@ class FSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("support radius must be positive")
-
-
-@dataclass(frozen=True)
-class QuadGrid2D:
-    """Midpoint rule on an n x n grid of the square [-1, 1]^2.
-
-    Nodes with |zeta| >= 1 carry Delta f = 0 exactly and are dropped.
-    """
-
-    n: int = 64
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("2D quadrature grid needs n >= 4")
-
-    def nodes(self):
-        step = 2.0 / self.n
-        centers = -1.0 + step * (np.arange(self.n) + 0.5)
-        xx, yy = np.meshgrid(centers, centers)
-        zeta = (xx + 1j * yy).ravel()
-        keep = np.abs(zeta) < 1.0
-        return zeta[keep], step * step
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +244,21 @@ def fit_domination(report: DominationReport, eps_pass: float = 0.2, q: float = 0
 
 
 def _reference_axis_transforms(mu_sym, w_values, eta_values):
-    """m_{Sigma,|w|}(i eta) for every (w, eta); deterministic, shared by trials."""
+    """m_{Sigma,|w|}(i eta) for every (w, eta); deterministic, shared by trials.
+
+    A failed solve leaves NaN at its node, which every trial then flags.
+    """
     ref = {}
     for iw, w in enumerate(w_values):
         for ie, eta in enumerate(eta_values):
-            ref[(iw, ie)] = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
+            try:
+                ref[(iw, ie)] = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
+            except ConvergenceError as exc:
+                warnings.warn(
+                    f"reference solve failed at |w| = {abs(w):g}, eta = {eta:g}: {exc}",
+                    RuntimeWarning,
+                )
+                ref[(iw, ie)] = complex(math.nan, math.nan)
     return ref
 
 
@@ -305,14 +292,10 @@ def local_law_scan(
                     SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(spec))
                 )
                 for ie, eta in enumerate(grid.eta_values):
-                    try:
-                        dev = N * eta * abs(models.m_w(spec, eta) - ref[(iw, ie)])
-                        recs.append(DevRecord(N, trial, complex(w), eta, dev, True, task_seed))
-                    except (ConvergenceError, FloatingPointError) as exc:  # pragma: no cover
-                        warnings.warn(f"scan node failed: {exc}", RuntimeWarning)
-                        recs.append(
-                            DevRecord(N, trial, complex(w), eta, math.nan, False, task_seed)
-                        )
+                    m_ref = ref[(iw, ie)]
+                    ok = bool(np.isfinite(m_ref))
+                    dev = N * eta * abs(models.m_w(spec, eta) - m_ref) if ok else math.nan
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok, task_seed))
             return recs, splits
 
         for recs, splits in parallel_map(one_trial, range(grid.trials), threads):
@@ -322,17 +305,8 @@ def local_law_scan(
 
 
 # ---------------------------------------------------------------------------
-# linear eigenvalue statistics via the log-potential pairing
+# linear eigenvalue statistics against the ring density
 # ---------------------------------------------------------------------------
-
-
-def _statistic_nodes(w0: complex, alpha: float, f_spec: FSpec, quad2d: QuadGrid2D, n: int):
-    zeta, cell = quad2d.nodes()
-    lap = bump_laplacian(np.abs(zeta))
-    scale = float(n) ** (-alpha) * f_spec.radius
-    w_nodes = w0 + scale * zeta
-    prefactor = float(n) ** (2.0 * alpha) * cell / (2.0 * math.pi)
-    return zeta, lap, w_nodes, prefactor, cell
 
 
 def linear_statistic_lhs(
@@ -340,40 +314,32 @@ def linear_statistic_lhs(
     w0: complex,
     alpha: float,
     f_spec: FSpec = FSpec(),
-    quad2d: QuadGrid2D = QuadGrid2D(),
 ) -> float:
-    """Quadrature of (1/2pi) N^{2a} Delta f(zeta) (1/2N) Tr log|H^{w(zeta)}|.
+    """Eigenvalue statistic N^{2a} (1/N) sum_i f((lambda_i(X) - w0)/s), s = N^{-a} R.
 
-    Equals the eigenvalue statistic (1/N) sum_i f_{w0}(lambda_i(X)) in the
-    quadrature limit.  The per-node value (1/2N) Tr log |H^w| is
-    (1/N) log |det(X - w)|, evaluated for the whole node batch from one
-    Hessenberg reduction of X.  A node that lands on a singular shift is
-    re-jittered by half a cell and flagged.
+    Girko's formula writes the same number as (1/2pi) N^{2a} times the
+    pairing of Delta f with (1/N) log |det(X - w)|; the tests keep that
+    identity as an oracle.
     """
     X = np.asarray(X, dtype=np.complex128)
     n = X.shape[0]
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")
-    zeta, lap, w_nodes, prefactor, cell = _statistic_nodes(w0, alpha, f_spec, quad2d, n)
+    lam = np.linalg.eigvals(X)
+    scale = float(n) ** (-alpha) * f_spec.radius
+    return float(n) ** (2.0 * alpha) * float(np.mean(bump_value(np.abs(lam - w0) / scale)))
 
-    hess = linalg.hessenberg_form(X)
-    logdet = linalg.shifted_log_abs_det(hess, w_nodes)
-    bad = ~np.isfinite(logdet)
-    if np.any(bad):
-        warnings.warn(
-            f"{int(bad.sum())} singular quadrature node(s) re-jittered by half a cell",
-            RuntimeWarning,
-        )
-        jitter = 0.5 * math.sqrt(cell) * (1.0 + 1.0j) / math.sqrt(2.0)
-        scale = float(n) ** (-alpha) * f_spec.radius
-        logdet[bad] = linalg.shifted_log_abs_det(hess, w_nodes[bad] + scale * jitter)
-        if not np.all(np.isfinite(logdet)):
-            raise ConvergenceError("singular shift persisted after re-jittering")
-    g = logdet / n
-    # Delta f pairs any constant to zero in the continuum, but its midpoint
-    # sum is only O(h^2); centering removes that error times N^{2a} g0
-    g0 = float(np.median(g))
-    return float(prefactor * np.sum(lap * (g - g0)))
+
+def _bump_arc_integral(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """int over phi in (-pi, pi] of max(c + d cos phi, 0)^3, for d > 0."""
+    a = np.arccos(np.clip(-c / d, -1.0, 1.0))
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    return 2.0 * (
+        c**3 * a
+        + 3.0 * c**2 * d * sin_a
+        + 1.5 * c * d**2 * (a + sin_a * cos_a)
+        + d**3 * (sin_a - sin_a**3 / 3.0)
+    )
 
 
 def linear_statistic_rhs(
@@ -381,29 +347,31 @@ def linear_statistic_rhs(
     w0: complex,
     alpha: float,
     f_spec: FSpec = FSpec(),
-    quad2d: QuadGrid2D = QuadGrid2D(),
     n: int = 1,
 ) -> float:
-    """Deterministic side of the statistic: Delta f paired with L(|w|).
+    """Deterministic side: N^{2a} int f((w - w0)/s) rho(|w|) d^2 w.
 
-    L is radial, so it is evaluated on a 65-radius table spanning the node
-    radii and interpolated by a cubic spline; both statistics share the
-    same zeta grid, which cancels quadrature-grid bias in their difference.
+    In polar coordinates about the origin, |w - w0|^2 / s^2 = 1 - c - d cos phi
+    with c = 1 - (r^2 + |w0|^2)/s^2 and d = 2 r |w0| / s^2, so the angular
+    integral of the bump is closed form.  The radial integral runs over the
+    part of the ring inside |w0| +- s, where rho is smooth, by a 64-node
+    Gauss-Legendre rule.
     """
-    from scipy.interpolate import CubicSpline
-
-    zeta, lap, w_nodes, prefactor, _cell = _statistic_nodes(w0, alpha, f_spec, quad2d, n)
-    if abs(w0) <= float(n) ** (-alpha) * f_spec.radius:
+    scale = float(n) ** (-alpha) * f_spec.radius
+    r0 = abs(w0)
+    if r0 <= scale:
         raise ValueError("test function support touches w = 0, excluded from the ring law")
-    radii_nodes = np.abs(w_nodes)
-    lo, hi = float(np.min(radii_nodes)), float(np.max(radii_nodes))
-    if hi > lo:
-        table = np.linspace(lo, hi, 65)
-        L = CubicSpline(table, [ringlaw.log_potential(mu_sigma, s) for s in table])(radii_nodes)
-    else:
-        L = np.full_like(radii_nodes, ringlaw.log_potential(mu_sigma, lo))
-    L0 = float(np.median(L))  # same centering as the eigenvalue side
-    return float(prefactor * np.sum(lap * (L - L0)))
+    r_minus, r_plus = measure.radii(mu_sigma)
+    lo, hi = max(r0 - scale, r_minus), min(r0 + scale, r_plus)
+    if lo >= hi:
+        return 0.0
+    x, wts = np.polynomial.legendre.leggauss(64)
+    r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    c = 1.0 - (r * r + r0 * r0) / scale**2
+    d = 2.0 * r * r0 / scale**2
+    rho = np.array([ringlaw.ring_density(mu_sigma, ri) for ri in r])
+    radial = 0.5 * (hi - lo) * float(np.sum(wts * _bump_arc_integral(c, d) * rho * r))
+    return float(n) ** (2.0 * alpha) * radial
 
 
 @dataclass(frozen=True)
@@ -425,7 +393,6 @@ def linear_statistic_gap(
     trials: int,
     seed: Optional[int] = None,
     f_spec: FSpec = FSpec(),
-    quad2d: QuadGrid2D = QuadGrid2D(),
     threads: int = 1,
 ) -> list:
     """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1.
@@ -434,14 +401,14 @@ def linear_statistic_gap(
     """
     base_seed = e.seed if seed is None else int(seed)
     mu = e.empirical_measure()
-    rhs = linear_statistic_rhs(mu, w0, alpha, f_spec, quad2d, n=e.N)
+    rhs = linear_statistic_rhs(mu, w0, alpha, f_spec, n=e.N)
     norm = delta_bump_l1()
     scale = float(e.N) ** (1.0 - 2.0 * alpha) / norm
 
     def one_trial(trial):
         rng = linalg.child_rng(base_seed, trial)
         X = models.sample_X(e, rng)
-        lhs = linear_statistic_lhs(X, w0, alpha, f_spec, quad2d)
+        lhs = linear_statistic_lhs(X, w0, alpha, f_spec)
         return GapRecord(
             e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale, base_seed
         )

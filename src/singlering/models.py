@@ -1,13 +1,13 @@
 """Random matrix models: bi-unitarily invariant X = U S V* and the block
 additive family that generalizes its hermitization.
 
-All non-Hermitian spectral information is extracted through log |det| and
-through spectra of the Hermitian 2N x 2N hermitization
+The local laws are read off spectra of the Hermitian 2N x 2N hermitization
 
     hermitize(X, w) = [[0, X - w], [(X - w)*, 0]],
 
-whose eigenvalues are plus/minus the singular values of X - w; eigenvalues
-of X itself are never computed.
+whose eigenvalues are plus/minus the singular values of X - w.  Only the
+linear eigenvalue statistic (``locallaw.linear_statistic_lhs``) uses the
+eigenvalues of X itself.
 """
 
 from __future__ import annotations

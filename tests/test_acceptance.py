@@ -314,5 +314,21 @@ def test_criterion_12_reproducibility(tmp_path):
     )
 
 
+def test_criterion_13_statistic_gap_near_optimal_scale(two_point):
+    # s = 2.0 * 512^-0.45 puts the support 1.279 < |w| < 1.521 inside the
+    # ring 1.265 < |w| < 1.581; it holds about 2 of the 512 eigenvalues
+    e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
+    recs = locallaw.linear_statistic_gap(
+        e, 1.4 + 0j, 0.45, trials=20, f_spec=locallaw.FSpec(2.0), threads=THREADS
+    )
+    good = sum(r.gap_norm <= 1.0 for r in recs)
+    worst = max(r.gap_norm for r in recs)
+    verdict(
+        13,
+        good >= 18,
+        f"main-theorem gap at alpha=0.45: {good}/20 within 1.0, worst {worst:.3f}",
+    )
+
+
 if __name__ == "__main__":
     sys.exit(pytest.main(["-s", "-v", __file__]))

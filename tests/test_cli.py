@@ -202,6 +202,38 @@ class TestLocalLawRuns:
         assert manifest["config"]["ensemble"]["seed"] == 123
 
 
+class TestMainGapCommand:
+    CFG = {
+        "measure": TWO_POINT,
+        "ensemble": {"N": 48, "symmetry": "unitary", "seed": 41},
+        "grid": {"trials": 2},
+        "params": {"w0": [1.4, 0.0], "alphas": [0, 0.25], "support_radii": [0.1, 0.5]},
+    }
+
+    def test_gap_csv_rows_and_thread_invariance(self, tmp_path):
+        p = write_cfg(tmp_path / "c.json", self.CFG)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["main-gap", "--config", p, "--out", str(a), "--threads", "1"]) == EXIT_OK
+        assert main(["main-gap", "--config", p, "--out", str(b), "--threads", "2"]) == EXIT_OK
+        assert (a / "gap.csv").read_bytes() == (b / "gap.csv").read_bytes()
+        rows = read_csv(a / "gap.csv")
+        assert rows[0] == ["N", "trial", "alpha", "w0_re", "w0_im", "lhs", "rhs", "gap_norm"]
+        assert len(rows) == 5
+        for r in rows[1:]:
+            assert all(math.isfinite(float(x)) for x in r[5:8])
+        rhs_per_alpha = {}
+        for r in rows[1:]:
+            rhs_per_alpha.setdefault(float(r[2]), set()).add(r[6])
+        assert sorted(rhs_per_alpha) == [0.0, 0.25]
+        assert all(len(v) == 1 for v in rhs_per_alpha.values())
+
+    def test_retired_grid_key_is_ignored(self, tmp_path):
+        cfg = json.loads(json.dumps(self.CFG))
+        cfg["params"]["grid_n"] = 64
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["main-gap", "--config", p, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
 class TestReportCommand:
     def test_single_size_run_omits_slope(self, tmp_path):
         cfg = {

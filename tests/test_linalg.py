@@ -9,10 +9,8 @@ from singlering.linalg import (
     haar_orthogonal,
     haar_unitary,
     hermitian_eigensystem,
-    hessenberg_form,
     is_hermitian,
     log_abs_det,
-    shifted_log_abs_det,
 )
 
 
@@ -156,33 +154,6 @@ class TestLogAbsDet:
         assert log_abs_det(M) == pytest.approx(
             0.5 * np.sum(np.log(spec.eigenvalues)), abs=1e-8
         )
-
-
-class TestShiftedLogAbsDet:
-    def test_matches_direct_lu(self):
-        rng = child_rng(13)
-        A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        H = hessenberg_form(A)
-        shifts = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        batch = shifted_log_abs_det(H, shifts)
-        direct = np.array([log_abs_det(A - w * np.eye(40)) for w in shifts])
-        assert np.max(np.abs(batch - direct)) <= 1e-9
-
-    def test_singular_shift_is_minus_inf(self):
-        A = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        out = shifted_log_abs_det(hessenberg_form(A), np.array([2.0 + 0j]))
-        assert out[0] == -np.inf
-
-    def test_chunking_invariance(self):
-        rng = child_rng(14)
-        A = rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150))
-        H = hessenberg_form(A)
-        shifts = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        full = shifted_log_abs_det(H, shifts)
-        parts = np.concatenate(
-            [shifted_log_abs_det(H, shifts[i : i + 37]) for i in range(0, 2000, 37)]
-        )
-        assert np.array_equal(full, parts)
 
 
 def test_is_hermitian_predicate():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singlering import freeconv, linalg, locallaw, measure, models
+from singlering import freeconv, linalg, locallaw, measure, models, ringlaw
 from singlering.locallaw import (
     DevRecord,
     DominationReport,
     FSpec,
-    QuadGrid2D,
     ScanGrid,
     block_local_law_scan,
     bump_laplacian,
@@ -28,6 +27,35 @@ from singlering.locallaw import (
 from singlering.measure import DiscreteMeasure, RingGeometry
 
 
+def laplacian_pairing(g, grid_n, w0, scale):
+    """(1/2pi) int Delta f(zeta) g(w0 + scale zeta) d^2 zeta by the midpoint
+    rule on a grid_n x grid_n grid of [-1, 1]^2 (nodes with |zeta| < 1).
+
+    g maps an array of points w to values.  As in the retired quadrature
+    route, g is centered at its median first: Delta f pairs constants to
+    zero in the continuum but only to O(h^2) in the midpoint sum.
+    """
+    step = 2.0 / grid_n
+    centers = -1.0 + step * (np.arange(grid_n) + 0.5)
+    zeta = (centers[None, :] + 1j * centers[:, None]).ravel()
+    zeta = zeta[np.abs(zeta) < 1.0]
+    vals = g(w0 + scale * zeta)
+    lap = bump_laplacian(np.abs(zeta))
+    return float(step * step / (2.0 * math.pi) * np.sum(lap * (vals - np.median(vals))))
+
+
+def girko_statistic(X, w0, alpha, spec, grid_n):
+    """N^{2a} (1/2pi) int Delta f (1/N) log |det(X - w)|, one LU per node."""
+    n = X.shape[0]
+    eye = np.eye(n)
+
+    def g(ws):
+        return np.array([linalg.log_abs_det(X - w * eye) for w in ws]) / n
+
+    scale = n ** (-alpha) * spec.radius
+    return n ** (2.0 * alpha) * laplacian_pairing(g, grid_n, w0, scale)
+
+
 class TestBump:
     def test_laplacian_closed_form_vs_finite_differences(self):
         h = 1e-5
@@ -44,8 +72,9 @@ class TestBump:
         assert bump_laplacian(1.0) == 0.0
 
     def test_l1_norm_exact(self):
-        # closed form: 12 pi * 8/27 = 32 pi / 9
-        assert delta_bump_l1() == pytest.approx(32.0 * math.pi / 9.0, rel=1e-10)
+        # oracle for the closed form 32 pi / 9: radial quadrature of |Delta f|
+        val, _ = quad(lambda s: abs(bump_laplacian(s)) * 2.0 * math.pi * s, 0.0, 1.0, limit=100)
+        assert delta_bump_l1() == pytest.approx(val, rel=1e-10)
 
     def test_laplacian_integrates_to_zero(self):
         val, _ = quad(lambda s: bump_laplacian(s) * 2 * math.pi * s, 0.0, 1.0)
@@ -60,13 +89,6 @@ class TestGrids:
         assert np.allclose(etas[:-1] / etas[1:], 2.0)
         with pytest.raises(ValueError):
             dyadic_etas(1.0, 0.5)
-
-    def test_quad_nodes_inside_disk(self):
-        zeta, cell = QuadGrid2D(32).nodes()
-        assert np.all(np.abs(zeta) < 1.0)
-        assert cell == pytest.approx((2.0 / 32) ** 2)
-        # node count close to the disk area fraction pi/4
-        assert len(zeta) == pytest.approx(32 * 32 * math.pi / 4.0, rel=0.02)
 
     def test_scan_grid_validates_annulus(self, two_point):
         ring = RingGeometry.from_measure(two_point, tau=0.05)
@@ -123,14 +145,24 @@ class TestLinearStatistics:
         w0 = 0.5 + 0.0j
         spec = FSpec(radius=0.6)
         direct = float(np.mean([bump_value(abs(l - w0) / spec.radius) for l in lam]))
-        quadv = linear_statistic_lhs(X, w0, 0.0, spec, QuadGrid2D(192))
-        assert quadv == pytest.approx(direct, abs=2e-3)
+        # Girko's identity, by midpoint quadrature with LU log-determinants
+        assert girko_statistic(X, w0, 0.0, spec, 192) == pytest.approx(direct, abs=2e-3)
+        assert linear_statistic_lhs(X, w0, 0.0, spec) == pytest.approx(direct, abs=1e-14)
+
+    def test_lhs_matches_girko_quadrature(self, two_point):
+        e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=30)
+        X = models.sample_X(e, linalg.child_rng(30))
+        for alpha, spec in ((0.0, FSpec(0.5)), (0.25, FSpec(0.8))):
+            direct = linear_statistic_lhs(X, 1.4 + 0j, alpha, spec)
+            assert direct > 0
+            assert girko_statistic(X, 1.4 + 0j, alpha, spec, 64) == pytest.approx(
+                direct, abs=1e-4
+            )
 
     def test_lhs_vanishes_off_spectrum(self):
         X = np.diag([0.2 + 0j, 0.3 + 0.1j])
-        val = linear_statistic_lhs(X, 5.0 + 0j, 0.0, FSpec(0.5), QuadGrid2D(64))
-        # the continuum integral vanishes exactly; what remains is midpoint
-        # quadrature error, O(h^2)
+        val = linear_statistic_lhs(X, 5.0 + 0j, 0.0, FSpec(0.5))
+        # no eigenvalue lies in the support of the bump
         assert abs(val) < 1e-3
 
     def test_lhs_rejects_bad_alpha(self):
@@ -142,37 +174,41 @@ class TestLinearStatistics:
         # alpha = 0, bump of radius 0.3 at w0 = 0.5 inside the unit disk:
         # integral of f against the uniform law is R^2/4
         R = 0.3
-        val = linear_statistic_rhs(
-            quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), QuadGrid2D(48), n=512,
-        )
+        val = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), n=512)
         assert val == pytest.approx(R * R / 4.0, abs=1e-3)
         assert val == pytest.approx(R * R / 4.0, rel=5e-3)
+        assert val == pytest.approx(R * R / 4.0, abs=1e-6)
 
     @pytest.mark.slow
     def test_rhs_rescaling_consistency(self, quarter_circle_2000):
         # alpha > 0 concentrates the bump: both scales see density ~ 1/pi
         R = 0.3
-        a0 = linear_statistic_rhs(
-            quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), QuadGrid2D(48), n=512,
-        )
-        a25 = linear_statistic_rhs(
-            quarter_circle_2000, 0.5 + 0j, 0.25, FSpec(R), QuadGrid2D(48), n=512,
-        )
+        a0 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), n=512)
+        a25 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.25, FSpec(R), n=512)
         assert a25 == pytest.approx(a0, rel=1e-4)
 
     def test_rhs_rejects_origin_support(self, two_point):
         with pytest.raises(ValueError):
-            linear_statistic_rhs(two_point, 0.05 + 0j, 0.0, FSpec(0.5), QuadGrid2D(16), n=8)
+            linear_statistic_rhs(two_point, 0.05 + 0j, 0.0, FSpec(0.5), n=8)
 
     def test_rhs_vanishes_off_ring(self, two_point):
-        # outside the ring L(s) = log s is harmonic, so Delta f pairs to
-        # zero in the quadrature limit; check the value and its refinement
-        vals = [
-            linear_statistic_rhs(two_point, 4.0 + 0j, 0.0, FSpec(0.5), QuadGrid2D(n), n=16)
-            for n in (32, 64)
-        ]
-        assert abs(vals[1]) < abs(vals[0])
-        assert abs(vals[1]) < 1e-3
+        # the support |w - 4| <= 0.5 misses the ring, where rho = 0
+        val = linear_statistic_rhs(two_point, 4.0 + 0j, 0.0, FSpec(0.5), n=16)
+        assert val == 0.0
+        assert abs(val) < 1e-3
+
+    def test_rhs_matches_log_potential_pairing(self, two_point):
+        # the retired route: Delta f paired with L(|w|), since Delta L = 2 pi rho
+        n, alpha, spec, w0 = 256, 0.25, FSpec(0.5), 1.4 + 0j
+
+        def L(ws):
+            return np.array([ringlaw.log_potential(two_point, abs(w)) for w in ws])
+
+        scale = n ** (-alpha) * spec.radius
+        paired = n ** (2.0 * alpha) * laplacian_pairing(L, 128, w0, scale)
+        direct = linear_statistic_rhs(two_point, w0, alpha, spec, n=n)
+        assert direct > 0
+        assert direct == pytest.approx(paired, abs=1e-5)
 
 
 class TestLocalLawScan:
@@ -190,6 +226,27 @@ class TestLocalLawScan:
             assert s.lambda1 > 0
             assert s.small_eta_integral >= 0
 
+    def test_failed_reference_solve_flags_its_nodes(self, two_point, monkeypatch):
+        ring = RingGeometry.from_measure(two_point, tau=0.02)
+        e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=31)
+        grid = ScanGrid(np.array([0.5, 0.25]), np.array([1.4 + 0j]), (24,), 2, ring)
+        solve = freeconv.solve_delta_conv
+
+        def failing(mu, r, z, *args, **kwargs):
+            if z.imag == 0.25:
+                raise freeconv.ConvergenceError("injected")
+            return solve(mu, r, z, *args, **kwargs)
+
+        monkeypatch.setattr(freeconv, "solve_delta_conv", failing)
+        with pytest.warns(RuntimeWarning, match="reference solve failed"):
+            rep = local_law_scan(e, grid)
+        assert len(rep.records) == 2 * 2
+        flagged = rep.flagged()
+        assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
+        assert all(math.isnan(r.dev) for r in flagged)
+        others = [r for r in rep.records if r.eta != 0.25]
+        assert len(others) == 2 and all(r.ok and np.isfinite(r.dev) for r in others)
+
     def test_thread_count_invariance(self, two_point):
         ring = RingGeometry.from_measure(two_point, tau=0.02)
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=22)
@@ -205,8 +262,7 @@ class TestLinearStatisticGap:
     def test_gap_records(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 48, "unitary", seed=23)
         recs = linear_statistic_gap(
-            e, 1.4 + 0j, 0.25, trials=2, f_spec=FSpec(0.5), quad2d=QuadGrid2D(24),
-            threads=threads,
+            e, 1.4 + 0j, 0.25, trials=2, f_spec=FSpec(0.5), threads=threads,
         )
         assert len(recs) == 2
         for r in recs:
