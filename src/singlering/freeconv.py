@@ -32,7 +32,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .measure import (
     AtomicMeasure,
@@ -216,6 +215,8 @@ def _solve_axis_symmetric(F1, F2, z, scale, tol):
     immune to the residual valleys that trap greedy iteration when the
     convolution has a spectral gap.
     """
+    from scipy.optimize import brentq
+
     eta = z.imag
 
     def g(y):
@@ -291,6 +292,8 @@ def _imag_axis_gap_equation(mu1_sym: DiscreteMeasure, eta: float):
 
 def _solve_delta_axis(mu1_sym, r, eta, tol):
     """Gap d = Im omega2(i eta) - eta > 0 solving G(d) = r^2; monotone Brent."""
+    from scipy.optimize import brentq
+
     r2 = r * r
     G = _imag_axis_gap_equation(mu1_sym, eta)
 

@@ -2,8 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` objects (complex128, two-dimensional,
 row major); no wrapper type is used.  Haar sampling follows the phase-fixed
-QR construction; Hermitian eigenproblems and pivoted LU factorizations are
-delegated to LAPACK through numpy/scipy behind the contracts below.
+QR construction; pivoted LU factorizations are delegated to LAPACK through
+scipy, which is imported only when a log-determinant is taken.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
 .Generator``.  Child generators for task grids are derived from a 64-bit
@@ -14,23 +14,15 @@ published, stable mixing function; see :func:`child_rng`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "child_rng",
-    "is_hermitian",
     "haar_unitary",
     "haar_orthogonal",
-    "HermitianSpectrum",
-    "hermitian_eigensystem",
     "log_abs_det",
 ]
-
-HERMITIAN_TOL = 1e-10
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:
@@ -42,14 +34,6 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
-
-
-def is_hermitian(M: np.ndarray, tol: float = 1e-12) -> bool:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return False
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    return bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,45 +63,14 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return (Q * signs).astype(np.complex128)
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Ascending eigenvalues, optional orthonormal eigenvectors, and the
-    attained residual max_k ||M v_k - lambda_k v_k||_2 (None without
-    vectors)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
-    residual: Optional[float]
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(ev) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", ev)
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-
-def hermitian_eigensystem(M: np.ndarray, want_vectors: bool = False) -> HermitianSpectrum:
-    """Full eigensystem of a Hermitian matrix (LAPACK divide and conquer)."""
-    M = np.asarray(M, dtype=np.complex128)
-    if not is_hermitian(M, HERMITIAN_TOL):
-        raise ValueError(f"matrix is not Hermitian to {HERMITIAN_TOL:g}")
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(M)
-        resid = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
-        return HermitianSpectrum(vals, vecs, resid)
-    vals = np.linalg.eigvalsh(M)
-    return HermitianSpectrum(vals, None, None)
-
-
 def log_abs_det(M: np.ndarray) -> float:
     """log |det M| by LU with partial pivoting; -inf for a singular matrix.
 
     An estimated reciprocal condition number below 1e-12 triggers a
     RuntimeWarning: the returned value then carries few reliable digits.
     """
+    import scipy.linalg
+
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("log_abs_det needs a square matrix")

@@ -164,7 +164,7 @@ class DevRecord:
 @dataclass
 class SplitRecord:
     """Integral-split diagnostic: eta* = N^(-L1), the small-eta mass of
-    Im m^w, and the smallest hermitization eigenvalue controlling it."""
+    Im m^w, and the smallest singular value of X - w controlling it."""
 
     N: int
     trial: int
@@ -243,22 +243,22 @@ def fit_domination(report: DominationReport, eps_pass: float = 0.2, q: float = 0
 # ---------------------------------------------------------------------------
 
 
-def _reference_axis_transforms(mu_sym, w_values, eta_values):
-    """m_{Sigma,|w|}(i eta) for every (w, eta); deterministic, shared by trials.
+def _reference_transforms(solve, points, eta_values, label):
+    """solve(p, eta) for every (p, eta); deterministic, shared by trials.
 
     A failed solve leaves NaN at its node, which every trial then flags.
     """
     ref = {}
-    for iw, w in enumerate(w_values):
+    for ip, p in enumerate(points):
         for ie, eta in enumerate(eta_values):
             try:
-                ref[(iw, ie)] = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
+                ref[(ip, ie)] = solve(p, eta)
             except ConvergenceError as exc:
                 warnings.warn(
-                    f"reference solve failed at |w| = {abs(w):g}, eta = {eta:g}: {exc}",
+                    f"reference solve failed at {label} = {p:g}, eta = {eta:g}: {exc}",
                     RuntimeWarning,
                 )
-                ref[(iw, ie)] = complex(math.nan, math.nan)
+                ref[(ip, ie)] = complex(math.nan, math.nan)
     return ref
 
 
@@ -276,26 +276,29 @@ def local_law_scan(
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_sym = measure.symmetrize(ens.empirical_measure())
-        ref = _reference_axis_transforms(mu_sym, grid.w_values, grid.eta_values)
+        ref = _reference_transforms(
+            lambda r, eta: freeconv.solve_delta_conv(mu_sym, r, 1j * eta).m,
+            np.abs(grid.w_values),
+            grid.eta_values,
+            "|w|",
+        )
         eta_star = float(N) ** (-split_exponent)
 
         def one_trial(trial, ens=ens, ref=ref, ni=ni, N=N, eta_star=eta_star):
-            task_seed = base_seed
             rng = linalg.child_rng(base_seed, ni, trial)
             X = models.sample_X(ens, rng)
             recs, splits = [], []
             for iw, w in enumerate(grid.w_values):
-                spec = linalg.hermitian_eigensystem(models.hermitization(X, w))
-                lam = spec.eigenvalues
-                small = float(np.mean(0.5 * np.log1p(eta_star**2 / lam**2)))
+                s = models.svd(X, w)
+                small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
                 splits.append(
-                    SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(spec))
+                    SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
                 )
                 for ie, eta in enumerate(grid.eta_values):
                     m_ref = ref[(iw, ie)]
                     ok = bool(np.isfinite(m_ref))
-                    dev = N * eta * abs(models.m_w(spec, eta) - m_ref) if ok else math.nan
-                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok, task_seed))
+                    dev = N * eta * abs(models.m_w(s, eta) - m_ref) if ok else math.nan
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok, base_seed))
             return recs, splits
 
         for recs, splits in parallel_map(one_trial, range(grid.trials), threads):
@@ -470,8 +473,7 @@ def smallest_sv_tail(
     def one_trial(trial):
         rng = linalg.child_rng(base_seed, trial)
         X = models.sample_X(e, rng)
-        spec = linalg.hermitian_eigensystem(models.hermitization(X, w))
-        return models.smallest_sv(spec)
+        return models.smallest_sv(models.svd(X, w))
 
     lam = np.array(parallel_map(one_trial, range(trials), threads))
     lam_scaled = lam * abs(w)
@@ -528,7 +530,8 @@ def block_local_law_scan(
     """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| on the energy interval.
 
     m_ref is the transform of the free convolution of the symmetrized
-    empirical diagonal profiles; the interval must lie in its bulk.
+    empirical diagonal profiles; the interval must lie in its bulk.  A failed
+    reference solve flags its (E, eta) node in every trial.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:
@@ -549,22 +552,26 @@ def block_local_law_scan(
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_a_N, mu_b_N = _block_reference(ens)
-        ref = {}
-        for iE, E in enumerate(E_values):
-            for ie, eta in enumerate(grid.eta_values):
-                ref[(iE, ie)] = _conv_transform(mu_a_N, mu_b_N, complex(E, eta))
+        ref = _reference_transforms(
+            lambda E, eta: _conv_transform(mu_a_N, mu_b_N, complex(E, eta)),
+            E_values,
+            grid.eta_values,
+            "E",
+        )
 
         def one_trial(trial, ens=ens, ref=ref, ni=ni, N=N):
             rng = linalg.child_rng(base_seed, ni, trial)
-            H, _ = models.block_H(ens, rng)
-            lam = linalg.hermitian_eigensystem(H).eigenvalues
+            s = models.svd(models.sample_Y(ens, rng))
             recs = []
             for iE, E in enumerate(E_values):
                 for ie, eta in enumerate(grid.eta_values):
                     z = complex(E, eta)
-                    m_H = complex(np.mean(1.0 / (lam - z)))
-                    dev = N * eta * (1.0 + eta) * abs(m_H - ref[(iE, ie)])
-                    recs.append(DevRecord(N, trial, z, eta, dev, True, base_seed))
+                    m_ref = ref[(iE, ie)]
+                    ok = bool(np.isfinite(m_ref))
+                    # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
+                    m_H = complex(np.mean(z / (s * s - z * z)))
+                    dev = N * eta * (1.0 + eta) * abs(m_H - m_ref) if ok else math.nan
+                    recs.append(DevRecord(N, trial, z, eta, dev, ok, base_seed))
             return recs
 
         for recs in parallel_map(one_trial, range(grid.trials), threads):
@@ -605,13 +612,13 @@ def green_subordination_scan(
 
     def one_trial(trial):
         rng = linalg.child_rng(base_seed, trial)
-        H, _ = models.block_H(e, rng)
-        spec = linalg.hermitian_eigensystem(H, want_vectors=True)
+        Y = models.sample_Y(e, rng)
+        svd_Y = models.svd(Y, compute_uv=True)
         out = []
         for z in z_grid:
             st = refs[z]
             obs = models.resolvent_observables(
-                H, z, e.xi_diag, st.omega2, bulk_window=bulk_window, spec=spec
+                Y, z, e.xi_diag, st.omega2, bulk_window=bulk_window, svd_Y=svd_Y
             )
             eta = z.imag
             out.append(

@@ -1,40 +1,40 @@
 """Random matrix models: bi-unitarily invariant X = U S V* and the block
 additive family that generalizes its hermitization.
 
-The local laws are read off spectra of the Hermitian 2N x 2N hermitization
+The local laws are statements about the Girko hermitization
 
-    hermitize(X, w) = [[0, X - w], [(X - w)*, 0]],
+    H^w = [[0, X - w], [(X - w)*, 0]],
 
-whose eigenvalues are plus/minus the singular values of X - w.  Only the
-linear eigenvalue statistic (``locallaw.linear_statistic_lhs``) uses the
-eigenvalues of X itself.
+whose 2N eigenvalues are plus/minus the N singular values of X - w.  Every
+spectral quantity here is therefore read off one N x N SVD; the 2N x 2N
+matrix is never formed.  Only the linear eigenvalue statistic
+(``locallaw.linear_statistic_lhs``) uses the eigenvalues of X itself.
+
+X is sampled as diag(sigma) W with one Haar W.  For X = U diag(sigma) V*
+and W = V* U this is U* X U, so it has the eigenvalues of X and, jointly
+in w, the singular values of X - w; since V* U is Haar when U and V are
+independent Haar matrices of either symmetry class, every statistic of
+those spectra has the law it has under U diag(sigma) V*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .linalg import (
-    HermitianSpectrum,
-    child_rng,
-    haar_orthogonal,
-    haar_unitary,
-    hermitian_eigensystem,
-)
+from .linalg import haar_orthogonal, haar_unitary
 from .measure import DiscreteMeasure
 
 __all__ = [
     "SingleRingEnsemble",
     "BlockAdditiveEnsemble",
     "sample_X",
-    "hermitization",
+    "sample_Y",
+    "svd",
     "m_w",
     "smallest_sv",
-    "block_H",
     "ResolventObservables",
     "resolvent_observables",
 ]
@@ -58,7 +58,11 @@ def sigma_from_measure(mu: DiscreteMeasure, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingleRingEnsemble:
-    """X = U diag(sigma) V* with independent Haar U, V of one symmetry class."""
+    """X = U diag(sigma) V* with independent Haar U, V of one symmetry class.
+
+    ``sample_X`` draws its unitary conjugate diag(sigma) W, W = V* U Haar: the
+    same eigenvalues and, jointly in w, the same singular values of X - w.
+    """
 
     sigma_diag: np.ndarray
     N: int
@@ -91,7 +95,11 @@ class SingleRingEnsemble:
 
 @dataclass(frozen=True)
 class BlockAdditiveEnsemble:
-    """H = Udiag . B . Udiag* + A with A, B built from diagonals Xi, Sigma."""
+    """Y = U diag(sigma) V* + diag(xi) with independent Haar U, V.
+
+    Its hermitization [[0, Y], [Y*, 0]] = A + diag(U, V) B diag(U, V)*, with
+    A, B those of diag(xi), diag(sigma), has spectrum +/- the singular values of Y.
+    """
 
     sigma_diag: np.ndarray
     xi_diag: np.ndarray
@@ -127,69 +135,44 @@ class BlockAdditiveEnsemble:
 
 
 def sample_X(e: SingleRingEnsemble, rng: np.random.Generator) -> np.ndarray:
-    """One draw of X = U diag(sigma) V*."""
+    """One draw of diag(sigma) W, W Haar: U* X U for X = U diag(sigma) V*, W = V* U.
+
+    It carries the eigenvalues of X and, jointly in w, the singular values of X - w.
+    """
+    return e.sigma_diag[:, None] * _haar(e.N, e.symmetry, rng)
+
+
+def sample_Y(e: BlockAdditiveEnsemble, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the N x N block Y = U diag(sigma) V* + diag(xi)."""
     U = _haar(e.N, e.symmetry, rng)
     V = _haar(e.N, e.symmetry, rng)
-    return (U * e.sigma_diag) @ V.conj().T
+    return (U * e.sigma_diag) @ V.conj().T + np.diag(e.xi_diag)
 
 
-def hermitization(X: np.ndarray, w: complex) -> np.ndarray:
-    """Girko block matrix [[0, X-w], [(X-w)*, 0]]; Hermitian, +/- spectrum."""
+def svd(X: np.ndarray, w: complex = 0.0, compute_uv: bool = False):
+    """SVD of X - w: its singular values, or (P, s, Q*) with compute_uv.
+
+    The singular values are the nonnegative half of the spectrum of the
+    hermitization [[0, X - w], [(X - w)*, 0]].
+    """
     X = np.asarray(X, dtype=np.complex128)
-    N = X.shape[0]
-    if X.shape != (N, N):
-        raise ValueError("hermitization needs a square matrix")
-    Y = X - w * np.eye(N)
-    H = np.zeros((2 * N, 2 * N), dtype=np.complex128)
-    H[:N, N:] = Y
-    H[N:, :N] = Y.conj().T
-    return H
+    return np.linalg.svd(X - w * np.eye(len(X)), compute_uv=compute_uv)
 
 
-def m_w(spec: HermitianSpectrum, eta: float) -> complex:
-    """Resolvent trace (1/2N) Tr (H^w - i eta)^(-1) from the spectrum.
+def m_w(s: np.ndarray, eta: float) -> complex:
+    """Resolvent trace (1/2N) Tr (H^w - i eta)^(-1) from the singular values.
 
-    Equivalently (1/N) sum_i  i eta / ((lambda_i^w)^2 + eta^2) over the
-    nonnegative half of the +/- paired spectrum.
+    The +/- pair of eigenvalues of H^w at s_i contributes
+    i eta / (s_i^2 + eta^2) on average.
     """
     if eta <= 0:
         raise ValueError("m_w needs eta > 0")
-    lam = spec.eigenvalues
-    return complex(np.mean(1.0 / (lam - 1j * eta)))
+    return complex(np.mean(1j * eta / (s * s + eta * eta)))
 
 
-def smallest_sv(spec: HermitianSpectrum) -> float:
-    """lambda_1^w = min |lambda| of a +/- symmetric hermitization spectrum."""
-    return float(np.min(np.abs(spec.eigenvalues)))
-
-
-def _blocks(diag: np.ndarray) -> np.ndarray:
-    N = len(diag)
-    M = np.zeros((2 * N, 2 * N), dtype=np.complex128)
-    M[:N, N:] = np.diag(diag)
-    M[N:, :N] = np.diag(diag).conj().T
-    return M
-
-
-def block_H(e: BlockAdditiveEnsemble, rng: np.random.Generator):
-    """Sample (H, H_dual) = (A + UB U*, B + U* A U) with U = diag(U, V).
-
-    The two share the Haar pair, so Tr of their resolvents agree exactly at
-    every spectral parameter.
-    """
-    U = _haar(e.N, e.symmetry, rng)
-    V = _haar(e.N, e.symmetry, rng)
-    A = _blocks(e.xi_diag)
-    B = _blocks(e.sigma_diag)
-    Ucal = np.zeros((2 * e.N, 2 * e.N), dtype=np.complex128)
-    Ucal[: e.N, : e.N] = U
-    Ucal[e.N :, e.N :] = V
-    H = Ucal @ B @ Ucal.conj().T + A
-    H_dual = B + Ucal.conj().T @ A @ Ucal
-    # enforce exact Hermitian symmetry against roundoff drift
-    H = 0.5 * (H + H.conj().T)
-    H_dual = 0.5 * (H_dual + H_dual.conj().T)
-    return H, H_dual
+def smallest_sv(s: np.ndarray) -> float:
+    """lambda_1^w, the smallest singular value of X - w."""
+    return float(np.min(s))
 
 
 @dataclass(frozen=True)
@@ -207,64 +190,64 @@ class ResolventObservables:
 
 
 def resolvent_observables(
-    H: np.ndarray,
+    Y: np.ndarray,
     z: complex,
     xi_diag: np.ndarray,
     omega_B: complex,
     bulk_window=None,
-    spec: Optional[HermitianSpectrum] = None,
+    svd_Y=None,
 ) -> ResolventObservables:
     """Evaluate m_H, partial traces, approximate subordination functions,
     the entrywise control parameter Lambda_d against the supplied omega_B,
-    and the sup-norm statistic of bulk eigenvectors.
+    and the sup-norm statistic of bulk eigenvectors, for the resolvent
+    G = (H - z)^(-1) of H = [[0, Y], [Y*, 0]].
 
     Lambda_d is the max over i of the deviations of G_ii, G_i^i^, G_i i^,
     G_i^ i from the deterministic targets omega_B/(|xi_i|^2 - omega_B^2)
-    and xi_i (resp. conj xi_i) over the same denominator.  A precomputed
-    eigensystem of H may be passed to amortize repeated z sweeps.
+    and xi_i (resp. conj xi_i) over the same denominator.  Everything comes
+    from the SVD Y = P diag(s) Q* in O(N^2), without forming G: H has the
+    eigenpairs (+-s_k, (p_k, +-q_k)/sqrt 2), so the diagonal blocks of G
+    are sum_k z/(s_k^2 - z^2) p_k p_k* (resp. q_k q_k*) and the off-diagonal
+    ones sum_k s_k/(s_k^2 - z^2) p_k q_k* (resp. q_k p_k*).  A precomputed
+    ``svd_Y = (P, s, Q*)`` may be passed to amortize repeated z sweeps.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("resolvent observables need Im z > 0")
-    H = np.asarray(H, dtype=np.complex128)
-    n2 = H.shape[0]
-    N = n2 // 2
+    P, s, Qh = svd(Y, compute_uv=True) if svd_Y is None else svd_Y
+    N = len(s)
     xi = np.asarray(xi_diag, dtype=np.complex128)
-    if spec is None:
-        spec = hermitian_eigensystem(H, want_vectors=True)
-    lam, Q = spec.eigenvalues, spec.eigenvectors
-    wts = 1.0 / (lam - z)
+    den = s * s - z * z
+    diag_w, off_w = z / den, s / den
 
-    G = (Q * wts) @ Q.conj().T
-    diag = np.diagonal(G)
-    tau1 = complex(np.mean(diag[:N]))
-    tau2 = complex(np.mean(diag[N:]))
+    g11 = (np.abs(P) ** 2) @ diag_w
+    g22 = diag_w @ (np.abs(Qh) ** 2)
+    g12 = np.einsum("ik,k,ki->i", P, off_w, Qh)
+    g21 = np.einsum("ik,k,ki->i", P.conj(), off_w, Qh.conj())
+    tau1 = complex(np.mean(g11))
+    tau2 = complex(np.mean(g22))
     m_H = 0.5 * (tau1 + tau2)
 
-    A = _blocks(xi)
-    Btilde = H - A
-    tr_AG = np.sum(A.T * G) / n2
-    tr_BG = np.sum(Btilde.T * G) / n2
-    tr_G = np.trace(G) / n2
-    omega_A_c = z - tr_AG / tr_G
-    omega_B_c = z - tr_BG / tr_G
+    # normalized traces (1/2N) Tr: Tr(H G) = 2N + z Tr G, and B~ = H - A
+    tr_AG = complex(np.sum(xi * g21) + np.sum(xi.conj() * g12)) / (2 * N)
+    tr_BG = 1.0 + z * m_H - tr_AG
+    omega_A_c = z - tr_AG / m_H
+    omega_B_c = z - tr_BG / m_H
 
     denom = np.abs(xi) ** 2 - omega_B * omega_B
     target_d = omega_B / denom
-    idx = np.arange(N)
     lam_d = max(
-        float(np.max(np.abs(diag[:N] - target_d))),
-        float(np.max(np.abs(diag[N:] - target_d))),
-        float(np.max(np.abs(G[idx, idx + N] - xi / denom))),
-        float(np.max(np.abs(G[idx + N, idx] - xi.conj() / denom))),
+        float(np.max(np.abs(g11 - target_d))),
+        float(np.max(np.abs(g22 - target_d))),
+        float(np.max(np.abs(g12 - xi / denom))),
+        float(np.max(np.abs(g21 - xi.conj() / denom))),
     )
 
-    if bulk_window is None:
-        half = 0.5
-        bulk_window = (z.real - half, z.real + half)
-    in_bulk = (lam >= bulk_window[0]) & (lam <= bulk_window[1])
+    lo, hi = (z.real - 0.5, z.real + 0.5) if bulk_window is None else bulk_window
+    in_bulk = ((s >= lo) & (s <= hi)) | ((-s >= lo) & (-s <= hi))
     if np.any(in_bulk):
-        eigvec_sup = float(math.sqrt(N) * np.max(np.abs(Q[:, in_bulk])))
+        sup = max(np.max(np.abs(P[:, in_bulk])), np.max(np.abs(Qh[in_bulk, :])))
+        eigvec_sup = float(math.sqrt(N / 2.0) * sup)
     else:
         eigvec_sup = float("nan")
 

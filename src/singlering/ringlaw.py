@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .measure import DiscreteMeasure, radii
 
@@ -44,6 +43,8 @@ __all__ = [
 def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
     """y with q(y) = s^2 for x = sigma^2; 0 or inf when s lies within
     rounding of r_plus or r_minus, where no sign change is left to find."""
+    from scipy.optimize import brentq
+
     m2 = float(np.dot(p, x))
     x_hat, s2_hat = x / m2, s * s / m2  # scale-free: y m2 = e^u
 

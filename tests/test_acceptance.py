@@ -138,20 +138,23 @@ def test_criterion_06_exact_identities(two_point):
     N, w, K = 64, 1.4, 100.0
     e = models.SingleRingEnsemble.from_measure(two_point, N, "unitary", seed=SEED)
     X = models.sample_X(e, linalg.child_rng(SEED, 0))
-    spec = linalg.hermitian_eigensystem(models.hermitization(X, w))
-    lam = spec.eigenvalues
+    s = models.svd(X, w)
+    H = np.zeros((2 * N, 2 * N), dtype=complex)
+    H[:N, N:] = X - w * np.eye(N)
+    H[N:, :N] = H[:N, N:].conj().T
+    lam = np.linalg.eigvalsh(H)
 
-    sym_err = float(np.max(np.abs(np.sort(lam) + np.sort(lam)[::-1])))
-    lhs = float(np.mean(np.log(np.abs(lam))))
-    term1 = float(np.mean(np.log(np.abs(lam - 1j * K))))
+    sym_err = float(np.max(np.abs(lam - np.sort(np.concatenate([-s, s])))))
+    lhs = float(np.mean(np.log(s)))
+    term1 = float(np.mean(np.log(np.abs(s - 1j * K))))
     integral, _ = quad(
-        lambda eta: models.m_w(spec, eta).imag,
+        lambda eta: models.m_w(s, eta).imag,
         0.0,
         K,
         epsabs=1e-13,
         epsrel=1e-13,
         limit=500,
-        points=[models.smallest_sv(spec), 1.0, 10.0],
+        points=[models.smallest_sv(s), 1.0, 10.0],
     )
     ksplit_err = abs(lhs - (term1 - integral))
     logdet_err = abs(linalg.log_abs_det(X - w * np.eye(N)) - N * lhs)
@@ -159,8 +162,8 @@ def test_criterion_06_exact_identities(two_point):
     be = models.BlockAdditiveEnsemble(
         e.sigma_diag, np.linspace(0.2, 1.0, N).astype(complex), N, "unitary", seed=SEED
     )
-    H, _ = models.block_H(be, linalg.child_rng(SEED, 1))
-    obs = models.resolvent_observables(H, 0.3 + 0.2j, be.xi_diag, 1.0j)
+    Y = models.sample_Y(be, linalg.child_rng(SEED, 1))
+    obs = models.resolvent_observables(Y, 0.3 + 0.2j, be.xi_diag, 1.0j)
     tau_err = abs(obs.tau1 - obs.tau2)
     omega_err = abs(obs.omega_A_c + obs.omega_B_c - (0.3 + 0.2j) + 1.0 / obs.m_H)
 
@@ -175,7 +178,7 @@ def test_criterion_06_exact_identities(two_point):
         6,
         ok,
         f"N=64 identities: K-split {ksplit_err:.2e} (<= 1e-9), log-det routes "
-        f"{logdet_err:.2e} (<= 1e-9), +- symmetry {sym_err:.2e} (<= 1e-10), "
+        f"{logdet_err:.2e} (<= 1e-9), hermitization = +-sv {sym_err:.2e} (<= 1e-10), "
         f"tau1=tau2 {tau_err:.2e}, omega identity {omega_err:.2e} (<= 1e-10)",
     )
 

@@ -301,3 +301,18 @@ class TestUsage:
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_import_loads_no_scipy(self):
+        # every CLI call pays the import; scipy loads only with a solver
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, singlering.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

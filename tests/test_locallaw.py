@@ -299,6 +299,26 @@ class TestBlockScan:
         rep = block_local_law_scan(e, (0.0, 0.0), grid, threads=threads)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
 
+    def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
+        e = models.BlockAdditiveEnsemble(np.ones(24), np.ones(24), 24, "unitary", seed=30)
+        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), (24,), 2)
+        solve = freeconv.solve_phi_system
+
+        def failing(mu1, mu2, z, *args, **kwargs):
+            if z.imag == 0.25:
+                raise freeconv.ConvergenceError("injected")
+            return solve(mu1, mu2, z, *args, **kwargs)
+
+        monkeypatch.setattr(freeconv, "solve_phi_system", failing)
+        with pytest.warns(RuntimeWarning, match="reference solve failed"):
+            rep = block_local_law_scan(e, (0.0, 0.0), grid)
+        assert len(rep.records) == 2 * 2
+        flagged = rep.flagged()
+        assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
+        assert all(math.isnan(r.dev) for r in flagged)
+        others = [r for r in rep.records if r.eta != 0.25]
+        assert len(others) == 2 and all(r.ok and np.isfinite(r.dev) for r in others)
+
     def test_bulk_check_rejects_gap(self):
         e = models.BlockAdditiveEnsemble(np.ones(16), np.zeros(16), 16, "unitary", seed=28)
         grid = ScanGrid(np.array([0.5]), np.array([], dtype=complex), (16,), 1)
