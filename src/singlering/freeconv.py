@@ -35,8 +35,10 @@ import numpy as np
 
 from .measure import (
     AtomicMeasure,
+    ConvergenceError,
     DiscreteMeasure,
     MeasureError,
+    _brentq,
     nevanlinna_rep,
     support_stats,
 )
@@ -54,15 +56,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point solve did not reach tolerance; carries the last residual."""
-
-    def __init__(self, message, residual=math.nan, iterations=0):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -211,12 +204,10 @@ def _solve_axis_symmetric(F1, F2, z, scale, tol):
     For symmetric measures both subordination functions are purely
     imaginary on the imaginary axis, so the slaved residual phi(iy) is too.
     g(y) = Im phi(iy) satisfies g(eta+) >= 0 (Nevanlinna) and g -> -infty,
-    which yields a guaranteed bracket; Brent does the rest.  This route is
-    immune to the residual valleys that trap greedy iteration when the
-    convolution has a spectral gap.
+    which yields a guaranteed bracket; ``measure._brentq`` does the rest.
+    This route is immune to the residual valleys that trap greedy iteration
+    when the convolution has a spectral gap.
     """
-    from scipy.optimize import brentq
-
     eta = z.imag
 
     def g(y):
@@ -234,7 +225,7 @@ def _solve_axis_symmetric(F1, F2, z, scale, tol):
         hi = eta + 2.0 * (hi - eta)
     else:
         raise ConvergenceError(f"no axis bracket for the symmetric pair at z = {z}")
-    return brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return _brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def solve_phi_system(
@@ -291,9 +282,8 @@ def _imag_axis_gap_equation(mu1_sym: DiscreteMeasure, eta: float):
 
 
 def _solve_delta_axis(mu1_sym, r, eta, tol):
-    """Gap d = Im omega2(i eta) - eta > 0 solving G(d) = r^2; monotone Brent."""
-    from scipy.optimize import brentq
-
+    """Gap d = Im omega2(i eta) - eta > 0 solving G(d) = r^2 by
+    ``measure._brentq`` on the monotone G."""
     r2 = r * r
     G = _imag_axis_gap_equation(mu1_sym, eta)
 
@@ -314,7 +304,7 @@ def _solve_delta_axis(mu1_sym, r, eta, tol):
         hi *= 2.0
     else:
         raise ConvergenceError(f"no upper axis bracket at eta = {eta}")
-    return brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def solve_delta_conv(

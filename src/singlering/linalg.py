@@ -4,6 +4,8 @@ Matrices are plain ``numpy.ndarray`` objects (complex128, two-dimensional,
 row major); no wrapper type is used.  Haar sampling follows the phase-fixed
 QR construction; pivoted LU factorizations are delegated to LAPACK through
 scipy, which is imported only when a log-determinant is taken.
+:func:`log_abs_det` is the only code in the package that needs scipy at
+runtime, and no CLI command calls it.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
 .Generator``.  Child generators for task grids are derived from a 64-bit

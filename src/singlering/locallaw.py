@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import freeconv, linalg, measure, models, ringlaw
-from .freeconv import ConvergenceError
-from .measure import DiscreteMeasure, RingGeometry
+from .measure import ConvergenceError, DiscreteMeasure, RingGeometry
 
 __all__ = [
     "FSpec",
@@ -603,12 +602,21 @@ def green_subordination_scan(
 
     Records sqrt(N eta) Lambda_d, the scaled gaps N eta |omega^c - omega| for
     both approximate subordination functions, and the bulk eigenvector
-    sup-norm statistic sqrt(N) max_k ||u_k||_inf.
+    sup-norm statistic sqrt(N) max_k ||u_k||_inf.  A failed reference solve
+    warns and leaves NaN in the three diagnostics that use it, at its z in
+    every trial; the eigenvector statistic needs no reference.
     """
     z_grid = [complex(z) for z in z_grid]
     mu_a, mu_b = _block_reference(e)
     base_seed = e.seed if seed is None else int(seed)
-    refs = {z: freeconv.solve_phi_system(mu_a, mu_b, z) for z in z_grid}
+    refs = {}
+    for z in z_grid:
+        try:
+            st = freeconv.solve_phi_system(mu_a, mu_b, z)
+            refs[z] = (st.omega1, st.omega2)
+        except ConvergenceError as exc:
+            warnings.warn(f"reference solve failed at z = {z}: {exc}", RuntimeWarning)
+            refs[z] = (complex(math.nan, math.nan),) * 2
 
     def one_trial(trial):
         rng = linalg.child_rng(base_seed, trial)
@@ -616,9 +624,12 @@ def green_subordination_scan(
         svd_Y = models.svd(Y, compute_uv=True)
         out = []
         for z in z_grid:
-            st = refs[z]
+            omega1, omega2 = refs[z]
+            ok = bool(np.isfinite(omega2))
+            # without a reference, z stands in for omega_B: it keeps the
+            # Lambda_d denominators |xi|^2 - omega_B^2 off 0 and is not reported
             obs = models.resolvent_observables(
-                Y, z, e.xi_diag, st.omega2, bulk_window=bulk_window, svd_Y=svd_Y
+                Y, z, e.xi_diag, omega2 if ok else z, bulk_window=bulk_window, svd_Y=svd_Y
             )
             eta = z.imag
             out.append(
@@ -626,9 +637,9 @@ def green_subordination_scan(
                     e.N,
                     trial,
                     z,
-                    math.sqrt(e.N * eta) * obs.Lambda_d,
-                    e.N * eta * abs(obs.omega_B_c - st.omega2),
-                    e.N * eta * abs(obs.omega_A_c - st.omega1),
+                    math.sqrt(e.N * eta) * obs.Lambda_d if ok else math.nan,
+                    e.N * eta * abs(obs.omega_B_c - omega2),
+                    e.N * eta * abs(obs.omega_A_c - omega1),
                     obs.eigvec_sup,
                     base_seed,
                 )

@@ -13,12 +13,17 @@ Conventions:
 
 All value types are immutable and every operation is a pure function, so
 unrestricted concurrent use is safe.
+
+The module also holds the package's scalar root-finder ``_brentq`` and the
+``ConvergenceError`` that every numerical solve raises, so that ``freeconv``
+and ``ringlaw`` share them without importing each other or scipy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "MeasureError",
+    "ConvergenceError",
     "DiscreteMeasure",
     "AtomicMeasure",
     "RingGeometry",
@@ -46,6 +52,73 @@ SYMMETRY_TOL = 1e-12
 
 class MeasureError(ValueError):
     """Structurally invalid measure or unusable measure argument."""
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical solve failed: a fixed-point iteration stalled short of its
+    tolerance, or a root-find lost its bracket; carries the last residual."""
+
+    def __init__(self, message, residual=math.nan, iterations=0):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
+def _brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of f between a and b by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq``: the same bracket
+    bookkeeping, inverse quadratic / secant step test and stopping rule
+    |xblk - x|/2 < (xtol + rtol |x|)/2, so it returns the same float.  A
+    bracket without a sign change, a NaN value of f or running out of
+    iterations raises ConvergenceError.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(f"no sign change on [{a}, {b}]: f = {fpre}, {fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for it in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ConvergenceError(f"f is NaN at x = {xcur}", iterations=it + 1)
+    raise ConvergenceError(
+        f"root-find did not converge in {maxiter} iterations; last x = {xcur}",
+        residual=abs(fcur),
+        iterations=maxiter,
+    )
 
 
 def _as_array(x, name):
@@ -403,9 +476,7 @@ def _quarter_circle_cdf(x):
 
 
 def _quarter_circle_quantile(q: float) -> float:
-    from scipy.optimize import brentq
-
-    return brentq(lambda x: _quarter_circle_cdf(x) - q, 0.0, 2.0, xtol=1e-14)
+    return _brentq(lambda x: _quarter_circle_cdf(x) - q, 0.0, 2.0, xtol=1e-14)
 
 
 def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:

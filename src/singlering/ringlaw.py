@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DiscreteMeasure, radii
+from .measure import DiscreteMeasure, _brentq, radii
 
 __all__ = [
     "RadialPotentialProfile",
@@ -43,8 +43,6 @@ __all__ = [
 def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
     """y with q(y) = s^2 for x = sigma^2; 0 or inf when s lies within
     rounding of r_plus or r_minus, where no sign change is left to find."""
-    from scipy.optimize import brentq
-
     m2 = float(np.dot(p, x))
     x_hat, s2_hat = x / m2, s * s / m2  # scale-free: y m2 = e^u
 
@@ -62,7 +60,7 @@ def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
         if hi >= 64.0:
             return math.inf
         hi *= 2.0
-    return math.exp(brentq(gap, lo, hi, xtol=1e-14)) / m2
+    return math.exp(_brentq(gap, lo, hi, xtol=1e-14)) / m2
 
 
 def _ring_point(mu_sigma: DiscreteMeasure, s: float):

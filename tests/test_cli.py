@@ -302,17 +302,55 @@ class TestUsage:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
 
-    def test_import_loads_no_scipy(self):
-        # every CLI call pays the import; scipy loads only with a solver
+    def test_import_loads_no_scipy(self, tmp_path):
+        # every solving command runs on measure._brentq; scipy stays unloaded
+        block = {"atoms": [1.0], "weights": [1.0]}
+        configs = {
+            "ring-density": {
+                "measure": {"kind": "quarter_circle", "n_atoms": 40},
+                "params": {"s_min": 0.3, "s_max": 0.8, "n_radii": 3},
+            },
+            "certificate": {"measure": TWO_POINT, "params": {"r": 1.4}},
+            "local-law": {
+                "measure": TWO_POINT,
+                "ensemble": {"N_values": [16], "seed": 1},
+                "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
+            },
+            "block-law": {
+                "measure": block, "measure2": block,
+                "ensemble": {"N_values": [16], "seed": 1},
+                "grid": {"eta_max": 1.0, "trials": 1},
+            },
+            "green-sub": {
+                "measure": block, "measure2": block,
+                "ensemble": {"N": 16, "seed": 1},
+                "grid": {"trials": 1},
+                "params": {"z_values": [[0.0, 0.25]], "bulk_window": [-0.5, 0.5]},
+            },
+            "main-gap": {
+                "measure": TWO_POINT,
+                "ensemble": {"N": 24, "seed": 1},
+                "grid": {"trials": 1},
+                "params": {"w0": [1.4, 0.0], "alphas": [0.25], "support_radii": [0.5]},
+            },
+        }
+        runs = [
+            [cmd, "--config", write_cfg(tmp_path / f"{cmd}.json", cfg),
+             "--out", str(tmp_path / cmd)]
+            for cmd, cfg in configs.items()
+        ]
+        code = (
+            "import json, sys; from singlering.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, singlering.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, json.dumps(runs)],
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [EXIT_OK] * len(runs), proc.stderr
+        assert scipy_modules == []

@@ -338,6 +338,29 @@ class TestGreenSubordination:
             assert r.omegaB_gap >= 0 and r.omegaA_gap >= 0
             assert 0 < r.eigvec_sup < 10
 
+    def test_failed_reference_solve_flags_its_z(self, monkeypatch):
+        e = models.BlockAdditiveEnsemble(np.ones(24), np.ones(24), 24, "unitary", seed=29)
+        solve = freeconv.solve_phi_system
+
+        def failing(mu1, mu2, z, *args, **kwargs):
+            if z.imag == 0.25:
+                raise freeconv.ConvergenceError("injected")
+            return solve(mu1, mu2, z, *args, **kwargs)
+
+        monkeypatch.setattr(freeconv, "solve_phi_system", failing)
+        with pytest.warns(RuntimeWarning, match="reference solve failed"):
+            recs = green_subordination_scan(
+                e, [0.5j, 0.25j], trials=2, bulk_window=(-0.5, 0.5)
+            )
+        assert [(r.trial, r.z) for r in recs] == [(0, 0.5j), (0, 0.25j), (1, 0.5j), (1, 0.25j)]
+        for r in recs:
+            gaps = (r.lambda_d_scaled, r.omegaB_gap, r.omegaA_gap)
+            if r.z == 0.25j:
+                assert all(math.isnan(g) for g in gaps)
+            else:
+                assert all(np.isfinite(g) for g in gaps)
+            assert 0 < r.eigvec_sup < 10  # no reference needed
+
 
 def test_parallel_map_order():
     out = parallel_map(lambda x: x * x, range(7), threads=3)

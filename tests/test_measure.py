@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from singlering import measure
+from singlering import freeconv, measure, ringlaw
 from singlering.measure import (
     AtomicMeasure,
+    ConvergenceError,
     DiscreteMeasure,
     MeasureError,
     RingGeometry,
@@ -328,3 +329,92 @@ class TestRingGeometry:
     def test_empty_annulus(self, two_point):
         ring = RingGeometry.from_measure(two_point, tau=0.2)
         assert ring.annulus() is None
+
+
+class TestBrentq:
+    """measure._brentq is a port of scipy.optimize.brentq: equal floats."""
+
+    # (xtol, rtol) pairs the library passes, and scipy's defaults
+    TOLS = [(1e-300, 8.9e-16), (1e-14, 4 * np.finfo(float).eps), (2e-12, 4 * np.finfo(float).eps)]
+
+    def test_matches_scipy_on_random_brackets(self):
+        rng = np.random.default_rng(5)
+        families = [
+            lambda c: lambda x: x**3 - c,
+            lambda c: lambda x: math.tanh(5.0 * (x - c)),
+            lambda c: lambda x: math.expm1(x) - c,
+            lambda c: lambda x: np.float64(x) * x - c * c,  # numpy scalar values
+        ]
+        compared = 0
+        for i in range(600):
+            f = families[i % len(families)](rng.uniform(0.1, 2.0))
+            a, b = rng.uniform(-3.0, 0.0), rng.uniform(2.1, 5.0)
+            if i % 2:
+                a, b = b, a
+            xtol, rtol = self.TOLS[i % len(self.TOLS)]
+            try:
+                want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            except ValueError:  # no sign change on this bracket
+                with pytest.raises(ConvergenceError):
+                    measure._brentq(f, a, b, xtol=xtol, rtol=rtol)
+                continue
+            assert measure._brentq(f, a, b, xtol=xtol, rtol=rtol) == want
+            compared += 1
+        assert compared > 450
+
+    def test_endpoint_root(self):
+        f = lambda x: x - 1.0  # noqa: E731
+        for a, b in ((1.0, 3.0), (-2.0, 1.0), (3.0, 1.0)):
+            assert measure._brentq(f, a, b, xtol=1e-14) == brentq(f, a, b, xtol=1e-14) == 1.0
+
+    @pytest.fixture
+    def against_scipy(self, monkeypatch):
+        """Route the library's root-finds through a check against scipy."""
+        port, calls = measure._brentq, []
+
+        def checked(f, a, b, **kw):
+            got = port(f, a, b, **kw)
+            assert got == brentq(f, a, b, **kw)
+            calls.append(got)
+            return got
+
+        for module in (measure, freeconv, ringlaw):
+            monkeypatch.setattr(module, "_brentq", checked)
+        return calls
+
+    @pytest.mark.parametrize(
+        "mu, ss",
+        [
+            (dm([1.0, 2.0], [0.5, 0.5]), (1.32, 1.4, 1.52)),
+            (None, (0.2, 0.5, 0.9)),  # 500-atom quarter circle
+            (dm([0.0, 1.0], [0.3, 0.7]), (0.2, 0.45, 0.7)),  # atom at 0
+        ],
+    )
+    def test_library_equations_ring_law(self, against_scipy, mu, ss):
+        if mu is None:
+            mu = reference_measure("quarter_circle", 500)
+            assert len(against_scipy) == 500  # one quantile root each
+        for s in ss:
+            y = ringlaw._inverse_radius(mu.weights, mu.atoms**2, s)
+            assert 0.0 < y < math.inf
+        assert len(against_scipy) >= len(ss)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+    def test_library_equations_delta_axis(self, against_scipy, eta):
+        mu_sym = symmetrize(dm([1.0, 2.0], [0.5, 0.5]))
+        assert freeconv._solve_delta_axis(mu_sym, 1.4, eta, 1e-12) > 0.0
+        assert len(against_scipy) == 1
+
+    def test_iteration_limit_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="1 iterations"):
+            measure._brentq(lambda x: x**3 - 2.0, 0.0, 4.0, xtol=1e-14, maxiter=1)
+
+    def test_same_sign_bracket_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            measure._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14)
+        with pytest.raises(ConvergenceError):
+            measure._brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-14)
+
+    def test_one_convergence_error_class(self):
+        assert freeconv.ConvergenceError is ConvergenceError
+        assert issubclass(ConvergenceError, RuntimeError)
