@@ -35,20 +35,6 @@ EXIT_USAGE = 64
 
 GENERATOR_ID = "numpy.random.PCG64+SeedSequence"
 
-COMMANDS = (
-    "radii",
-    "freeconv",
-    "certificate",
-    "ring-density",
-    "local-law",
-    "main-gap",
-    "ssv-tail",
-    "block-law",
-    "green-sub",
-    "report",
-    "validate",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending JSON path."""
@@ -101,22 +87,32 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
             kind = spec["kind"]
             params = {k: v for k, v in spec.items() if k not in ("kind", "n_atoms")}
             return measure.reference_measure(kind, int(spec.get("n_atoms", 2)), **params)
-        if "atoms" not in spec:
-            raise ConfigError(f"{path}.atoms: missing")
-        if "weights" not in spec:
-            raise ConfigError(f"{path}.weights: missing")
         return DiscreteMeasure(
-            np.asarray(spec["atoms"], float), np.asarray(spec["weights"], float)
+            np.asarray(_get(cfg, f"{path}.atoms"), float),
+            np.asarray(_get(cfg, f"{path}.weights"), float),
         )
-    except MeasureError as exc:
+    except (MeasureError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _pair(value, path):
+    """Two numbers as floats; anything else is a ConfigError naming path."""
+    ok = isinstance(value, list) and len(value) == 2
+    if ok and all(isinstance(v, (int, float)) for v in value):
+        return float(value[0]), float(value[1])
+    raise ConfigError(f"{path}: expected a pair of numbers, got {value!r}")
+
+
+def _radii(mu):
+    try:
+        return measure.radii(mu)
+    except ValueError as exc:
+        raise ConfigError(f"measure: {exc}") from exc
 
 
 def _ring_and_tau(cfg, mu):
     tau_cfg = _get(cfg, "grid.tau", (int, float), required=False, default=None)
-    r_minus, r_plus = measure.radii(mu)
+    r_minus, r_plus = _radii(mu)
     tau = 0.05 * (r_plus - r_minus) if tau_cfg is None else float(tau_cfg)
     try:
         ring = RingGeometry.from_measure(mu, tau)
@@ -154,78 +150,17 @@ def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _ensemble_sizes(cfg):
+def _ensemble(cfg):
+    """Sizes, symmetry class and seed of the ``ensemble`` block."""
     ns = _get(cfg, "ensemble.N_values", list, required=False, default=None)
     if ns is None:
         ns = [_get(cfg, "ensemble.N", int)]
     if not ns:
         raise ConfigError("ensemble.N_values: empty")
-    return [int(n) for n in ns]
-
-
-def validate_config(config_path: str, command: str | None = None) -> list:
-    """Structural validation; returns a list of problems, never runs solvers."""
-    problems = []
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"config: {exc}"]
-
-    def check(fn):
-        try:
-            fn()
-        except ConfigError as exc:
-            problems.append(str(exc))
-
-    def has(path):
-        return _get(cfg, path, required=False, default=None) is not None
-
-    needs_measure = command in (
-        "radii",
-        "freeconv",
-        "certificate",
-        "ring-density",
-        "local-law",
-        "main-gap",
-        "ssv-tail",
-        "block-law",
-        "green-sub",
-    )
-    if has("measure") or needs_measure:
-        check(lambda: load_measure(cfg, "measure"))
-    if has("measure2") or command in ("block-law", "green-sub"):
-        check(lambda: load_measure(cfg, "measure2"))
-    if has("ensemble") or command in (
-        "local-law",
-        "main-gap",
-        "ssv-tail",
-        "block-law",
-        "green-sub",
-    ):
-        check(lambda: _get(cfg, "ensemble.seed", int))
-        check(lambda: _ensemble_sizes(cfg))
-        sym = _get(cfg, "ensemble.symmetry", str, required=False, default="unitary")
-        if sym not in models.SYMMETRY_CLASSES:
-            problems.append(f"ensemble.symmetry: unknown class {sym!r}")
-    if command == "certificate":
-        check(lambda: _get(cfg, "params.r", (int, float)))
-    if command == "main-gap":
-        check(lambda: _get(cfg, "params.w0", list))
-        check(lambda: _get(cfg, "params.alphas", list))
-    if command == "green-sub":
-        check(lambda: _get(cfg, "params.z_values", list))
-    if command == "ring-density":
-        check(lambda: _get(cfg, "params.s_min", (int, float)))
-        check(lambda: _get(cfg, "params.s_max", (int, float)))
-    if not problems and has("measure") and (has("grid.tau") or command == "local-law"):
-        try:
-            mu = load_measure(cfg, "measure")
-            if np.all(mu.atoms >= 0):
-                _ring_and_tau(cfg, mu)
-        except ConfigError as exc:
-            problems.append(str(exc))
-    return problems
+    sym = _get(cfg, "ensemble.symmetry", str, required=False, default="unitary")
+    if sym not in models.SYMMETRY_CLASSES:
+        raise ConfigError(f"ensemble.symmetry: unknown class {sym!r}")
+    return [int(n) for n in ns], sym, _get(cfg, "ensemble.seed", int)
 
 
 # ---------------------------------------------------------------------------
@@ -273,253 +208,275 @@ def _finish(ctx: RunContext, started: str):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: _cmd_x(cfg) makes every config check of command x
+# and returns the runner run(ctx), which does the numerical work
 # ---------------------------------------------------------------------------
 
 
-def _cmd_radii(ctx):
-    mu = load_measure(ctx.cfg, "measure")
-    r_minus, r_plus = measure.radii(mu)
+def _cmd_radii(cfg):
+    mu = load_measure(cfg, "measure")
+    r_minus, r_plus = _radii(mu)
     s_plus, m2 = measure.support_stats(mu)
-    print(f"{fmt(r_minus)} {fmt(r_plus)}")
-    _write_csv(
-        ctx.path("radii.csv"),
-        ["r_minus", "r_plus", "s_plus", "second_moment"],
-        [[r_minus, r_plus, s_plus, m2]],
-    )
+
+    def run(ctx):
+        print(f"{fmt(r_minus)} {fmt(r_plus)}")
+        _write_csv(
+            ctx.path("radii.csv"),
+            ["r_minus", "r_plus", "s_plus", "second_moment"],
+            [[r_minus, r_plus, s_plus, m2]],
+        )
+
+    return run
 
 
-def _cmd_freeconv(ctx):
-    mu1 = load_measure(ctx.cfg, "measure")
+def _cmd_freeconv(cfg):
+    mu1 = load_measure(cfg, "measure")
     if not mu1.is_symmetric():
         mu1 = measure.symmetrize(mu1)
-    r = _get(ctx.cfg, "params.r", (int, float), required=False, default=None)
+    r = _get(cfg, "params.r", (int, float), required=False, default=None)
     mu2 = None
     if r is None:
-        mu2 = load_measure(ctx.cfg, "measure2")
+        mu2 = load_measure(cfg, "measure2")
         if not mu2.is_symmetric():
             mu2 = measure.symmetrize(mu2)
-    z_grid = _get(ctx.cfg, "params.z_grid", list, required=False, default=None)
+    z_grid = _get(cfg, "params.z_grid", list, required=False, default=None)
     if z_grid is None:
         etas = locallaw.dyadic_etas(
-            float(_get(ctx.cfg, "grid.eta_min", (int, float), required=False, default=1e-3)),
-            float(_get(ctx.cfg, "grid.eta_max", (int, float), required=False, default=8.0)),
+            float(_get(cfg, "grid.eta_min", (int, float), required=False, default=1e-3)),
+            float(_get(cfg, "grid.eta_max", (int, float), required=False, default=8.0)),
         )
         zs = [complex(0.0, e) for e in etas]
     else:
-        zs = [complex(float(p[0]), float(p[1])) for p in z_grid]
-    rows = []
-    for z in zs:
-        st = (
-            freeconv.solve_delta_conv(mu1, float(r), z)
-            if mu2 is None
-            else freeconv.solve_phi_system(mu1, mu2, z)
-        )
-        rows.append(
+        zs = [complex(*_pair(p, f"params.z_grid[{i}]")) for i, p in enumerate(z_grid)]
+
+    def run(ctx):
+        rows = []
+        for z in zs:
+            st = (
+                freeconv.solve_delta_conv(mu1, float(r), z)
+                if mu2 is None
+                else freeconv.solve_phi_system(mu1, mu2, z)
+            )
+            rows.append(
+                [
+                    z.real, z.imag,
+                    st.omega1.real, st.omega1.imag,
+                    st.omega2.real, st.omega2.imag,
+                    st.m.real, st.m.imag,
+                    st.residual, st.iterations,
+                ]
+            )
+        _write_csv(
+            ctx.path("freeconv.csv"),
             [
-                z.real, z.imag,
-                st.omega1.real, st.omega1.imag,
-                st.omega2.real, st.omega2.imag,
-                st.m.real, st.m.imag,
-                st.residual, st.iterations,
-            ]
+                "z_re", "z_im",
+                "omega1_re", "omega1_im",
+                "omega2_re", "omega2_im",
+                "m_re", "m_im",
+                "residual", "iterations",
+            ],
+            rows,
         )
-    _write_csv(
-        ctx.path("freeconv.csv"),
-        [
-            "z_re", "z_im",
-            "omega1_re", "omega1_im",
-            "omega2_re", "omega2_im",
-            "m_re", "m_im",
-            "residual", "iterations",
-        ],
-        rows,
-    )
+
+    return run
 
 
-def _cmd_certificate(ctx):
-    mu = load_measure(ctx.cfg, "measure")
+def _cmd_certificate(cfg):
+    mu = load_measure(cfg, "measure")
     mu_sym = mu if mu.is_symmetric() else measure.symmetrize(mu)
-    r = float(_get(ctx.cfg, "params.r", (int, float)))
-    eta_max = float(_get(ctx.cfg, "params.eta_max", (int, float), required=False, default=10.0))
-    grid = int(_get(ctx.cfg, "params.grid", int, required=False, default=64))
-    report = freeconv.bulk_bound_certificate(mu_sym, r, eta_max=eta_max, grid=grid)
-    with open(ctx.path("certificate.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    ok = report.lower_ok and report.upper_ok and report.zero_bound_ok
-    print(
-        f"certificate {'PASS' if ok else 'FAIL'}: s_minus={fmt(report.s_minus)} "
-        f"b_minus={fmt(report.b_minus)} im_omega2_zero={fmt(report.im_omega2_zero)}"
-    )
+    r = float(_get(cfg, "params.r", (int, float)))
+    eta_max = float(_get(cfg, "params.eta_max", (int, float), required=False, default=10.0))
+    grid = int(_get(cfg, "params.grid", int, required=False, default=64))
+
+    def run(ctx):
+        report = freeconv.bulk_bound_certificate(mu_sym, r, eta_max=eta_max, grid=grid)
+        with open(ctx.path("certificate.json"), "w") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        ok = report.lower_ok and report.upper_ok and report.zero_bound_ok
+        print(
+            f"certificate {'PASS' if ok else 'FAIL'}: s_minus={fmt(report.s_minus)} "
+            f"b_minus={fmt(report.b_minus)} im_omega2_zero={fmt(report.im_omega2_zero)}"
+        )
+
+    return run
 
 
-def _cmd_ring_density(ctx):
-    mu = load_measure(ctx.cfg, "measure")
-    s_min = float(_get(ctx.cfg, "params.s_min", (int, float)))
-    s_max = float(_get(ctx.cfg, "params.s_max", (int, float)))
-    n = int(_get(ctx.cfg, "params.n_radii", int, required=False, default=17))
+def _cmd_ring_density(cfg):
+    mu = load_measure(cfg, "measure")
+    s_min = float(_get(cfg, "params.s_min", (int, float)))
+    s_max = float(_get(cfg, "params.s_max", (int, float)))
+    n = int(_get(cfg, "params.n_radii", int, required=False, default=17))
     if not (0 < s_min <= s_max) or n < 2:
         raise ConfigError("params: need 0 < s_min <= s_max and n_radii >= 2")
-    profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
-    _write_csv(ctx.path("ring_density.csv"), ["s", "L", "dL", "d2L", "rho"], profile.rows())
+
+    def run(ctx):
+        profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
+        _write_csv(ctx.path("ring_density.csv"), ["s", "L", "dL", "d2L", "rho"], profile.rows())
+
+    return run
 
 
-def _cmd_local_law(ctx):
-    mu = load_measure(ctx.cfg, "measure")
-    ring = _ring_and_tau(ctx.cfg, mu)
-    sizes = _ensemble_sizes(ctx.cfg)
-    sym = _get(ctx.cfg, "ensemble.symmetry", str, required=False, default="unitary")
-    grid = _scan_grid(ctx.cfg, ring, sizes)
+def _cmd_local_law(cfg):
+    mu = load_measure(cfg, "measure")
+    ring = _ring_and_tau(cfg, mu)
+    sizes, sym, seed = _ensemble(cfg)
+    grid = _scan_grid(cfg, ring, sizes)
     if len(grid.w_values) == 0:
         raise ConfigError("grid.w_abs: missing")
-    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, ctx.seed)
-    report = locallaw.local_law_scan(e, grid, seed=ctx.seed, threads=ctx.threads)
-    _write_csv(
-        ctx.path("locallaw.csv"),
-        ["N", "trial", "w_re", "w_im", "eta", "dev"],
-        [[r.N, r.trial, r.w.real, r.w.imag, r.eta, r.dev] for r in report.records],
-    )
-    _write_csv(
-        ctx.path("locallaw_split.csv"),
-        ["N", "trial", "w_re", "w_im", "eta_star", "small_eta_integral", "lambda1"],
-        [
-            [s.N, s.trial, s.w.real, s.w.imag, s.eta_star, s.small_eta_integral, s.lambda1]
-            for s in report.splits
-        ],
-    )
+    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
+
+    def run(ctx):
+        report = locallaw.local_law_scan(e, grid, threads=ctx.threads)
+        _write_csv(
+            ctx.path("locallaw.csv"),
+            ["N", "trial", "w_re", "w_im", "eta", "dev"],
+            [[r.N, r.trial, r.w.real, r.w.imag, r.eta, r.dev] for r in report.records],
+        )
+        _write_csv(
+            ctx.path("locallaw_split.csv"),
+            ["N", "trial", "w_re", "w_im", "eta_star", "small_eta_integral", "lambda1"],
+            [
+                [s.N, s.trial, s.w.real, s.w.imag, s.eta_star, s.small_eta_integral, s.lambda1]
+                for s in report.splits
+            ],
+        )
+
+    return run
 
 
-def _cmd_main_gap(ctx):
-    mu = load_measure(ctx.cfg, "measure")
-    ring = _ring_and_tau(ctx.cfg, mu)
-    N = _ensemble_sizes(ctx.cfg)[0]
-    sym = _get(ctx.cfg, "ensemble.symmetry", str, required=False, default="unitary")
-    w0c = _get(ctx.cfg, "params.w0", list)
-    w0 = complex(float(w0c[0]), float(w0c[1]))
+def _cmd_main_gap(cfg):
+    mu = load_measure(cfg, "measure")
+    ring = _ring_and_tau(cfg, mu)
+    sizes, sym, seed = _ensemble(cfg)
+    w0 = complex(*_pair(_get(cfg, "params.w0"), "params.w0"))
     if not ring.contains(w0):
         raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus {ring.annulus()}")
-    alphas = [float(a) for a in _get(ctx.cfg, "params.alphas", list)]
-    radii_cfg = _get(ctx.cfg, "params.support_radii", list, required=False, default=None)
-    trials = int(_get(ctx.cfg, "grid.trials", int, required=False, default=10))
-    e = models.SingleRingEnsemble.from_measure(mu, N, sym, ctx.seed)
-    rows = []
-    for i, alpha in enumerate(alphas):
-        radius = float(radii_cfg[i]) if radii_cfg else 0.5
-        recs = locallaw.linear_statistic_gap(
-            e,
-            w0,
-            alpha,
-            trials,
-            seed=ctx.seed,
-            f_spec=locallaw.FSpec(radius),
-            threads=ctx.threads,
-        )
-        for r in recs:
-            rows.append([r.N, r.trial, r.alpha, r.w0.real, r.w0.imag, r.lhs, r.rhs, r.gap_norm])
-    _write_csv(
-        ctx.path("gap.csv"),
-        ["N", "trial", "alpha", "w0_re", "w0_im", "lhs", "rhs", "gap_norm"],
-        rows,
-    )
+    alphas = [float(a) for a in _get(cfg, "params.alphas", list)]
+    if not all(0.0 <= a < 0.5 for a in alphas):
+        raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
+    radii_cfg = _get(cfg, "params.support_radii", list, required=False, default=[0.5] * len(alphas))
+    if len(radii_cfg) != len(alphas):
+        raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
+    try:
+        specs = [locallaw.FSpec(float(radius)) for radius in radii_cfg]
+    except ValueError as exc:
+        raise ConfigError(f"params.support_radii: {exc}") from exc
+    trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
+    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
 
-
-def _cmd_ssv_tail(ctx):
-    mu = load_measure(ctx.cfg, "measure")
-    N = _ensemble_sizes(ctx.cfg)[0]
-    sym = _get(ctx.cfg, "ensemble.symmetry", str, required=False, default="unitary")
-    w_abs = float(_get(ctx.cfg, "grid.w_abs", (int, float), required=False, default=1.0))
-    trials = int(_get(ctx.cfg, "grid.trials", int, required=False, default=500))
-    t_grid = _get(ctx.cfg, "params.t_grid", list, required=False, default=None)
-    e = models.SingleRingEnsemble.from_measure(mu, N, sym, ctx.seed)
-    rep = locallaw.smallest_sv_tail(
-        e,
-        complex(w_abs),
-        t_grid=None if t_grid is None else np.asarray(t_grid, float),
-        trials=trials,
-        seed=ctx.seed,
-        threads=ctx.threads,
-    )
-    rows = []
-    for trial, lam in enumerate(rep.lambda1):
-        for t in rep.t_grid:
-            rows.append([rep.N, trial, rep.w_abs, t, lam])
-    _write_csv(ctx.path("ssv.csv"), ["N", "trial", "w_abs", "t", "lambda1"], rows)
-    with open(ctx.path("ssv_fit.json"), "w") as fh:
-        json.dump(
-            {
-                "slope": rep.slope,
-                "slope_ci": list(rep.slope_ci),
-                "monotone": rep.monotone(),
-                "t_grid": [float(t) for t in rep.t_grid],
-                "tail_probability": [float(p) for p in rep.tail_probability],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
-
-def _block_ensemble(ctx, N):
-    mu_s = load_measure(ctx.cfg, "measure")
-    mu_x = load_measure(ctx.cfg, "measure2")
-    sym = _get(ctx.cfg, "ensemble.symmetry", str, required=False, default="unitary")
-    return models.BlockAdditiveEnsemble(
-        models.sigma_from_measure(mu_s, N),
-        models.sigma_from_measure(mu_x, N),
-        N,
-        sym,
-        ctx.seed,
-    )
-
-
-def _cmd_block_law(ctx):
-    sizes = _ensemble_sizes(ctx.cfg)
-    interval = _get(ctx.cfg, "params.E_interval", list, required=False, default=[0.0, 0.0])
-    n_energies = int(_get(ctx.cfg, "params.n_energies", int, required=False, default=1))
-    grid = _scan_grid(ctx.cfg, None, sizes)
-    e = _block_ensemble(ctx, sizes[0])
-    report = locallaw.block_local_law_scan(
-        e,
-        (float(interval[0]), float(interval[1])),
-        grid,
-        seed=ctx.seed,
-        threads=ctx.threads,
-        n_energies=n_energies,
-    )
-    _write_csv(
-        ctx.path("block.csv"),
-        ["N", "trial", "E", "eta", "dev"],
-        [[r.N, r.trial, r.w.real, r.eta, r.dev] for r in report.records],
-    )
-
-
-def _cmd_green_sub(ctx):
-    N = _ensemble_sizes(ctx.cfg)[0]
-    zs = [complex(float(p[0]), float(p[1])) for p in _get(ctx.cfg, "params.z_values", list)]
-    window = _get(ctx.cfg, "params.bulk_window", list, required=False, default=None)
-    trials = int(_get(ctx.cfg, "grid.trials", int, required=False, default=10))
-    e = _block_ensemble(ctx, N)
-    recs = locallaw.green_subordination_scan(
-        e,
-        zs,
-        seed=ctx.seed,
-        trials=trials,
-        bulk_window=None if window is None else (float(window[0]), float(window[1])),
-        threads=ctx.threads,
-    )
-    _write_csv(
-        ctx.path("subordination.csv"),
-        ["N", "trial", "z_re", "z_im", "lambda_d_scaled", "omegaB_gap", "omegaA_gap", "eigvec_sup"],
-        [
+    def run(ctx):
+        _write_csv(
+            ctx.path("gap.csv"),
+            ["N", "trial", "alpha", "w0_re", "w0_im", "lhs", "rhs", "gap_norm"],
             [
-                r.N, r.trial, r.z.real, r.z.imag,
-                r.lambda_d_scaled, r.omegaB_gap, r.omegaA_gap, r.eigvec_sup,
-            ]
-            for r in recs
-        ],
+                [r.N, r.trial, r.alpha, r.w0.real, r.w0.imag, r.lhs, r.rhs, r.gap_norm]
+                for alpha, spec in zip(alphas, specs)
+                for r in locallaw.linear_statistic_gap(
+                    e, w0, alpha, trials, f_spec=spec, threads=ctx.threads
+                )
+            ],
+        )
+
+    return run
+
+
+def _cmd_ssv_tail(cfg):
+    mu = load_measure(cfg, "measure")
+    sizes, sym, seed = _ensemble(cfg)
+    w_abs = float(_get(cfg, "grid.w_abs", (int, float), required=False, default=1.0))
+    trials = int(_get(cfg, "grid.trials", int, required=False, default=500))
+    t_grid = _get(cfg, "params.t_grid", list, required=False, default=None)
+    t_grid = None if t_grid is None else np.asarray(t_grid, float)
+    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
+
+    def run(ctx):
+        rep = locallaw.smallest_sv_tail(
+            e, complex(w_abs), t_grid=t_grid, trials=trials, threads=ctx.threads
+        )
+        rows = []
+        for trial, lam in enumerate(rep.lambda1):
+            for t in rep.t_grid:
+                rows.append([rep.N, trial, rep.w_abs, t, lam])
+        _write_csv(ctx.path("ssv.csv"), ["N", "trial", "w_abs", "t", "lambda1"], rows)
+        with open(ctx.path("ssv_fit.json"), "w") as fh:
+            json.dump(
+                {
+                    "slope": rep.slope,
+                    "slope_ci": list(rep.slope_ci),
+                    "monotone": rep.monotone(),
+                    "t_grid": [float(t) for t in rep.t_grid],
+                    "tail_probability": [float(p) for p in rep.tail_probability],
+                },
+                fh,
+                indent=2,
+                sort_keys=True,
+            )
+            fh.write("\n")
+
+    return run
+
+
+def _block_ensemble(cfg):
+    """The ensemble's sizes and its block additive model at the first size."""
+    mu_s = load_measure(cfg, "measure")
+    mu_x = load_measure(cfg, "measure2")
+    sizes, sym, seed = _ensemble(cfg)
+    N = sizes[0]
+    return sizes, models.BlockAdditiveEnsemble(
+        models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
     )
+
+
+def _cmd_block_law(cfg):
+    sizes, e = _block_ensemble(cfg)
+    interval = _pair(
+        _get(cfg, "params.E_interval", required=False, default=[0.0, 0.0]), "params.E_interval"
+    )
+    n_energies = int(_get(cfg, "params.n_energies", int, required=False, default=1))
+    grid = _scan_grid(cfg, None, sizes)
+
+    def run(ctx):
+        report = locallaw.block_local_law_scan(
+            e, interval, grid, threads=ctx.threads, n_energies=n_energies
+        )
+        _write_csv(
+            ctx.path("block.csv"),
+            ["N", "trial", "E", "eta", "dev"],
+            [[r.N, r.trial, r.w.real, r.eta, r.dev] for r in report.records],
+        )
+
+    return run
+
+
+def _cmd_green_sub(cfg):
+    _, e = _block_ensemble(cfg)
+    z_values = _get(cfg, "params.z_values", list)
+    zs = [complex(*_pair(p, f"params.z_values[{i}]")) for i, p in enumerate(z_values)]
+    window = _get(cfg, "params.bulk_window", required=False, default=None)
+    window = None if window is None else _pair(window, "params.bulk_window")
+    trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
+
+    def run(ctx):
+        recs = locallaw.green_subordination_scan(
+            e, zs, trials=trials, bulk_window=window, threads=ctx.threads
+        )
+        _write_csv(
+            ctx.path("subordination.csv"),
+            [
+                "N", "trial", "z_re", "z_im",
+                "lambda_d_scaled", "omegaB_gap", "omegaA_gap", "eigvec_sup",
+            ],
+            [
+                [
+                    r.N, r.trial, r.z.real, r.z.imag,
+                    r.lambda_d_scaled, r.omegaB_gap, r.omegaA_gap, r.eigvec_sup,
+                ]
+                for r in recs
+            ],
+        )
+
+    return run
 
 
 _SCAN_SCHEMAS = {
@@ -560,7 +517,7 @@ def run_report(run_dirs, out_dir, slope_max=0.2):
 
     report = locallaw.DominationReport(kind=kind)
     for N, eta, dev in rows:
-        report.records.append(locallaw.DevRecord(N, 0, 0j, eta, dev, True, 0))
+        report.records.append(locallaw.DevRecord(N, 0, 0j, eta, dev, True))
     maxes = report.per_N_max()
     q95 = report.per_N_quantile()
     out_rows = [
@@ -595,6 +552,54 @@ _COMMAND_IMPL = {
     "block-law": _cmd_block_law,
     "green-sub": _cmd_green_sub,
 }
+COMMANDS = (*_COMMAND_IMPL, "report", "validate")
+
+
+def _parse(config_path, command=None, seed=None):
+    """Read the config and parse it exactly as ``command`` does; nothing is solved or sampled.
+
+    ``seed`` replaces ``ensemble.seed`` first.  Returns the config and the
+    command's runner; without a command, only check that every measure
+    block loads.
+    """
+    try:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(cfg).__name__}")
+    if seed is not None:
+        cfg.setdefault("ensemble", {})
+        _get(cfg, "ensemble", dict)["seed"] = int(seed)
+    if command is not None:
+        return cfg, _COMMAND_IMPL[command](cfg)
+    for path in ("measure", "measure2"):
+        if path in cfg:
+            load_measure(cfg, path)
+    return cfg, None
+
+
+def validate_config(config_path: str, command: str | None = None) -> list:
+    """The problem ``validate`` reports for the config, as [] or [message]."""
+    try:
+        _parse(config_path, command)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
+# ConfigError and MeasureError are ValueErrors, as are the library's argument checks
+_FAILURES = (ValueError, ConvergenceError, FloatingPointError)
+
+
+def _failure(exc) -> int:
+    """Report a failed run or validation on stderr; return its exit code."""
+    if isinstance(exc, ValueError):
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def run(command, config_path, out_dir, seed=None, threads=None, overwrite=False) -> int:
@@ -606,19 +611,9 @@ def run(command, config_path, out_dir, seed=None, threads=None, overwrite=False)
         )
         return EXIT_USAGE
     try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if threads is None:
-        threads = int(os.environ.get("RINGLAW_THREADS", "1"))
-    if seed is not None:
-        cfg.setdefault("ensemble", {})["seed"] = int(seed)
-    eff_seed = int(_get(cfg, "ensemble.seed", int, required=False, default=0))
-
-    try:
+        cfg, runner = _parse(config_path, command, seed)
+        if threads is None:
+            threads = int(os.environ.get("RINGLAW_THREADS", "1"))
         os.makedirs(out_dir, exist_ok=True)
         if os.listdir(out_dir) and not overwrite:
             print(
@@ -626,25 +621,14 @@ def run(command, config_path, out_dir, seed=None, threads=None, overwrite=False)
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        problems = validate_config(config_path, command)
-        if problems:
-            for p in problems:
-                print(f"invalid config: {p}", file=sys.stderr)
-            return EXIT_CONFIG
         started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        eff_seed = int(_get(cfg, "ensemble.seed", int, required=False, default=0))
         ctx = RunContext(command, cfg, out_dir, eff_seed, threads)
-        _COMMAND_IMPL[command](ctx)
+        runner(ctx)
         _finish(ctx, started)
         return EXIT_OK
-    except (ConfigError, MeasureError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except _FAILURES as exc:
+        return _failure(exc)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -682,10 +666,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     if args.command == "validate":
-        problems = validate_config(args.config, args.for_command)
-        for p in problems:
-            print(f"invalid config: {p}", file=sys.stderr)
-        return EXIT_CONFIG if problems else EXIT_OK
+        try:
+            _parse(args.config, args.for_command)
+        except _FAILURES as exc:
+            return _failure(exc)
+        return EXIT_OK
     if args.command == "report":
         if not args.run_dirs:
             print("report: no run directories given", file=sys.stderr)

@@ -2,10 +2,7 @@
 
 Matrices are plain ``numpy.ndarray`` objects (complex128, two-dimensional,
 row major); no wrapper type is used.  Haar sampling follows the phase-fixed
-QR construction; pivoted LU factorizations are delegated to LAPACK through
-scipy, which is imported only when a log-determinant is taken.
-:func:`log_abs_det` is the only code in the package that needs scipy at
-runtime, and no CLI command calls it.
+QR construction.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
 .Generator``.  Child generators for task grids are derived from a 64-bit
@@ -15,15 +12,12 @@ published, stable mixing function; see :func:`child_rng`.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
     "child_rng",
     "haar_unitary",
     "haar_orthogonal",
-    "log_abs_det",
 ]
 
 
@@ -64,32 +58,3 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.where(d >= 0, 1.0, -1.0)
     return (Q * signs).astype(np.complex128)
 
-
-def log_abs_det(M: np.ndarray) -> float:
-    """log |det M| by LU with partial pivoting; -inf for a singular matrix.
-
-    An estimated reciprocal condition number below 1e-12 triggers a
-    RuntimeWarning: the returned value then carries few reliable digits.
-    """
-    import scipy.linalg
-
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("log_abs_det needs a square matrix")
-    anorm = float(np.max(np.sum(np.abs(M), axis=0))) if M.size else 0.0
-    with warnings.catch_warnings():
-        # an exactly singular factorization is a supported outcome (-inf)
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    diag = np.abs(np.diagonal(lu))
-    if np.any(diag == 0.0):
-        return -np.inf
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if rcond < 1e-12:
-        warnings.warn(
-            f"log_abs_det: matrix nearly singular (rcond ~ {rcond:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(np.sum(np.log(diag)))

@@ -157,7 +157,6 @@ class DevRecord:
     eta: float
     dev: float
     ok: bool
-    seed: int
 
 
 @dataclass
@@ -264,12 +263,10 @@ def _reference_transforms(solve, points, eta_values, label):
 def local_law_scan(
     e: models.SingleRingEnsemble,
     grid: ScanGrid,
-    seed: Optional[int] = None,
     threads: int = 1,
     split_exponent: float = DEFAULT_SPLIT_EXPONENT,
 ) -> DominationReport:
     """Deviations N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid."""
-    base_seed = e.seed if seed is None else int(seed)
     report = DominationReport(kind="local-law")
 
     for ni, N in enumerate(grid.N_values):
@@ -284,7 +281,7 @@ def local_law_scan(
         eta_star = float(N) ** (-split_exponent)
 
         def one_trial(trial, ens=ens, ref=ref, ni=ni, N=N, eta_star=eta_star):
-            rng = linalg.child_rng(base_seed, ni, trial)
+            rng = linalg.child_rng(e.seed, ni, trial)
             X = models.sample_X(ens, rng)
             recs, splits = [], []
             for iw, w in enumerate(grid.w_values):
@@ -297,7 +294,7 @@ def local_law_scan(
                     m_ref = ref[(iw, ie)]
                     ok = bool(np.isfinite(m_ref))
                     dev = N * eta * abs(models.m_w(s, eta) - m_ref) if ok else math.nan
-                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok, base_seed))
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok))
             return recs, splits
 
         for recs, splits in parallel_map(one_trial, range(grid.trials), threads):
@@ -385,7 +382,6 @@ class GapRecord:
     lhs: float
     rhs: float
     gap_norm: float
-    seed: int
 
 
 def linear_statistic_gap(
@@ -393,7 +389,6 @@ def linear_statistic_gap(
     w0: complex,
     alpha: float,
     trials: int,
-    seed: Optional[int] = None,
     f_spec: FSpec = FSpec(),
     threads: int = 1,
 ) -> list:
@@ -401,19 +396,16 @@ def linear_statistic_gap(
 
     The deterministic side is computed once and shared across trials.
     """
-    base_seed = e.seed if seed is None else int(seed)
     mu = e.empirical_measure()
     rhs = linear_statistic_rhs(mu, w0, alpha, f_spec, n=e.N)
     norm = delta_bump_l1()
     scale = float(e.N) ** (1.0 - 2.0 * alpha) / norm
 
     def one_trial(trial):
-        rng = linalg.child_rng(base_seed, trial)
+        rng = linalg.child_rng(e.seed, trial)
         X = models.sample_X(e, rng)
         lhs = linear_statistic_lhs(X, w0, alpha, f_spec)
-        return GapRecord(
-            e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale, base_seed
-        )
+        return GapRecord(e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale)
 
     return parallel_map(one_trial, range(trials), threads)
 
@@ -432,7 +424,6 @@ class SsvTailReport:
     tail_probability: np.ndarray
     slope: float
     slope_ci: tuple
-    seed: int
 
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.tail_probability) >= 0))
@@ -451,7 +442,6 @@ def smallest_sv_tail(
     w: complex,
     t_grid=None,
     trials: int = 500,
-    seed: Optional[int] = None,
     threads: int = 1,
     bootstrap: int = 200,
 ) -> SsvTailReport:
@@ -467,10 +457,9 @@ def smallest_sv_tail(
                 "orthogonal-class tail runs need a singular value profile "
                 "away from the identity"
             )
-    base_seed = e.seed if seed is None else int(seed)
 
     def one_trial(trial):
-        rng = linalg.child_rng(base_seed, trial)
+        rng = linalg.child_rng(e.seed, trial)
         X = models.sample_X(e, rng)
         return models.smallest_sv(models.svd(X, w))
 
@@ -482,7 +471,7 @@ def smallest_sv_tail(
     probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
     slope = _tail_slope(lam_scaled, t_grid)
 
-    boot_rng = linalg.child_rng(base_seed, 10**6)
+    boot_rng = linalg.child_rng(e.seed, 10**6)
     slopes = []
     for _ in range(bootstrap):
         resample = boot_rng.choice(lam_scaled, size=len(lam_scaled), replace=True)
@@ -494,7 +483,7 @@ def smallest_sv_tail(
         if slopes
         else (math.nan, math.nan)
     )
-    return SsvTailReport(e.N, abs(w), lam, t_grid, probs, slope, ci, base_seed)
+    return SsvTailReport(e.N, abs(w), lam, t_grid, probs, slope, ci)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +510,6 @@ def block_local_law_scan(
     e: models.BlockAdditiveEnsemble,
     interval,
     grid: ScanGrid,
-    seed: Optional[int] = None,
     threads: int = 1,
     n_energies: int = 1,
     bulk_threshold: float = 1e-2,
@@ -546,7 +534,6 @@ def block_local_law_scan(
                 f"E = {E:.6g} below threshold {bulk_threshold:g}"
             )
 
-    base_seed = e.seed if seed is None else int(seed)
     report = DominationReport(kind="block-law")
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
@@ -559,7 +546,7 @@ def block_local_law_scan(
         )
 
         def one_trial(trial, ens=ens, ref=ref, ni=ni, N=N):
-            rng = linalg.child_rng(base_seed, ni, trial)
+            rng = linalg.child_rng(e.seed, ni, trial)
             s = models.svd(models.sample_Y(ens, rng))
             recs = []
             for iE, E in enumerate(E_values):
@@ -570,7 +557,7 @@ def block_local_law_scan(
                     # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
                     m_H = complex(np.mean(z / (s * s - z * z)))
                     dev = N * eta * (1.0 + eta) * abs(m_H - m_ref) if ok else math.nan
-                    recs.append(DevRecord(N, trial, z, eta, dev, ok, base_seed))
+                    recs.append(DevRecord(N, trial, z, eta, dev, ok))
             return recs
 
         for recs in parallel_map(one_trial, range(grid.trials), threads):
@@ -587,13 +574,11 @@ class SubDiagRecord:
     omegaB_gap: float
     omegaA_gap: float
     eigvec_sup: float
-    seed: int
 
 
 def green_subordination_scan(
     e: models.BlockAdditiveEnsemble,
     z_grid,
-    seed: Optional[int] = None,
     trials: int = 10,
     bulk_window=None,
     threads: int = 1,
@@ -608,7 +593,6 @@ def green_subordination_scan(
     """
     z_grid = [complex(z) for z in z_grid]
     mu_a, mu_b = _block_reference(e)
-    base_seed = e.seed if seed is None else int(seed)
     refs = {}
     for z in z_grid:
         try:
@@ -619,7 +603,7 @@ def green_subordination_scan(
             refs[z] = (complex(math.nan, math.nan),) * 2
 
     def one_trial(trial):
-        rng = linalg.child_rng(base_seed, trial)
+        rng = linalg.child_rng(e.seed, trial)
         Y = models.sample_Y(e, rng)
         svd_Y = models.svd(Y, compute_uv=True)
         out = []
@@ -641,7 +625,6 @@ def green_subordination_scan(
                     e.N * eta * abs(obs.omega_B_c - omega2),
                     e.N * eta * abs(obs.omega_A_c - omega1),
                     obs.eigvec_sup,
-                    base_seed,
                 )
             )
         return out

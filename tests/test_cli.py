@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,63 @@ class TestValidate:
         p = tmp_path / "broken.json"
         p.write_text("{nope")
         assert validate_config(str(p)) and main(["validate", "--config", str(p)]) == EXIT_CONFIG
+
+
+MAIN_GAP = {
+    "measure": TWO_POINT,
+    "ensemble": {"N": 24, "seed": 1},
+    "grid": {"trials": 1},
+    "params": {"w0": [1.4, 0.0], "alphas": [0.25], "support_radii": [0.5]},
+}
+BLOCK = {
+    "measure": {"atoms": [1.0], "weights": [1.0]},
+    "measure2": {"atoms": [1.0], "weights": [1.0]},
+    "ensemble": {"N_values": [16], "seed": 1},
+    "grid": {"eta_max": 1.0, "trials": 1},
+}
+GREEN_SUB = dict(BLOCK, params={"z_values": [[0.0, 0.25]], "bulk_window": [-0.5, 0.5]})
+
+
+def with_params(cfg, **params):
+    return dict(cfg, params=dict(cfg.get("params", {}), **params))
+
+
+# (command, config, a fragment of the message): the command's parser, which
+# validate and the run share, rejects each config
+BAD_CONFIGS = [
+    ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.5, "s_max": 1.4}},
+     "s_min <= s_max"),
+    ("main-gap", with_params(MAIN_GAP, w0=[3.0, 0.0]), "params.w0: |w0| = 3"),
+    ("local-law",
+     {"measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+      "ensemble": {"N_values": [16], "seed": 1},
+      "grid": {"w_abs": 1.0, "trials": 1}},
+     "measure: radii expects"),
+    ("main-gap", with_params(MAIN_GAP, w0=[1.4]), "params.w0: expected a pair"),
+    ("main-gap", with_params(MAIN_GAP, alphas=[0.0, 0.25]), "params.support_radii: 1 radii"),
+    ("main-gap", with_params(MAIN_GAP, alphas=[0.7]), "params.alphas: each alpha"),
+    ("green-sub", with_params(GREEN_SUB, z_values=[[0.1]]), "params.z_values[0]"),
+    ("green-sub", with_params(GREEN_SUB, bulk_window=[0.5]), "params.bulk_window"),
+    ("block-law", with_params(BLOCK, E_interval=[0.1]), "params.E_interval"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.0, "z_grid": [[0.0, 1.0], [0.1]]}},
+     "params.z_grid[1]"),
+]
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("command,cfg,fragment", BAD_CONFIGS)
+    def test_validate_and_run_report_the_same_line(self, tmp_path, capsys, command, cfg, fragment):
+        p = write_cfg(tmp_path / "c.json", cfg)
+        capsys.readouterr()
+        assert main(["validate", "--config", p, "--for-command", command]) == EXIT_CONFIG
+        validated = capsys.readouterr().err
+        out = tmp_path / "run"
+        assert main([command, "--config", p, "--out", str(out)]) == EXIT_CONFIG
+        ran = capsys.readouterr().err
+        assert validated == ran
+        assert ran.startswith("invalid config: ") and ran.count("\n") == 1
+        assert fragment in ran
+        assert not out.exists()  # parsing fails before the output directory is made
 
 
 class TestRadiiCommand:
@@ -201,6 +259,15 @@ class TestLocalLawRuns:
         assert manifest["seed"] == 123
         assert manifest["config"]["ensemble"]["seed"] == 123
 
+    def test_seed_flag_supplies_a_missing_config_seed(self, tmp_path):
+        cfg = json.loads(json.dumps(self.CFG))
+        del cfg["ensemble"]["seed"]
+        cfg["ensemble"]["N_values"] = [16]
+        p = write_cfg(tmp_path / "c.json", cfg)
+        out = tmp_path / "run"
+        assert main(["local-law", "--config", p, "--out", str(out), "--seed", "4"]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+
 
 class TestMainGapCommand:
     CFG = {
@@ -302,47 +369,52 @@ class TestUsage:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
 
+    RUNNABLE = {
+        "ring-density": {
+            "measure": {"kind": "quarter_circle", "n_atoms": 40},
+            "params": {"s_min": 0.3, "s_max": 0.8, "n_radii": 3},
+        },
+        "certificate": {"measure": TWO_POINT, "params": {"r": 1.4}},
+        "local-law": {
+            "measure": TWO_POINT,
+            "ensemble": {"N_values": [16], "seed": 1},
+            "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
+        },
+        "block-law": BLOCK,
+        "green-sub": GREEN_SUB,
+        "main-gap": MAIN_GAP,
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNNABLE))
+    def test_runnable_configs_validate(self, tmp_path, command):
+        p = write_cfg(tmp_path / "c.json", self.RUNNABLE[command])
+        assert main(["validate", "--config", p, "--for-command", command]) == EXIT_OK
+
     def test_import_loads_no_scipy(self, tmp_path):
-        # every solving command runs on measure._brentq; scipy stays unloaded
-        block = {"atoms": [1.0], "weights": [1.0]}
-        configs = {
-            "ring-density": {
-                "measure": {"kind": "quarter_circle", "n_atoms": 40},
-                "params": {"s_min": 0.3, "s_max": 0.8, "n_radii": 3},
-            },
-            "certificate": {"measure": TWO_POINT, "params": {"r": 1.4}},
-            "local-law": {
-                "measure": TWO_POINT,
-                "ensemble": {"N_values": [16], "seed": 1},
-                "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
-            },
-            "block-law": {
-                "measure": block, "measure2": block,
-                "ensemble": {"N_values": [16], "seed": 1},
-                "grid": {"eta_max": 1.0, "trials": 1},
-            },
-            "green-sub": {
-                "measure": block, "measure2": block,
-                "ensemble": {"N": 16, "seed": 1},
-                "grid": {"trials": 1},
-                "params": {"z_values": [[0.0, 0.25]], "bulk_window": [-0.5, 0.5]},
-            },
-            "main-gap": {
-                "measure": TWO_POINT,
-                "ensemble": {"N": 24, "seed": 1},
-                "grid": {"trials": 1},
-                "params": {"w0": [1.4, 0.0], "alphas": [0.25], "support_radii": [0.5]},
-            },
-        }
+        # every solving command runs on measure._brentq; a finder refuses and
+        # records every scipy import, so a guarded one fails the test too
         runs = [
             [cmd, "--config", write_cfg(tmp_path / f"{cmd}.json", cfg),
              "--out", str(tmp_path / cmd)]
-            for cmd, cfg in configs.items()
+            for cmd, cfg in self.RUNNABLE.items()
         ]
-        code = (
-            "import json, sys; from singlering.cli import main; "
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        code = textwrap.dedent(
+            """
+            import json, sys
+
+            refused = []
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        refused.append(name)
+                        raise ImportError(f"runtime import of {name}")
+
+            sys.meta_path.insert(0, NoScipy())
+            from singlering.cli import main
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, refused]))
+            """
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -351,6 +423,6 @@ class TestUsage:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        codes, refused = json.loads(proc.stdout.strip().splitlines()[-1])
         assert codes == [EXIT_OK] * len(runs), proc.stderr
-        assert scipy_modules == []
+        assert refused == []

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from scipy.stats import ks_2samp
 
 from singlering import linalg
-from singlering.linalg import child_rng, haar_orthogonal, haar_unitary, log_abs_det
+from singlering.linalg import child_rng, haar_orthogonal, haar_unitary
 
 
 class TestChildRng:
@@ -75,34 +74,4 @@ class TestHaarOrthogonal:
         )
         se = vals.std() / np.sqrt(samples)
         assert abs(vals.mean() - 1.0 / n) <= 3.0 * se
-
-
-class TestLogAbsDet:
-    def test_identity(self):
-        assert log_abs_det(np.eye(5)) == 0.0
-
-    def test_complex_diagonal(self):
-        assert log_abs_det(np.diag([2.0, 3.0j])) == pytest.approx(np.log(6.0), abs=1e-14)
-
-    def test_singular(self):
-        assert log_abs_det(np.diag([1.0, 0.0])) == -np.inf
-
-    def test_near_singular_warns(self):
-        with pytest.warns(RuntimeWarning):
-            log_abs_det(np.diag([1.0, 1e-15]))
-
-    def test_product_rule(self):
-        rng = child_rng(11)
-        A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        B = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        assert log_abs_det(A @ B) == pytest.approx(
-            log_abs_det(A) + log_abs_det(B), abs=1e-9
-        )
-
-    def test_spectral_route(self):
-        # log|det M| = half the log-eigenvalue sum of M* M
-        rng = child_rng(12)
-        M = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        lam = np.linalg.eigvalsh(M.conj().T @ M)
-        assert log_abs_det(M) == pytest.approx(0.5 * np.sum(np.log(lam)), abs=1e-8)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singlering import linalg
 from singlering.linalg import child_rng, haar_unitary
 from singlering.models import (
     BlockAdditiveEnsemble,
@@ -187,7 +186,7 @@ class TestKSplitIdentity:
     def test_logdet_routes_agree(self, sample64):
         w = 0.9 + 0.8j
         svd_route = float(np.sum(np.log(svd(sample64, w))))
-        lu_route = linalg.log_abs_det(sample64 - w * np.eye(64))
+        lu_route = np.linalg.slogdet(sample64 - w * np.eye(64))[1]
         assert lu_route == pytest.approx(svd_route, abs=1e-9)
 
 
