@@ -16,7 +16,6 @@ from .freeconv import (  # noqa: F401
 from .measure import (  # noqa: F401
     DiscreteMeasure,
     RingGeometry,
-    levy_distance,
     nevanlinna_rep,
     radii,
     reference_measure,

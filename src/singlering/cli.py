@@ -103,6 +103,16 @@ def _pair(value, path):
     raise ConfigError(f"{path}: expected a pair of numbers, got {value!r}")
 
 
+def _spectral_points(points, path, axis=False):
+    """Pairs as points z with Im z > 0; ``axis`` adds z = 0 (z = i eta, eta >= 0)."""
+    zs = [complex(*_pair(p, f"{path}[{i}]")) for i, p in enumerate(points)]
+    for i, z in enumerate(zs):
+        if not (z.imag > 0 or (axis and z == 0)):
+            need = "Im z > 0, or z = i eta with eta >= 0" if axis else "Im z > 0"
+            raise ConfigError(f"{path}[{i}]: need {need}; got z = {z}")
+    return zs
+
+
 def _radii(mu):
     try:
         return measure.radii(mu)
@@ -247,7 +257,7 @@ def _cmd_freeconv(cfg):
         )
         zs = [complex(0.0, e) for e in etas]
     else:
-        zs = [complex(*_pair(p, f"params.z_grid[{i}]")) for i, p in enumerate(z_grid)]
+        zs = _spectral_points(z_grid, "params.z_grid", axis=mu2 is None)
 
     def run(ctx):
         rows = []
@@ -285,6 +295,10 @@ def _cmd_certificate(cfg):
     mu = load_measure(cfg, "measure")
     mu_sym = mu if mu.is_symmetric() else measure.symmetrize(mu)
     r = float(_get(cfg, "params.r", (int, float)))
+    try:
+        freeconv.bulk_ring(mu_sym, r)
+    except ValueError as exc:
+        raise ConfigError(f"params.r: {exc}") from exc
     eta_max = float(_get(cfg, "params.eta_max", (int, float), required=False, default=10.0))
     grid = int(_get(cfg, "params.grid", int, required=False, default=64))
 
@@ -433,6 +447,8 @@ def _cmd_block_law(cfg):
     interval = _pair(
         _get(cfg, "params.E_interval", required=False, default=[0.0, 0.0]), "params.E_interval"
     )
+    if interval[1] < interval[0]:
+        raise ConfigError(f"params.E_interval: empty energy interval {list(interval)}")
     n_energies = int(_get(cfg, "params.n_energies", int, required=False, default=1))
     grid = _scan_grid(cfg, None, sizes)
 
@@ -451,8 +467,7 @@ def _cmd_block_law(cfg):
 
 def _cmd_green_sub(cfg):
     _, e = _block_ensemble(cfg)
-    z_values = _get(cfg, "params.z_values", list)
-    zs = [complex(*_pair(p, f"params.z_values[{i}]")) for i, p in enumerate(z_values)]
+    zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", required=False, default=None)
     window = None if window is None else _pair(window, "params.bulk_window")
     trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
@@ -613,7 +628,7 @@ def run(command, config_path, out_dir, seed=None, threads=None, overwrite=False)
     try:
         cfg, runner = _parse(config_path, command, seed)
         if threads is None:
-            threads = int(os.environ.get("RINGLAW_THREADS", "1"))
+            threads = os.cpu_count() or 1
         os.makedirs(out_dir, exist_ok=True)
         if os.listdir(out_dir) and not overwrite:
             print(

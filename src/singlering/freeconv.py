@@ -51,6 +51,7 @@ __all__ = [
     "solve_phi_system",
     "solve_delta_conv",
     "boundary_density",
+    "bulk_ring",
     "bulk_bound_certificate",
 ]
 
@@ -390,9 +391,6 @@ class DensityEstimate:
     eta_values: tuple
     raw_values: tuple
 
-    def __float__(self):
-        return self.value
-
 
 def _extrapolate_density(etas, vals) -> DensityEstimate:
     value, err, diag = _neville_to_zero(etas, vals)
@@ -511,6 +509,20 @@ def _one_sided_threshold_position(mu_tilde: AtomicMeasure, threshold: float) -> 
     return float(xs[idx])
 
 
+def bulk_ring(mu1_sym: DiscreteMeasure, r: float):
+    """(r_-^2, r_+^2) = (1 / int x^-2, int x^2) of mu1_sym; a ValueError unless r_- < r < r_+."""
+    atoms = mu1_sym.atoms
+    r_minus_sq = 0.0 if np.any(atoms == 0.0) else 1.0 / float(np.sum(mu1_sym.weights / atoms**2))
+    r_plus_sq = mu1_sym.second_moment()
+    r_minus, r_plus = math.sqrt(r_minus_sq), math.sqrt(r_plus_sq)
+    if not (r_minus < r < r_plus):
+        raise ValueError(
+            f"r = {r} violates the bulk hypothesis: the bounds hold for "
+            f"r in the open ring ({r_minus:.12g}, {r_plus:.12g})"
+        )
+    return r_minus_sq, r_plus_sq
+
+
 def bulk_bound_certificate(
     mu1_sym: DiscreteMeasure,
     r: float,
@@ -528,15 +540,9 @@ def bulk_bound_certificate(
     if grid < 2:
         raise ValueError("grid must have at least 2 dyadic points")
 
-    mu_hat, mu_tilde, r_minus_sq = nevanlinna_rep(mu1_sym)
-    r_plus_sq = mu1_sym.second_moment()
-    r_minus = math.sqrt(r_minus_sq)
-    r_plus = math.sqrt(r_plus_sq)
-    if not (r_minus < r < r_plus):
-        raise ValueError(
-            f"r = {r} violates the bulk hypothesis: the bounds hold for "
-            f"r in the open ring ({r_minus:.12g}, {r_plus:.12g})"
-        )
+    r_minus_sq, r_plus_sq = bulk_ring(mu1_sym, r)
+    r_minus, r_plus = math.sqrt(r_minus_sq), math.sqrt(r_plus_sq)
+    _, mu_tilde, _ = nevanlinna_rep(mu1_sym)
     s_plus, _ = support_stats(mu1_sym)
 
     r2 = r * r

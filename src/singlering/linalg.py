@@ -1,13 +1,13 @@
 """Dense complex linear algebra and reproducible random number generation.
 
-Matrices are plain ``numpy.ndarray`` objects (complex128, two-dimensional,
-row major); no wrapper type is used.  Haar sampling follows the phase-fixed
-QR construction.
+Matrices are plain ``numpy.ndarray`` objects (complex128, row major, one
+matrix or a (k, n, n) stack); Haar sampling is the phase-fixed QR.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
-.Generator``.  Child generators for task grids are derived from a 64-bit
-root seed through ``numpy.random.SeedSequence`` spawn keys, which is a
-published, stable mixing function; see :func:`child_rng`.
+.Generator``, or a sequence of k of them for a stack, one draw from each.
+Child generators for task grids are derived from a 64-bit root seed through
+``numpy.random.SeedSequence`` spawn keys, which is a published, stable
+mixing function; see :func:`child_rng`.
 """
 
 from __future__ import annotations
@@ -32,29 +32,29 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed element of U(n).
-
-    QR of an iid standard complex Gaussian matrix, with each column of Q
-    rephased so that the corresponding diagonal entry of R is positive;
-    this makes the factorization unique and the Q factor exactly Haar.
-    """
+def _rephased_qr(n: int, rng, draw) -> np.ndarray:
+    """Q of Z = QR with each column rephased so that diag(R) > 0, which makes Q
+    unique and exactly Haar for iid Gaussian Z = draw(rng); a sequence of k
+    generators gives the (k, n, n) stack of their draws, in one QR call."""
     if n < 1:
         raise ValueError("n must be positive")
-    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
+    single = isinstance(rng, np.random.Generator)
+    Q, R = np.linalg.qr(np.stack([draw(r) for r in ([rng] if single else rng)]))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
     phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return Q * phases
+    Q = Q * phases[..., None, :]
+    return Q[0] if single else Q
 
 
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed element of O(n); real entries, returned as complex."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    Z = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    signs = np.where(d >= 0, 1.0, -1.0)
-    return (Q * signs).astype(np.complex128)
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-distributed element of U(n), from an iid standard complex Gaussian
+    matrix; a sequence of k generators gives a (k, n, n) stack, one per generator."""
+    return _rephased_qr(
+        n, rng, lambda r: (r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))) / np.sqrt(2.0)
+    )
 
+
+def haar_orthogonal(n: int, rng) -> np.ndarray:
+    """Haar-distributed element of O(n), real entries returned as complex;
+    a sequence of generators gives a stack as in :func:`haar_unitary`."""
+    return _rephased_qr(n, rng, lambda r: r.standard_normal((n, n))).astype(np.complex128)

@@ -39,7 +39,6 @@ __all__ = [
     "stieltjes",
     "neg_recip_stieltjes",
     "radii",
-    "levy_distance",
     "support_stats",
     "nevanlinna_rep",
     "reference_measure",
@@ -308,11 +307,6 @@ def stieltjes(mu: DiscreteMeasure, z: complex) -> complex:
     return complex(np.sum(mu.weights / (mu.atoms - z)))
 
 
-def _stieltjes_imag_axis(mu: DiscreteMeasure, y: float) -> float:
-    """Im m_mu(iy) for y > 0; valid for any mu, exact for symmetric ones."""
-    return float(y * np.sum(mu.weights / (mu.atoms**2 + y * y)))
-
-
 def neg_recip_stieltjes(mu: DiscreteMeasure, z: complex) -> complex:
     """F_mu(z) = -1 / m_mu(z); maps the upper half-plane into itself."""
     return -1.0 / stieltjes(mu, z)
@@ -345,38 +339,6 @@ def radii(mu: DiscreteMeasure):
 def support_stats(mu: DiscreteMeasure):
     """(s_plus, second moment) with s_plus = max |atom|."""
     return float(np.max(np.abs(mu.atoms))), mu.second_moment()
-
-
-def _levy_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
-    # Both one-sided conditions are sups of right-continuous step functions,
-    # so checking every jump point of either step suffices.  Each sup is
-    # parametrized so its own measure's CDF is evaluated exactly at its
-    # atoms; rounding in the shifted CDF can then only overestimate the sup,
-    # never hide a violation.
-    slack = 1e-15
-    xs = np.concatenate((nu.atoms, mu.atoms - eps))
-    if np.max(nu.cdf(xs) - mu.cdf(xs + eps)) > eps + slack:
-        return False
-    ts = np.concatenate((mu.atoms, nu.atoms - eps))
-    if np.max(mu.cdf(ts) - nu.cdf(ts + eps)) > eps + slack:
-        return False
-    return True
-
-
-def levy_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-12) -> float:
-    """Levy distance: the least eps such that the eps-inflated CDF band of mu
-    contains the CDF of nu.  Computed by bisection on eps over the merged atom
-    grid; always <= 1."""
-    lo, hi = 0.0, 1.0
-    if _levy_feasible(mu, nu, lo):
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _levy_feasible(mu, nu, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _positive_gap_zeros(mu: DiscreteMeasure, pos_tol: float = 1e-13):

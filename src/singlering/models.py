@@ -134,29 +134,32 @@ class BlockAdditiveEnsemble:
         return BlockAdditiveEnsemble(s, x, N, self.symmetry, self.seed)
 
 
-def sample_X(e: SingleRingEnsemble, rng: np.random.Generator) -> np.ndarray:
+def sample_X(e: SingleRingEnsemble, rng) -> np.ndarray:
     """One draw of diag(sigma) W, W Haar: U* X U for X = U diag(sigma) V*, W = V* U.
 
     It carries the eigenvalues of X and, jointly in w, the singular values of X - w.
+    A sequence of k generators gives a (k, N, N) stack, one draw from each.
     """
     return e.sigma_diag[:, None] * _haar(e.N, e.symmetry, rng)
 
 
-def sample_Y(e: BlockAdditiveEnsemble, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the N x N block Y = U diag(sigma) V* + diag(xi)."""
+def sample_Y(e: BlockAdditiveEnsemble, rng) -> np.ndarray:
+    """One draw of the N x N block Y = U diag(sigma) V* + diag(xi), U drawn
+    before V; a sequence of k generators gives a (k, N, N) stack."""
     U = _haar(e.N, e.symmetry, rng)
     V = _haar(e.N, e.symmetry, rng)
-    return (U * e.sigma_diag) @ V.conj().T + np.diag(e.xi_diag)
+    return (U * e.sigma_diag) @ np.swapaxes(V, -1, -2).conj() + np.diag(e.xi_diag)
 
 
 def svd(X: np.ndarray, w: complex = 0.0, compute_uv: bool = False):
     """SVD of X - w: its singular values, or (P, s, Q*) with compute_uv.
 
-    The singular values are the nonnegative half of the spectrum of the
+    X is one N x N matrix or a (k, N, N) stack, decomposed in one call.  The
+    singular values are the nonnegative half of the spectrum of the
     hermitization [[0, X - w], [(X - w)*, 0]].
     """
     X = np.asarray(X, dtype=np.complex128)
-    return np.linalg.svd(X - w * np.eye(len(X)), compute_uv=compute_uv)
+    return np.linalg.svd(X - w * np.eye(X.shape[-1]), compute_uv=compute_uv)
 
 
 def m_w(s: np.ndarray, eta: float) -> complex:

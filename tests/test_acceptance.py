@@ -5,7 +5,9 @@ tolerances and caps are the stated ones.  Run directly with
 
     python3 tests/test_acceptance.py
 
-or as part of pytest (use -s to see the lines while running).
+or as part of pytest (use -s to see the lines while running).  The Monte
+Carlo criteria 7-11 and 13 are marked slow, so ``pytest -m "not slow"``
+skips them.
 """
 
 import json
@@ -21,7 +23,7 @@ from scipy.integrate import quad
 from singlering import cli, freeconv, linalg, locallaw, measure, models, ringlaw
 
 SEED = 3
-THREADS = 4  # 4-way parallel map; degrades gracefully on fewer cores
+THREADS = os.cpu_count() or 1  # the CLI default; the bytes do not depend on it
 
 
 def verdict(num, ok, detail):
@@ -183,6 +185,7 @@ def test_criterion_06_exact_identities(two_point):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_local_law(two_point):
     t0 = time.time()
     ring = measure.RingGeometry.from_measure(
@@ -209,6 +212,7 @@ def test_criterion_07_local_law(two_point):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_statistic_gap(two_point):
     e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
     details = []
@@ -229,6 +233,7 @@ def test_criterion_08_statistic_gap(two_point):
     verdict(8, ok, "main-theorem gap, " + "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_09_block_strong_law():
     e = models.BlockAdditiveEnsemble(
         np.ones(512), np.ones(512), 512, "unitary", seed=SEED
@@ -259,6 +264,7 @@ def test_criterion_09_block_strong_law():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_subordination_diagnostics():
     e = models.BlockAdditiveEnsemble(
         np.ones(512), np.ones(512), 512, "unitary", seed=SEED
@@ -277,6 +283,7 @@ def test_criterion_10_subordination_diagnostics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_smallest_sv_tail(two_point):
     e = models.SingleRingEnsemble.from_measure(two_point, 128, "unitary", seed=SEED)
     rep = locallaw.smallest_sv_tail(e, 1.4 + 0j, trials=500, threads=THREADS)
@@ -317,6 +324,7 @@ def test_criterion_12_reproducibility(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_13_statistic_gap_near_optimal_scale(two_point):
     # s = 2.0 * 512^-0.45 puts the support 1.279 < |w| < 1.521 inside the
     # ring 1.265 < |w| < 1.581; it holds about 2 of the 512 eigenvalues

@@ -122,6 +122,15 @@ BAD_CONFIGS = [
     ("block-law", with_params(BLOCK, E_interval=[0.1]), "params.E_interval"),
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.0, "z_grid": [[0.0, 1.0], [0.1]]}},
      "params.z_grid[1]"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 5.0}},
+     "params.r: r = 5.0 violates the bulk hypothesis"),
+    ("green-sub", with_params(GREEN_SUB, z_values=[[0.0, 0.25], [0.0, -0.25]]),
+     "params.z_values[1]: need Im z > 0;"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.0, "z_grid": [[0.0, 1.0], [0.5, 0.0]]}},
+     "params.z_grid[1]: need Im z > 0, or z = i eta with eta >= 0"),
+    ("freeconv", {"measure": TWO_POINT, "measure2": TWO_POINT, "params": {"z_grid": [[0.0, 0.0]]}},
+     "params.z_grid[0]: need Im z > 0;"),
+    ("block-law", with_params(BLOCK, E_interval=[0.2, 0.1]), "params.E_interval: empty"),
 ]
 
 
@@ -202,6 +211,17 @@ class TestFreeconvCommand:
         assert rows[0][:2] == ["z_re", "z_im"]
         got = float(rows[1][5])  # omega2_im at z = i
         assert got == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-10)
+
+    def test_delta_route_solves_at_z_zero(self, tmp_path):
+        # the axis z = i eta includes eta = 0 on the point-mass route
+        p = write_cfg(
+            tmp_path / "c.json",
+            {"measure": TWO_POINT, "params": {"r": 1.4, "z_grid": [[0.0, 0.0]]}},
+        )
+        assert main(["validate", "--config", p, "--for-command", "freeconv"]) == EXIT_OK
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out / "freeconv.csv")) == 2
 
 
 class TestRingDensityCommand:
@@ -299,6 +319,48 @@ class TestMainGapCommand:
         cfg["params"]["grid_n"] = 64
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["main-gap", "--config", p, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+class TestBlasThreads:
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # numpy's OpenBLAS picks its thread count from the environment; the
+        # scans pin it to one thread, so the bytes match those of a pinned run
+        configs = {
+            "local-law": {
+                "measure": TWO_POINT,
+                "ensemble": {"N_values": [128, 256], "symmetry": "unitary", "seed": 3},
+                "grid": {"eta_max": 1.0, "w_abs": 1.4, "trials": 4},
+            },
+            "main-gap": {
+                "measure": TWO_POINT,
+                "ensemble": {"N": 256, "symmetry": "unitary", "seed": 3},
+                "grid": {"trials": 2},
+                "params": {"w0": [1.4, 0.0], "alphas": [0.25], "support_radii": [0.5]},
+            },
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        outputs = {}
+        for label, env in (("pinned", dict(unset, OPENBLAS_NUM_THREADS="1")), ("unset", unset)):
+            for cmd, cfg in configs.items():
+                out = tmp_path / label / cmd
+                proc = subprocess.run(
+                    [sys.executable, "-m", "singlering.cli", cmd,
+                     "--config", write_cfg(tmp_path / f"{cmd}.json", cfg), "--out", str(out)],
+                    env=dict(env, PYTHONPATH=path), capture_output=True, text=True,
+                )
+                assert proc.returncode == EXIT_OK, proc.stderr
+                for name in sorted(os.listdir(out)):
+                    if name.endswith(".csv"):
+                        outputs.setdefault((cmd, name), []).append((out / name).read_bytes())
+        assert sorted(outputs) == [
+            ("local-law", "locallaw.csv"), ("local-law", "locallaw_split.csv"),
+            ("main-gap", "gap.csv"),
+        ]
+        for key, (pinned, unpinned) in outputs.items():
+            assert pinned == unpinned, key
 
 
 class TestReportCommand:

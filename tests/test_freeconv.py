@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from singlering import freeconv, measure
+from levy import levy_distance
+from singlering import freeconv
 from singlering.freeconv import (
     ConvergenceError,
     boundary_density,
@@ -136,7 +137,7 @@ class TestSolveDeltaConv:
                 two_point_sym.atoms + delta * np.sign(two_point_sym.atoms),
                 two_point_sym.weights,
             )
-            d = measure.levy_distance(two_point_sym, shifted)
+            d = levy_distance(two_point_sym, shifted)
             assert d == pytest.approx(delta, rel=0.2)
             moved = [solve_delta_conv(shifted, 1.4, 1j * e).omega2 for e in etas]
             ratios.append(max(abs(a - b) for a, b in zip(base, moved)) / delta)

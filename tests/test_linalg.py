@@ -75,3 +75,31 @@ class TestHaarOrthogonal:
         se = vals.std() / np.sqrt(samples)
         assert abs(vals.mean() - 1.0 / n) <= 3.0 * se
 
+
+
+class TestHaarStacks:
+    """A sequence of generators gives the stack of one-matrix draws, exactly."""
+
+    @staticmethod
+    def per_matrix(n, rng, unitary):
+        # the one-matrix construction: QR of a Gaussian matrix, columns rephased
+        if unitary:
+            Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        else:
+            Z = rng.standard_normal((n, n))
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R)
+        if unitary:
+            return Q * np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
+        return (Q * np.where(d >= 0, 1.0, -1.0)).astype(np.complex128)
+
+    def test_stack_equals_per_matrix_draws(self):
+        for sample, unitary in ((haar_unitary, True), (haar_orthogonal, False)):
+            for n, k in ((1, 3), (5, 4), (37, 3), (128, 4)):
+                stack = sample(n, [child_rng(9, t) for t in range(k)])
+                assert stack.shape == (k, n, n) and stack.dtype == np.complex128
+                for t in range(k):
+                    single = sample(n, child_rng(9, t))
+                    assert single.shape == (n, n)
+                    assert np.array_equal(stack[t], single)
+                    assert np.array_equal(single, self.per_matrix(n, child_rng(9, t), unitary))

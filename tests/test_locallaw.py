@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ from singlering.locallaw import (
     DevRecord,
     DominationReport,
     FSpec,
+    GapRecord,
     ScanGrid,
+    SplitRecord,
+    SubDiagRecord,
     block_local_law_scan,
     bump_laplacian,
     bump_value,
@@ -127,12 +133,6 @@ class TestFitDomination:
         rep.records = [DevRecord(64, 0, 0j, 0.1, 1.0, True)]
         with pytest.raises(ValueError):
             fit_domination(rep)
-
-    def test_merge_rejects_mixed_kinds(self):
-        with pytest.raises(ValueError):
-            DominationReport.merged(
-                [DominationReport(kind="local-law"), DominationReport(kind="block-law")]
-            )
 
 
 class TestLinearStatistics:
@@ -365,3 +365,197 @@ class TestGreenSubordination:
 def test_parallel_map_order():
     out = parallel_map(lambda x: x * x, range(7), threads=3)
     assert out == [x * x for x in range(7)]
+
+
+def test_parallel_map_pins_blas_and_restores_it():
+    with locallaw._one_blas_thread() as blas:  # restores the count the test found
+        if blas is None:
+            pytest.skip("numpy's BLAS is not scipy-openblas")
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        put(2)
+
+        def task(x):
+            if x == 3:
+                raise RuntimeError("task failed")
+            return get()
+
+        for threads in (1, 2):
+            assert parallel_map(task, range(3), threads=threads) == [1, 1, 1]
+            assert get() == 2
+            with pytest.raises(RuntimeError, match="task failed"):
+                parallel_map(task, range(5), threads=threads)
+            assert get() == 2
+
+
+def test_stacked_svd_releases_the_gil(two_point):
+    # a counter thread stamps the clock whenever it holds the GIL; while the
+    # call holds it, the stamps stop, and the largest gap spans that stretch
+    N = 128
+    k = -(-locallaw.BATCH_VALUES // N)
+    e = models.SingleRingEnsemble.from_measure(two_point, N, "unitary", seed=32)
+    X = np.stack([models.sample_X(e, linalg.child_rng(32, t)) for t in range(k)])
+    stamps, stop = [], threading.Event()
+
+    def count():
+        while not stop.is_set():
+            stamps.append(time.perf_counter())
+
+    interval = sys.getswitchinterval()
+    counter = threading.Thread(target=count)
+    held = []
+    sys.setswitchinterval(1e-5)
+    try:
+        counter.start()
+        for _ in range(3):
+            start = time.perf_counter()
+            models.svd(X, 1.4)
+            end = time.perf_counter()
+            times = [start, *(t for t in stamps[-200_000:] if start < t < end), end]
+            held.append(max(b - a for a, b in zip(times, times[1:])) / (end - start))
+    finally:
+        stop.set()
+        counter.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not counter.is_alive()
+    assert min(held) < 0.5, held
+
+
+# ---------------------------------------------------------------------------
+# the per-trial route, kept as the oracle of the batched scans: one child
+# stream, one sample and one spectrum per trial
+# ---------------------------------------------------------------------------
+
+
+def sample_X(ens, *path):
+    return models.sample_X(ens, linalg.child_rng(ens.seed, *path))
+
+
+def sample_Y(ens, *path):
+    return models.sample_Y(ens, linalg.child_rng(ens.seed, *path))
+
+
+def local_law_oracle(e, grid):
+    recs, splits = [], []
+    for ni, N in enumerate(grid.N_values):
+        ens = e if N == e.N else e.resized(N)
+        mu_sym = measure.symmetrize(ens.empirical_measure())
+        eta_star = float(N) ** (-locallaw.DEFAULT_SPLIT_EXPONENT)
+        for trial in range(grid.trials):
+            X = sample_X(ens, ni, trial)
+            for w in grid.w_values:
+                s = models.svd(X, w)
+                small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
+                splits.append(
+                    SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
+                )
+                for eta in grid.eta_values:
+                    m_ref = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
+                    dev = N * eta * abs(models.m_w(s, eta) - m_ref)
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev, True))
+    return recs, splits
+
+
+def gap_oracle(e, w0, alpha, trials, spec):
+    rhs = linear_statistic_rhs(e.empirical_measure(), w0, alpha, spec, n=e.N)
+    scale = float(e.N) ** (1.0 - 2.0 * alpha) / delta_bump_l1()
+    out = []
+    for trial in range(trials):
+        lam = np.linalg.eigvals(sample_X(e, trial))
+        lhs = e.N ** (2.0 * alpha) * float(
+            np.mean(bump_value(np.abs(lam - w0) / (e.N ** (-alpha) * spec.radius)))
+        )
+        out.append(GapRecord(e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale))
+    return out
+
+
+def block_oracle(e, E, grid):
+    mu_a, mu_b = measure.symmetrize(e.xi_measure()), measure.symmetrize(e.sigma_measure())
+    recs = []
+    for trial in range(grid.trials):
+        s = models.svd(sample_Y(e, 0, trial))
+        for eta in grid.eta_values:
+            z = complex(E, eta)
+            m_ref = freeconv.solve_phi_system(mu_a, mu_b, z).m
+            m_H = complex(np.mean(z / (s * s - z * z)))
+            recs.append(DevRecord(e.N, trial, z, eta, e.N * eta * (1.0 + eta) * abs(m_H - m_ref), True))
+    return recs
+
+
+def green_oracle(e, z, trials, window):
+    mu_a, mu_b = measure.symmetrize(e.xi_measure()), measure.symmetrize(e.sigma_measure())
+    st = freeconv.solve_phi_system(mu_a, mu_b, z)
+    recs = []
+    for trial in range(trials):
+        Y = sample_Y(e, trial)
+        obs = models.resolvent_observables(Y, z, e.xi_diag, st.omega2, bulk_window=window)
+        eta = z.imag
+        recs.append(
+            SubDiagRecord(
+                e.N, trial, z,
+                math.sqrt(e.N * eta) * obs.Lambda_d,
+                e.N * eta * abs(obs.omega_B_c - st.omega2),
+                e.N * eta * abs(obs.omega_A_c - st.omega1),
+                obs.eigvec_sup,
+            )
+        )
+    return recs
+
+
+@pytest.fixture
+def one_blas_thread():
+    """The oracle runs at the one BLAS thread that the scans pin."""
+    with locallaw._one_blas_thread():
+        yield
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestBatchesMatchPerTrialOracle:
+    """Every scan equals the per-trial route exactly, at any thread count.
+
+    14 trials split into batches of ceil(512/40) = 13 at N = 40 and of
+    ceil(512/100) = 6 at N = 100, so every scan ends on a short batch.
+    """
+
+    TRIALS = 14
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_local_law_scan(self, two_point, threads):
+        ring = RingGeometry.from_measure(two_point, tau=0.02)
+        e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=33)
+        grid = ScanGrid(
+            np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), (40, 100), self.TRIALS, ring
+        )
+        rep = local_law_scan(e, grid, threads=threads)
+        recs, splits = local_law_oracle(e, grid)
+        assert rep.records == recs
+        assert rep.splits == splits
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_linear_statistic_gap(self, two_point, threads):
+        e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=34)
+        spec = FSpec(0.5)
+        recs = linear_statistic_gap(e, 1.4 + 0j, 0.25, self.TRIALS, spec, threads=threads)
+        assert recs == gap_oracle(e, 1.4 + 0j, 0.25, self.TRIALS, spec)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_smallest_sv_tail(self, two_point, threads):
+        e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=35)
+        rep = smallest_sv_tail(e, 1.4 + 0j, trials=self.TRIALS, threads=threads, bootstrap=5)
+        oracle = [models.smallest_sv(models.svd(sample_X(e, t), 1.4 + 0j)) for t in range(14)]
+        assert rep.lambda1.tolist() == oracle
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_local_law_scan(self, threads):
+        e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
+        grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), (40,), self.TRIALS)
+        rep = block_local_law_scan(e, (0.0, 0.0), grid, threads=threads)
+        assert rep.records == block_oracle(e, 0.0, grid)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_green_subordination_scan(self, threads):
+        e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=37)
+        window = (-0.5, 0.5)
+        recs = green_subordination_scan(
+            e, [0.25j], trials=self.TRIALS, bulk_window=window, threads=threads
+        )
+        assert recs == green_oracle(e, 0.25j, self.TRIALS, window)

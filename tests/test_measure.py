@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from levy import levy_distance
 from singlering import freeconv, measure, ringlaw
 from singlering.measure import (
     AtomicMeasure,
@@ -15,7 +16,6 @@ from singlering.measure import (
     DiscreteMeasure,
     MeasureError,
     RingGeometry,
-    levy_distance,
     neg_recip_stieltjes,
     nevanlinna_rep,
     radii,
