@@ -20,7 +20,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -173,6 +174,13 @@ def _ensemble(cfg):
     return [int(n) for n in ns], sym, _get(cfg, "ensemble.seed", int)
 
 
+def _one_size(sizes):
+    """The size of a command that runs at one N; a longer list is a ConfigError."""
+    if len(sizes) > 1:
+        raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
+    return sizes[0]
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -184,6 +192,54 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([c if isinstance(c, str) else fmt(c) for c in row])
+
+
+# A record type (a dataclass) is a CSV schema: a column per field, and a
+# complex field f is the two columns f_re, f_im.  The header comes from the
+# type's annotations, so an output without records still has one.
+
+
+def _fields(record_type):
+    hints = typing.get_type_hints(record_type)
+    return [(f.name, hints[f.name]) for f in fields(record_type)]
+
+
+def _header(record_type):
+    return tuple(
+        col
+        for name, kind in _fields(record_type)
+        for col in ((f"{name}_re", f"{name}_im") if kind is complex else (name,))
+    )
+
+
+def _write_records(path, record_type, records):
+    cols = _fields(record_type)
+
+    def cells(r):
+        values = [(getattr(r, name), kind) for name, kind in cols]
+        return [x for v, kind in values for x in ((v.real, v.imag) if kind is complex else (v,))]
+
+    _write_csv(path, _header(record_type), map(cells, records))
+
+
+def _read_records(path, record_type):
+    """The records of a CSV that _write_records wrote; another header is a ConfigError."""
+    cols = _fields(record_type)
+
+    def record(row):
+        return record_type(**{
+            name: complex(float(row[f"{name}_re"]), float(row[f"{name}_im"]))
+            if kind is complex
+            else kind(row[name])
+            for name, kind in cols
+        })
+
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        header = tuple(reader.fieldnames or ())
+        if header != _header(record_type):
+            raise ConfigError(f"report: {path} has unknown schema {header}")
+        return [record(row) for row in reader]
 
 
 @dataclass
@@ -260,33 +316,13 @@ def _cmd_freeconv(cfg):
         zs = _spectral_points(z_grid, "params.z_grid", axis=mu2 is None)
 
     def run(ctx):
-        rows = []
-        for z in zs:
-            st = (
-                freeconv.solve_delta_conv(mu1, float(r), z)
-                if mu2 is None
-                else freeconv.solve_phi_system(mu1, mu2, z)
-            )
-            rows.append(
-                [
-                    z.real, z.imag,
-                    st.omega1.real, st.omega1.imag,
-                    st.omega2.real, st.omega2.imag,
-                    st.m.real, st.m.imag,
-                    st.residual, st.iterations,
-                ]
-            )
-        _write_csv(
-            ctx.path("freeconv.csv"),
-            [
-                "z_re", "z_im",
-                "omega1_re", "omega1_im",
-                "omega2_re", "omega2_im",
-                "m_re", "m_im",
-                "residual", "iterations",
-            ],
-            rows,
-        )
+        states = [
+            freeconv.solve_delta_conv(mu1, float(r), z)
+            if mu2 is None
+            else freeconv.solve_phi_system(mu1, mu2, z)
+            for z in zs
+        ]
+        _write_records(ctx.path("freeconv.csv"), freeconv.SubordinationState, states)
 
     return run
 
@@ -342,19 +378,8 @@ def _cmd_local_law(cfg):
 
     def run(ctx):
         report = locallaw.local_law_scan(e, grid, threads=ctx.threads)
-        _write_csv(
-            ctx.path("locallaw.csv"),
-            ["N", "trial", "w_re", "w_im", "eta", "dev"],
-            [[r.N, r.trial, r.w.real, r.w.imag, r.eta, r.dev] for r in report.records],
-        )
-        _write_csv(
-            ctx.path("locallaw_split.csv"),
-            ["N", "trial", "w_re", "w_im", "eta_star", "small_eta_integral", "lambda1"],
-            [
-                [s.N, s.trial, s.w.real, s.w.imag, s.eta_star, s.small_eta_integral, s.lambda1]
-                for s in report.splits
-            ],
-        )
+        _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, report.records)
+        _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, report.splits)
 
     return run
 
@@ -376,21 +401,26 @@ def _cmd_main_gap(cfg):
         specs = [locallaw.FSpec(float(radius)) for radius in radii_cfg]
     except ValueError as exc:
         raise ConfigError(f"params.support_radii: {exc}") from exc
+    N = _one_size(sizes)
+    for alpha, spec in zip(alphas, specs):
+        scale = float(N) ** (-alpha) * spec.radius  # the support radius linear_statistic_rhs tests
+        if abs(w0) <= scale:
+            raise ConfigError(
+                f"params.support_radii: test function support touches w = 0: "
+                f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}"
+            )
     trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
-    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
+    e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
 
     def run(ctx):
-        _write_csv(
-            ctx.path("gap.csv"),
-            ["N", "trial", "alpha", "w0_re", "w0_im", "lhs", "rhs", "gap_norm"],
-            [
-                [r.N, r.trial, r.alpha, r.w0.real, r.w0.imag, r.lhs, r.rhs, r.gap_norm]
-                for alpha, spec in zip(alphas, specs)
-                for r in locallaw.linear_statistic_gap(
-                    e, w0, alpha, trials, f_spec=spec, threads=ctx.threads
-                )
-            ],
-        )
+        records = [
+            r
+            for alpha, spec in zip(alphas, specs)
+            for r in locallaw.linear_statistic_gap(
+                e, w0, alpha, trials, f_spec=spec, threads=ctx.threads
+            )
+        ]
+        _write_records(ctx.path("gap.csv"), locallaw.GapRecord, records)
 
     return run
 
@@ -402,7 +432,7 @@ def _cmd_ssv_tail(cfg):
     trials = int(_get(cfg, "grid.trials", int, required=False, default=500))
     t_grid = _get(cfg, "params.t_grid", list, required=False, default=None)
     t_grid = None if t_grid is None else np.asarray(t_grid, float)
-    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
+    e = models.SingleRingEnsemble.from_measure(mu, _one_size(sizes), sym, seed)
 
     def run(ctx):
         rep = locallaw.smallest_sv_tail(
@@ -456,17 +486,14 @@ def _cmd_block_law(cfg):
         report = locallaw.block_local_law_scan(
             e, interval, grid, threads=ctx.threads, n_energies=n_energies
         )
-        _write_csv(
-            ctx.path("block.csv"),
-            ["N", "trial", "E", "eta", "dev"],
-            [[r.N, r.trial, r.w.real, r.eta, r.dev] for r in report.records],
-        )
+        _write_records(ctx.path("block.csv"), locallaw.BlockRecord, report.records)
 
     return run
 
 
 def _cmd_green_sub(cfg):
-    _, e = _block_ensemble(cfg)
+    sizes, e = _block_ensemble(cfg)
+    _one_size(sizes)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", required=False, default=None)
     window = None if window is None else _pair(window, "params.bulk_window")
@@ -476,28 +503,12 @@ def _cmd_green_sub(cfg):
         recs = locallaw.green_subordination_scan(
             e, zs, trials=trials, bulk_window=window, threads=ctx.threads
         )
-        _write_csv(
-            ctx.path("subordination.csv"),
-            [
-                "N", "trial", "z_re", "z_im",
-                "lambda_d_scaled", "omegaB_gap", "omegaA_gap", "eigvec_sup",
-            ],
-            [
-                [
-                    r.N, r.trial, r.z.real, r.z.imag,
-                    r.lambda_d_scaled, r.omegaB_gap, r.omegaA_gap, r.eigvec_sup,
-                ]
-                for r in recs
-            ],
-        )
+        _write_records(ctx.path("subordination.csv"), locallaw.SubDiagRecord, recs)
 
     return run
 
 
-_SCAN_SCHEMAS = {
-    ("N", "trial", "w_re", "w_im", "eta", "dev"): "local-law",
-    ("N", "trial", "E", "eta", "dev"): "block-law",
-}
+_SCAN_SCHEMAS = {"locallaw.csv": locallaw.DevRecord, "block.csv": locallaw.BlockRecord}
 
 
 def run_report(run_dirs, out_dir, slope_max=0.2):
@@ -505,38 +516,28 @@ def run_report(run_dirs, out_dir, slope_max=0.2):
 
     With fewer than three matrix sizes only per-N quantiles are emitted.
     """
-    rows_by_kind = {}
+    records_by_name = {}
     for d in run_dirs:
         if not os.path.isdir(d):
             raise ConfigError(f"report: {d} is not a directory")
         found = False
-        for name in ("locallaw.csv", "block.csv"):
+        for name, record_type in _SCAN_SCHEMAS.items():
             p = os.path.join(d, name)
             if not os.path.exists(p):
                 continue
-            with open(p) as fh:
-                reader = csv.reader(fh)
-                header = tuple(next(reader))
-                kind = _SCAN_SCHEMAS.get(header)
-                if kind is None:
-                    raise ConfigError(f"report: {p} has unknown schema {header}")
-                rows_by_kind.setdefault(kind, []).extend(
-                    (int(r[0]), float(r[-2]), float(r[-1])) for r in reader
-                )
+            records_by_name.setdefault(name, []).extend(_read_records(p, record_type))
             found = True
         if not found:
             raise ConfigError(f"report: no scan CSV found in {d}")
-    if len(rows_by_kind) > 1:
-        raise ConfigError(f"report: mixed scan schemas {sorted(rows_by_kind)} cannot be merged")
-    kind, rows = rows_by_kind.popitem()
+    if len(records_by_name) > 1:
+        raise ConfigError(f"report: mixed scans {sorted(records_by_name)} cannot be merged")
+    _, records = records_by_name.popitem()
 
-    report = locallaw.DominationReport(kind=kind)
-    for N, eta, dev in rows:
-        report.records.append(locallaw.DevRecord(N, 0, 0j, eta, dev, True))
+    report = locallaw.DominationReport(records)
     maxes = report.per_N_max()
     q95 = report.per_N_quantile()
     out_rows = [
-        [n, sum(1 for r in rows if r[0] == n), maxes[n], q95[n]] for n in sorted(maxes)
+        [n, sum(1 for r in records if r.N == n), maxes[n], q95[n]] for n in sorted(maxes)
     ]
     fit = None
     if len(maxes) >= 3:

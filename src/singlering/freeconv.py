@@ -55,22 +55,25 @@ __all__ = [
     "bulk_bound_certificate",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+TOL = 1e-12  # residual goal of every solve, relative to max(1, |omega1|, |omega2|)
+MAX_ITER = 10_000  # step cap of the generic damped/Newton engine
+LOWER_CONSTANT_CAP = 1e3  # the certificate's lower-bound constant c passes up to this
+UPPER_CONSTANT_CAP = 10.0  # and its upper-bound constant C up to this
 
 
 @dataclass(frozen=True)
 class SubordinationState:
     """Solution of the subordination system at one spectral point.
 
-    residual is the max norm of the two defining equations; m = -1/F.
+    residual is the max norm of the two defining equations; m = -1/F with
+    F = F_{mu1}(omega2); iterations counts root-finder and generic-engine
+    steps.  The fields are the columns of the CLI's freeconv.csv.
     """
 
     z: complex
     omega1: complex
     omega2: complex
     m: complex
-    F: complex
     residual: float
     iterations: int
 
@@ -107,7 +110,7 @@ def _delta_pair(r: float):
     return F, dF
 
 
-def _solve_pair(F1, dF1, F2, dF2, z, w2, tol, max_iter):
+def _solve_pair(F1, dF1, F2, dF2, z, w2):
     """Damped alternating subordination iteration with Newton acceleration.
 
     omega1 is slaved to omega2 through the first defining equation,
@@ -137,7 +140,7 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2, tol, max_iter):
         # float64 cannot express residuals below eps * |omega|, so the
         # convergence goal scales with the iterate; at O(1) arguments it is
         # the plain absolute tolerance
-        return tol * max(1.0, abs(z + F1(w) - w), abs(w))
+        return TOL * max(1.0, abs(z + F1(w) - w), abs(w))
 
     lam = 1.0
     p = phi(w2)
@@ -146,7 +149,7 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2, tol, max_iter):
     it = 0
     newton_off = 0  # greedy steps can stall in rootless residual valleys
     window_best = res
-    while it < max_iter:
+    while it < MAX_ITER:
         if res <= goal(w2):
             break
         it += 1
@@ -185,11 +188,11 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2, tol, max_iter):
     res, w2 = best
     w1 = z + F1(w2) - w2
     full_res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
-    if full_res <= tol * max(1.0, abs(w1), abs(w2)):
+    if full_res <= TOL * max(1.0, abs(w1), abs(w2)):
         return w1, w2, full_res, it
     raise ConvergenceError(
         f"subordination iteration stalled at residual {full_res:.3e} "
-        f"(tol {tol:g}) after {it} iterations at z = {z}",
+        f"(tol {TOL:g}) after {it} iterations at z = {z}",
         residual=full_res,
         iterations=it,
     )
@@ -199,8 +202,9 @@ def _initial_point(z, m2_total):
     return z + 1j * math.sqrt(max(m2_total, 1e-30))
 
 
-def _solve_axis_symmetric(F1, F2, z, scale, tol):
-    """Axis solve for a symmetric pair: bracketed root in y = Im omega2.
+def _solve_axis_symmetric(F1, F2, z, scale):
+    """Axis solve for a symmetric pair: (y, Brent iterations) for the
+    bracketed root y = Im omega2.
 
     For symmetric measures both subordination functions are purely
     imaginary on the imaginary axis, so the slaved residual phi(iy) is too.
@@ -218,7 +222,7 @@ def _solve_axis_symmetric(F1, F2, z, scale, tol):
 
     lo = eta * (1.0 + 1e-12) + 1e-300
     if g(lo) <= 0.0:
-        return lo
+        return lo, 0
     hi = eta + max(scale, 1.0)
     for _ in range(300):
         if g(hi) < 0.0:
@@ -229,15 +233,9 @@ def _solve_axis_symmetric(F1, F2, z, scale, tol):
     return _brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
-def solve_phi_system(
-    mu1: DiscreteMeasure,
-    mu2: DiscreteMeasure,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SubordinationState:
+def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
     """Solve the two-measure subordination system at z in the open upper
-    half-plane and return the full state (omega1, omega2, F, m)."""
+    half-plane and return the full state (omega1, omega2, m)."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError(f"solve_phi_system needs Im z > 0; got z = {z}")
@@ -249,19 +247,17 @@ def solve_phi_system(
     F2, dF2 = _transform_pair(mu2)
     m2_total = mu1.second_moment() + mu2.second_moment()
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
-        y = _solve_axis_symmetric(F1, F2, z, math.sqrt(m2_total), tol)
+        y, brent_it = _solve_axis_symmetric(F1, F2, z, math.sqrt(m2_total))
         w2 = 1j * y
         w1 = z + F1(w2) - w2
         res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
-        if res <= tol * max(1.0, abs(w1), abs(w2)):
-            F = F1(w2)
-            return SubordinationState(z, w1, w2, -1.0 / F, F, res, 0)
+        if res <= TOL * max(1.0, abs(w1), abs(w2)):
+            return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, brent_it)
         w0 = w2  # fall through with a warm start
     else:
-        w0 = _initial_point(z, m2_total)
-    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0, tol, max_iter)
-    F = F1(w2)
-    return SubordinationState(z, w1, w2, -1.0 / F, F, res, it)
+        brent_it, w0 = 0, _initial_point(z, m2_total)
+    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0)
+    return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, brent_it + it)
 
 
 def _imag_axis_gap_equation(mu1_sym: DiscreteMeasure, eta: float):
@@ -282,9 +278,9 @@ def _imag_axis_gap_equation(mu1_sym: DiscreteMeasure, eta: float):
     return G
 
 
-def _solve_delta_axis(mu1_sym, r, eta, tol):
-    """Gap d = Im omega2(i eta) - eta > 0 solving G(d) = r^2 by
-    ``measure._brentq`` on the monotone G."""
+def _solve_delta_axis(mu1_sym, r, eta):
+    """(d, Brent iterations) for the gap d = Im omega2(i eta) - eta > 0
+    solving G(d) = r^2 by ``measure._brentq`` on the monotone G."""
     r2 = r * r
     G = _imag_axis_gap_equation(mu1_sym, eta)
 
@@ -308,13 +304,7 @@ def _solve_delta_axis(mu1_sym, r, eta, tol):
     return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
-def solve_delta_conv(
-    mu1_sym: DiscreteMeasure,
-    r: float,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SubordinationState:
+def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> SubordinationState:
     """Convolve a symmetric measure with (delta_r + delta_{-r})/2.
 
     For z = i eta (eta >= 0, boundary included) the solution is purely
@@ -334,26 +324,23 @@ def solve_delta_conv(
     F1, dF1 = _transform_pair(mu1_sym)
     if z.real == 0.0:
         eta = z.imag
-        d = _solve_delta_axis(mu1_sym, r, eta, tol)
+        d, it = _solve_delta_axis(mu1_sym, r, eta)
         w2 = 1j * (eta + d)
         w1 = 1j * (r * r / d)
-        F = F1(w2)
-        res = abs(F - w1 - w2 + z)
-        it = 0
-        if res > tol and eta > 0:
+        res = abs(F1(w2) - w1 - w2 + z)
+        if res > TOL and eta > 0:
             # polish with the generic engine from the axis point
             F2, dF2 = _delta_pair(r)
-            w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w2, tol, max_iter)
-            F = F1(w2)
-        return SubordinationState(z, w1, w2, -1.0 / F, F, res, it)
+            w1, w2, res, polish_it = _solve_pair(F1, dF1, F2, dF2, z, w2)
+            it += polish_it
+        return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, it)
 
     if z.imag <= 0:
         raise ValueError(f"off-axis z needs Im z > 0; got z = {z}")
     F2, dF2 = _delta_pair(r)
     w0 = _initial_point(z, mu1_sym.second_moment() + r * r)
-    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0, tol, max_iter)
-    F = F1(w2)
-    return SubordinationState(z, w1, w2, -1.0 / F, F, res, it)
+    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0)
+    return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, it)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +394,6 @@ def boundary_density(
     mu2: DiscreteMeasure,
     E: float,
     eta_seq,
-    tol: float = DEFAULT_TOL,
 ) -> DensityEstimate:
     """Density of mu1 [+] mu2 at E via Im m(E + i eta)/pi, eta -> 0.
 
@@ -420,7 +406,7 @@ def boundary_density(
         raise ValueError("eta_seq must be a strictly decreasing sequence of positive reals")
     vals = []
     for eta in etas:
-        st = solve_phi_system(mu1, mu2, complex(E, eta), tol=tol)
+        st = solve_phi_system(mu1, mu2, complex(E, eta))
         vals.append(st.m.imag / math.pi)
     return _extrapolate_density(etas, vals)
 
@@ -528,9 +514,6 @@ def bulk_bound_certificate(
     r: float,
     eta_max: float = 10.0,
     grid: int = 64,
-    lower_constant_cap: float = 1e3,
-    upper_constant_cap: float = 10.0,
-    tol: float = DEFAULT_TOL,
 ) -> CertificateReport:
     """Evaluate the bulk bound certificate for mu1_sym [+] delta_r^sym."""
     if not mu1_sym.is_symmetric():
@@ -560,11 +543,11 @@ def bulk_bound_certificate(
     b_minus = min(1.0, a_minus, a_minus * t_minus**2 / r2)
     omega_hat_abs = math.sqrt(gap_sq / a_minus)
 
-    zero_state = solve_delta_conv(mu1_sym, r, 0.0, tol=tol)
+    zero_state = solve_delta_conv(mu1_sym, r, 0.0)
     im_w2_zero = zero_state.omega2.imag
     extr_vals, extr_etas = [], (1e-3, 1e-4, 1e-5)
     for eta in extr_etas:
-        extr_vals.append(solve_delta_conv(mu1_sym, r, 1j * eta, tol=tol).omega2.imag)
+        extr_vals.append(solve_delta_conv(mu1_sym, r, 1j * eta).omega2.imag)
     im_w2_zero_extrap, _, _ = _neville_to_zero(np.array(extr_etas), extr_vals)
     zero_bound_ok = im_w2_zero > (math.sqrt(3.0) / 2.0) * sigma_minus * s_minus
 
@@ -575,7 +558,7 @@ def bulk_bound_certificate(
     best_constant = 0.0
     lower_constant = 0.0
     for eta in etas:
-        st = solve_delta_conv(mu1_sym, r, 1j * eta, tol=tol)
+        st = solve_delta_conv(mu1_sym, r, 1j * eta)
         dev = abs(st.omega2 - 1j * eta)
         upper_env = min(sigma_plus * s_plus, r2 / eta)
         lower_env = sigma_minus * s_minus * b_minus * min(1.0, sigma_minus * s_minus / eta)
@@ -590,8 +573,8 @@ def bulk_bound_certificate(
         im_w2.append(st.omega2.imag)
         m_abs.append(abs(st.m))
 
-    lower_ok = bool(np.all(np.array(w2_abs) > 0.0) and lower_constant <= lower_constant_cap)
-    upper_ok = bool(upper_ok and best_constant <= upper_constant_cap)
+    lower_ok = bool(np.all(np.array(w2_abs) > 0.0) and lower_constant <= LOWER_CONSTANT_CAP)
+    upper_ok = bool(upper_ok and best_constant <= UPPER_CONSTANT_CAP)
 
     return CertificateReport(
         r=r,

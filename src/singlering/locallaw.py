@@ -3,8 +3,8 @@
 Every experiment is a deterministic map from (configuration, 64-bit seed)
 to records: each trial (N-index, trial) gets its own child generator,
 contiguous batches of trials are the tasks of an order-independent parallel
-map, and failed solves are recorded with a flag instead of being retried
-with fresh randomness.
+map, and a failed reference solve is recorded as a NaN deviation (a
+flagged node) instead of being retried with fresh randomness.
 
 Stochastic domination is operationalized by slope fits: a family of scaled
 deviations obeys the claimed bound when its high quantiles do not grow as a
@@ -31,6 +31,7 @@ __all__ = [
     "FSpec",
     "ScanGrid",
     "DevRecord",
+    "BlockRecord",
     "DominationReport",
     "bump_value",
     "bump_laplacian",
@@ -47,7 +48,10 @@ __all__ = [
     "fit_domination",
 ]
 
-DEFAULT_SPLIT_EXPONENT = 1.5  # eta* = N^(-L1) threshold for the integral-split diagnostics
+SPLIT_EXPONENT = 1.5  # eta* = N^(-L1) threshold for the integral-split diagnostics
+DOMINATION_QUANTILE = 0.95  # the per-N deviation quantile that slope fits use
+BOOTSTRAP = 200  # resamples behind the smallest-singular-value tail slope CI
+NAN = complex(math.nan, math.nan)  # the reference value of a failed solve
 
 
 # numpy's linalg gufuncs release the GIL only when one call returns more than
@@ -200,6 +204,10 @@ class ScanGrid:
         object.__setattr__(self, "N_values", tuple(int(n) for n in self.N_values))
 
 
+# The scan records (DevRecord, BlockRecord, SplitRecord, GapRecord,
+# SubDiagRecord) are the CLI's CSV schemas: a field per column, a complex
+# field f as the two columns f_re, f_im.  A dev that is not finite flags a
+# node whose reference solve failed.
 @dataclass(frozen=True)
 class DevRecord:
     N: int
@@ -207,7 +215,15 @@ class DevRecord:
     w: complex
     eta: float
     dev: float
-    ok: bool
+
+
+@dataclass(frozen=True)
+class BlockRecord:
+    N: int
+    trial: int
+    E: float
+    eta: float
+    dev: float
 
 
 @dataclass
@@ -229,7 +245,6 @@ class DominationReport:
 
     records: list = field(default_factory=list)
     splits: list = field(default_factory=list)
-    kind: str = "local-law"
 
     def sizes(self):
         return sorted({r.N for r in self.records})
@@ -237,18 +252,18 @@ class DominationReport:
     def _per_N(self, fn):
         out = {}
         for n in self.sizes():
-            vals = [r.dev for r in self.records if r.N == n and r.ok and np.isfinite(r.dev)]
+            vals = [r.dev for r in self.records if r.N == n and np.isfinite(r.dev)]
             out[n] = fn(np.array(vals)) if vals else math.nan
         return out
 
     def per_N_max(self):
         return self._per_N(np.max)
 
-    def per_N_quantile(self, q=0.95):
-        return self._per_N(lambda v: float(np.quantile(v, q)))
+    def per_N_quantile(self):
+        return self._per_N(lambda v: float(np.quantile(v, DOMINATION_QUANTILE)))
 
     def flagged(self):
-        return [r for r in self.records if not r.ok]
+        return [r for r in self.records if not np.isfinite(r.dev)]
 
 
 @dataclass(frozen=True)
@@ -259,13 +274,13 @@ class FitResult:
     quantiles: dict
 
 
-def fit_domination(report: DominationReport, eps_pass: float = 0.2, q: float = 0.95) -> FitResult:
-    """Least squares of log q-quantile deviation against log N.
+def fit_domination(report: DominationReport, eps_pass: float = 0.2) -> FitResult:
+    """Least squares of log DOMINATION_QUANTILE-quantile deviation against log N.
 
     Passing (slope <= eps_pass) certifies the absence of power-law growth in
     N, the finite-size surrogate of stochastic domination by a constant.
     """
-    quantiles = report.per_N_quantile(q)
+    quantiles = report.per_N_quantile()
     ns = sorted(n for n, v in quantiles.items() if np.isfinite(v) and v > 0)
     if len(ns) < 3:
         raise ValueError("fit_domination needs deviations at >= 3 sizes N")
@@ -280,57 +295,47 @@ def fit_domination(report: DominationReport, eps_pass: float = 0.2, q: float = 0
 # ---------------------------------------------------------------------------
 
 
-def _reference_transforms(solve, points, eta_values, label):
-    """solve(p, eta) for every (p, eta); deterministic, shared by trials.
+def _references(solve, nodes, failed):
+    """{node: solve(node)} over the distinct nodes; deterministic, shared by trials.
 
-    A failed solve leaves NaN at its node, which every trial then flags.
+    A failed solve warns and leaves ``failed`` (NaN) at its node, so every
+    trial's deviation there is NaN.
     """
     ref = {}
-    for ip, p in enumerate(points):
-        for ie, eta in enumerate(eta_values):
-            try:
-                ref[(ip, ie)] = solve(p, eta)
-            except ConvergenceError as exc:
-                warnings.warn(
-                    f"reference solve failed at {label} = {p:g}, eta = {eta:g}: {exc}",
-                    RuntimeWarning,
-                )
-                ref[(ip, ie)] = complex(math.nan, math.nan)
+    for node in dict.fromkeys(nodes):
+        try:
+            ref[node] = solve(node)
+        except ConvergenceError as exc:
+            warnings.warn(f"reference solve failed at {node}: {exc}", RuntimeWarning)
+            ref[node] = failed
     return ref
 
 
 def local_law_scan(
-    e: models.SingleRingEnsemble,
-    grid: ScanGrid,
-    threads: int = 1,
-    split_exponent: float = DEFAULT_SPLIT_EXPONENT,
+    e: models.SingleRingEnsemble, grid: ScanGrid, threads: int = 1
 ) -> DominationReport:
     """Deviations N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid."""
-    report = DominationReport(kind="local-law")
+    report = DominationReport()
+    # reference nodes (|w|, i eta): phases that share |w| share a solve
+    w_abs = np.abs(grid.w_values).tolist()
+    nodes = [(r, 1j * eta) for r in w_abs for eta in grid.eta_values.tolist()]
 
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_sym = measure.symmetrize(ens.empirical_measure())
-        ref = _reference_transforms(
-            lambda r, eta: freeconv.solve_delta_conv(mu_sym, r, 1j * eta).m,
-            np.abs(grid.w_values),
-            grid.eta_values,
-            "|w|",
-        )
-        eta_star = float(N) ** (-split_exponent)
+        ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
+        eta_star = float(N) ** (-SPLIT_EXPONENT)
 
         def record(trial, *s_w, N=N, ref=ref, eta_star=eta_star):
             recs, splits = [], []
-            for iw, (w, s) in enumerate(zip(grid.w_values, s_w)):
+            for w, r, s in zip(grid.w_values, w_abs, s_w):
                 small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
                 splits.append(
                     SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
                 )
-                for ie, eta in enumerate(grid.eta_values):
-                    m_ref = ref[(iw, ie)]
-                    ok = bool(np.isfinite(m_ref))
-                    dev = N * eta * abs(models.m_w(s, eta) - m_ref) if ok else math.nan
-                    recs.append(DevRecord(N, trial, complex(w), eta, dev, ok))
+                for eta in grid.eta_values:
+                    dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev))
             return recs, splits
 
         for recs, splits in _batched_trials(
@@ -486,7 +491,6 @@ def smallest_sv_tail(
     t_grid=None,
     trials: int = 500,
     threads: int = 1,
-    bootstrap: int = 200,
 ) -> SsvTailReport:
     """Empirical tail P(lambda_1^w <= t/|w|) with a log-log slope fit.
 
@@ -511,7 +515,7 @@ def smallest_sv_tail(
 
     boot_rng = linalg.child_rng(e.seed, 10**6)
     slopes = []
-    for _ in range(bootstrap):
+    for _ in range(BOOTSTRAP):
         resample = boot_rng.choice(lam_scaled, size=len(lam_scaled), replace=True)
         s = _tail_slope(resample, t_grid)
         if np.isfinite(s):
@@ -568,28 +572,20 @@ def block_local_law_scan(
                 f"E = {E:.6g} below threshold {bulk_threshold:g}"
             )
 
-    report = DominationReport(kind="block-law")
+    report = DominationReport()
+    zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_a_N, mu_b_N = _block_reference(ens)
-        ref = _reference_transforms(
-            lambda E, eta: _conv_transform(mu_a_N, mu_b_N, complex(E, eta)),
-            E_values,
-            grid.eta_values,
-            "E",
-        )
+        ref = _references(lambda z: _conv_transform(mu_a_N, mu_b_N, z), zs, NAN)
 
         def record(trial, s, N=N, ref=ref):
             recs = []
-            for iE, E in enumerate(E_values):
-                for ie, eta in enumerate(grid.eta_values):
-                    z = complex(E, eta)
-                    m_ref = ref[(iE, ie)]
-                    ok = bool(np.isfinite(m_ref))
-                    # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
-                    m_H = complex(np.mean(z / (s * s - z * z)))
-                    dev = N * eta * (1.0 + eta) * abs(m_H - m_ref) if ok else math.nan
-                    recs.append(DevRecord(N, trial, z, eta, dev, ok))
+            for z in zs:
+                # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
+                m_H = complex(np.mean(z / (s * s - z * z)))
+                dev = N * z.imag * (1.0 + z.imag) * abs(m_H - ref[z])
+                recs.append(BlockRecord(N, trial, z.real, z.imag, dev))
             return recs
 
         for recs in _batched_trials(
@@ -627,14 +623,12 @@ def green_subordination_scan(
     """
     z_grid = [complex(z) for z in z_grid]
     mu_a, mu_b = _block_reference(e)
-    refs = {}
-    for z in z_grid:
-        try:
-            st = freeconv.solve_phi_system(mu_a, mu_b, z)
-            refs[z] = (st.omega1, st.omega2)
-        except ConvergenceError as exc:
-            warnings.warn(f"reference solve failed at z = {z}: {exc}", RuntimeWarning)
-            refs[z] = (complex(math.nan, math.nan),) * 2
+
+    def omegas(z):
+        st = freeconv.solve_phi_system(mu_a, mu_b, z)
+        return st.omega1, st.omega2
+
+    refs = _references(omegas, z_grid, (NAN, NAN))
 
     def record(trial, Y, P, s, Qh):
         recs = []

@@ -64,20 +64,22 @@ class ConvergenceError(RuntimeError):
 
 
 def _brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
-    """Root of f between a and b by Brent's method.
+    """(root, iterations) of f between a and b by Brent's method.
 
     A line-for-line port of scipy's C ``brentq``: the same bracket
     bookkeeping, inverse quadratic / secant step test and stopping rule
-    |xblk - x|/2 < (xtol + rtol |x|)/2, so it returns the same float.  A
-    bracket without a sign change, a NaN value of f or running out of
-    iterations raises ConvergenceError.
+    |xblk - x|/2 < (xtol + rtol |x|)/2, so it returns the same float and
+    the iteration count of scipy's ``full_output`` (0 for a root at an
+    endpoint, where scipy leaves the count unset).  A bracket without a
+    sign change, a NaN value of f or running out of iterations raises
+    ConvergenceError.
     """
     xpre, xcur = float(a), float(b)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0:
-        return xpre
+        return xpre, 0
     if fcur == 0.0:
-        return xcur
+        return xcur, 0
     if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
         raise ConvergenceError(f"no sign change on [{a}, {b}]: f = {fpre}, {fcur}")
     xblk = fblk = spre = scur = 0.0
@@ -92,7 +94,7 @@ def _brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, it + 1
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -129,14 +131,14 @@ def _as_array(x, name):
     return a
 
 
-def _merge_sorted(atoms, weights, tol=MERGE_TOL):
-    """Merge coincident atoms (within tol) of a sorted atom list."""
+def _merge_sorted(atoms, weights):
+    """Merge coincident atoms (within MERGE_TOL) of a sorted atom list."""
     if len(atoms) == 0:
         return atoms, weights
     out_a = [atoms[0]]
     out_w = [weights[0]]
     for a, w in zip(atoms[1:], weights[1:]):
-        if a - out_a[-1] <= tol:
+        if a - out_a[-1] <= MERGE_TOL:
             out_w[-1] += w
         else:
             out_a.append(a)
@@ -172,24 +174,24 @@ class DiscreteMeasure:
         weights.setflags(write=False)
 
     @classmethod
-    def from_points(cls, atoms, weights, merge_tol=MERGE_TOL):
+    def from_points(cls, atoms, weights):
         """Build a measure from unsorted points, merging coincident atoms."""
         atoms = _as_array(atoms, "atoms")
         weights = _as_array(weights, "weights")
         order = np.argsort(atoms, kind="stable")
-        a, w = _merge_sorted(atoms[order], weights[order], merge_tol)
+        a, w = _merge_sorted(atoms[order], weights[order])
         return cls(a, w)
 
     def __len__(self):
         return len(self.atoms)
 
-    def is_symmetric(self, tol=SYMMETRY_TOL) -> bool:
+    def is_symmetric(self) -> bool:
         """True iff the atom set is closed under negation with equal weights."""
         a, w = self.atoms, self.weights
         ra, rw = -a[::-1], w[::-1]
         return bool(
-            np.all(np.abs(a - ra) <= tol * np.maximum(1.0, np.abs(a)))
-            and np.all(np.abs(w - rw) <= tol)
+            np.all(np.abs(a - ra) <= SYMMETRY_TOL * np.maximum(1.0, np.abs(a)))
+            and np.all(np.abs(w - rw) <= SYMMETRY_TOL)
         )
 
     def cdf(self, x):
@@ -341,12 +343,12 @@ def support_stats(mu: DiscreteMeasure):
     return float(np.max(np.abs(mu.atoms))), mu.second_moment()
 
 
-def _positive_gap_zeros(mu: DiscreteMeasure, pos_tol: float = 1e-13):
+def _positive_gap_zeros(mu: DiscreteMeasure):
     """Zeros of m_mu in each open gap between consecutive positive atoms,
     and in (0, first positive atom) when mu has an atom at 0.
 
-    m_mu is strictly increasing from -inf to +inf on every gap, so plain
-    bisection is safe; pos_tol is the absolute position tolerance.
+    m_mu is strictly increasing from -inf to +inf on every gap, so once the
+    sign change is bracketed ``_brentq`` finds the zero.
     """
     atoms, weights = mu.atoms, mu.weights
     pos = atoms > 0
@@ -372,15 +374,7 @@ def _positive_gap_zeros(mu: DiscreteMeasure, pos_tol: float = 1e-13):
         while m_real(hi) <= 0 and eps > 1e-300:
             eps *= 0.5
             hi = hi_atom - eps
-        for _ in range(200):
-            if hi - lo <= pos_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if m_real(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
+        zeros.append(_brentq(m_real, lo, hi, xtol=1e-300, rtol=8.9e-16)[0])
     return np.array(zeros)
 
 
@@ -438,7 +432,7 @@ def _quarter_circle_cdf(x):
 
 
 def _quarter_circle_quantile(q: float) -> float:
-    return _brentq(lambda x: _quarter_circle_cdf(x) - q, 0.0, 2.0, xtol=1e-14)
+    return _brentq(lambda x: _quarter_circle_cdf(x) - q, 0.0, 2.0, xtol=1e-14)[0]
 
 
 def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:

@@ -60,7 +60,7 @@ def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
         if hi >= 64.0:
             return math.inf
         hi *= 2.0
-    return math.exp(_brentq(gap, lo, hi, xtol=1e-14)) / m2
+    return math.exp(_brentq(gap, lo, hi, xtol=1e-14)[0]) / m2
 
 
 def _ring_point(mu_sigma: DiscreteMeasure, s: float):

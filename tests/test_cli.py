@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singlering import cli
+from singlering import cli, locallaw
 from singlering.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -97,6 +97,8 @@ BLOCK = {
     "grid": {"eta_max": 1.0, "trials": 1},
 }
 GREEN_SUB = dict(BLOCK, params={"z_values": [[0.0, 0.25]], "bulk_window": [-0.5, 0.5]})
+SSV = {"measure": TWO_POINT, "ensemble": {"N": 16, "seed": 1}, "grid": {"w_abs": 1.4, "trials": 4}}
+TWO_SIZES = {"N_values": [16, 24], "seed": 1}
 
 
 def with_params(cfg, **params):
@@ -131,6 +133,11 @@ BAD_CONFIGS = [
     ("freeconv", {"measure": TWO_POINT, "measure2": TWO_POINT, "params": {"z_grid": [[0.0, 0.0]]}},
      "params.z_grid[0]: need Im z > 0;"),
     ("block-law", with_params(BLOCK, E_interval=[0.2, 0.1]), "params.E_interval: empty"),
+    ("main-gap", dict(MAIN_GAP, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
+    ("ssv-tail", dict(SSV, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
+    ("green-sub", dict(GREEN_SUB, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
+    ("main-gap", with_params(MAIN_GAP, alphas=[0.0], support_radii=[2.0]),
+     "params.support_radii: test function support touches w = 0"),
 ]
 
 
@@ -222,6 +229,46 @@ class TestFreeconvCommand:
         out = tmp_path / "run"
         assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
         assert len(read_csv(out / "freeconv.csv")) == 2
+
+    def test_delta_axis_rows_count_root_finder_iterations(self, tmp_path):
+        axis = {"r": 1.4, "z_grid": [[0.0, 0.0], [0.0, 0.1], [0.0, 1.0]]}
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT, "params": axis})
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        with open(out / "freeconv.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 and all(int(r["iterations"]) > 0 for r in rows)
+
+
+class TestRecordHeaders:
+    """The record types are the CSV schemas, so a renamed field renames a column."""
+
+    HEADERS = {
+        ("freeconv", "freeconv.csv"):
+            "z_re,z_im,omega1_re,omega1_im,omega2_re,omega2_im,m_re,m_im,residual,iterations",
+        ("local-law", "locallaw.csv"): "N,trial,w_re,w_im,eta,dev",
+        ("local-law", "locallaw_split.csv"):
+            "N,trial,w_re,w_im,eta_star,small_eta_integral,lambda1",
+        ("main-gap", "gap.csv"): "N,trial,alpha,w0_re,w0_im,lhs,rhs,gap_norm",
+        ("block-law", "block.csv"): "N,trial,E,eta,dev",
+        ("green-sub", "subordination.csv"):
+            "N,trial,z_re,z_im,lambda_d_scaled,omegaB_gap,omegaA_gap,eigvec_sup",
+    }
+
+    def test_each_output_starts_with_its_literal_header(self, tmp_path):
+        configs = dict(
+            TestUsage.RUNNABLE,
+            freeconv={"measure": TWO_POINT, "params": {"r": 1.4, "z_grid": [[0.0, 1.0]]}},
+        )
+        for (command, name), header in self.HEADERS.items():
+            out = tmp_path / command
+            if not out.exists():
+                p = write_cfg(tmp_path / f"{command}.json", configs[command])
+                assert main([command, "--config", p, "--out", str(out)]) == EXIT_OK
+            assert (out / name).read_text().split("\n")[0] == header
+        # the header comes from the type, so an empty output has one too
+        cli._write_records(tmp_path / "empty.csv", locallaw.BlockRecord, [])
+        assert (tmp_path / "empty.csv").read_text() == "N,trial,E,eta,dev\n"
 
 
 class TestRingDensityCommand:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from singlering import freeconv, linalg, locallaw, measure, models, ringlaw
 from singlering.locallaw import (
+    BlockRecord,
     DevRecord,
     DominationReport,
     FSpec,
@@ -115,7 +116,7 @@ class TestFitDomination:
         for N in (64, 128, 256, 512, 1024):
             for t in range(400):
                 dev = N**exponent * math.exp(0.05 * rng.standard_normal())
-                rep.records.append(DevRecord(N, t, 0j, 0.1, dev, True))
+                rep.records.append(DevRecord(N, t, 0j, 0.1, dev))
         return rep
 
     def test_flat_signal(self):
@@ -130,7 +131,7 @@ class TestFitDomination:
 
     def test_needs_three_sizes(self):
         rep = DominationReport()
-        rep.records = [DevRecord(64, 0, 0j, 0.1, 1.0, True)]
+        rep.records = [DevRecord(64, 0, 0j, 0.1, 1.0)]
         with pytest.raises(ValueError):
             fit_domination(rep)
 
@@ -218,7 +219,6 @@ class TestLocalLawScan:
         grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), (32, 48), 2, ring)
         rep = local_law_scan(e, grid, threads=threads)
         assert len(rep.records) == 2 * 2 * len(grid.eta_values)
-        assert all(r.ok for r in rep.records)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
         assert rep.sizes() == [32, 48]
         assert len(rep.splits) == 2 * 2
@@ -245,7 +245,7 @@ class TestLocalLawScan:
         assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
         assert all(math.isnan(r.dev) for r in flagged)
         others = [r for r in rep.records if r.eta != 0.25]
-        assert len(others) == 2 and all(r.ok and np.isfinite(r.dev) for r in others)
+        assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_thread_count_invariance(self, two_point):
         ring = RingGeometry.from_measure(two_point, tau=0.02)
@@ -273,7 +273,7 @@ class TestLinearStatisticGap:
 class TestSmallestSvTail:
     def test_tail_shape(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=24)
-        rep = smallest_sv_tail(e, 1.4 + 0j, trials=60, threads=threads, bootstrap=50)
+        rep = smallest_sv_tail(e, 1.4 + 0j, trials=60, threads=threads)
         assert rep.monotone()
         assert np.all((rep.tail_probability >= 0) & (rep.tail_probability <= 1))
         assert np.mean(rep.lambda1 * 1.4 <= rep.t_grid[-1] * 10) == 1.0
@@ -317,7 +317,7 @@ class TestBlockScan:
         assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
         assert all(math.isnan(r.dev) for r in flagged)
         others = [r for r in rep.records if r.eta != 0.25]
-        assert len(others) == 2 and all(r.ok and np.isfinite(r.dev) for r in others)
+        assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_bulk_check_rejects_gap(self):
         e = models.BlockAdditiveEnsemble(np.ones(16), np.zeros(16), 16, "unitary", seed=28)
@@ -439,7 +439,7 @@ def local_law_oracle(e, grid):
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_sym = measure.symmetrize(ens.empirical_measure())
-        eta_star = float(N) ** (-locallaw.DEFAULT_SPLIT_EXPONENT)
+        eta_star = float(N) ** (-locallaw.SPLIT_EXPONENT)
         for trial in range(grid.trials):
             X = sample_X(ens, ni, trial)
             for w in grid.w_values:
@@ -451,7 +451,7 @@ def local_law_oracle(e, grid):
                 for eta in grid.eta_values:
                     m_ref = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
                     dev = N * eta * abs(models.m_w(s, eta) - m_ref)
-                    recs.append(DevRecord(N, trial, complex(w), eta, dev, True))
+                    recs.append(DevRecord(N, trial, complex(w), eta, dev))
     return recs, splits
 
 
@@ -477,7 +477,7 @@ def block_oracle(e, E, grid):
             z = complex(E, eta)
             m_ref = freeconv.solve_phi_system(mu_a, mu_b, z).m
             m_H = complex(np.mean(z / (s * s - z * z)))
-            recs.append(DevRecord(e.N, trial, z, eta, e.N * eta * (1.0 + eta) * abs(m_H - m_ref), True))
+            recs.append(BlockRecord(e.N, trial, E, eta, e.N * eta * (1.0 + eta) * abs(m_H - m_ref)))
     return recs
 
 
@@ -540,7 +540,7 @@ class TestBatchesMatchPerTrialOracle:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_smallest_sv_tail(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=35)
-        rep = smallest_sv_tail(e, 1.4 + 0j, trials=self.TRIALS, threads=threads, bootstrap=5)
+        rep = smallest_sv_tail(e, 1.4 + 0j, trials=self.TRIALS, threads=threads)
         oracle = [models.smallest_sv(models.svd(sample_X(e, t), 1.4 + 0j)) for t in range(14)]
         assert rep.lambda1.tolist() == oracle
 

@@ -332,7 +332,8 @@ class TestRingGeometry:
 
 
 class TestBrentq:
-    """measure._brentq is a port of scipy.optimize.brentq: equal floats."""
+    """measure._brentq is a port of scipy.optimize.brentq: equal floats and
+    the iteration count of its full_output."""
 
     # (xtol, rtol) pairs the library passes, and scipy's defaults
     TOLS = [(1e-300, 8.9e-16), (1e-14, 4 * np.finfo(float).eps), (2e-12, 4 * np.finfo(float).eps)]
@@ -353,19 +354,21 @@ class TestBrentq:
                 a, b = b, a
             xtol, rtol = self.TOLS[i % len(self.TOLS)]
             try:
-                want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+                want, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
             except ValueError:  # no sign change on this bracket
                 with pytest.raises(ConvergenceError):
                     measure._brentq(f, a, b, xtol=xtol, rtol=rtol)
                 continue
-            assert measure._brentq(f, a, b, xtol=xtol, rtol=rtol) == want
+            assert measure._brentq(f, a, b, xtol=xtol, rtol=rtol) == (want, info.iterations)
             compared += 1
         assert compared > 450
 
     def test_endpoint_root(self):
         f = lambda x: x - 1.0  # noqa: E731
         for a, b in ((1.0, 3.0), (-2.0, 1.0), (3.0, 1.0)):
-            assert measure._brentq(f, a, b, xtol=1e-14) == brentq(f, a, b, xtol=1e-14) == 1.0
+            # scipy leaves full_output's count unset at an endpoint root; the port reports 0
+            want = brentq(f, a, b, xtol=1e-14)
+            assert measure._brentq(f, a, b, xtol=1e-14) == (want, 0) == (1.0, 0)
 
     @pytest.fixture
     def against_scipy(self, monkeypatch):
@@ -374,7 +377,8 @@ class TestBrentq:
 
         def checked(f, a, b, **kw):
             got = port(f, a, b, **kw)
-            assert got == brentq(f, a, b, **kw)
+            want, info = brentq(f, a, b, full_output=True, **kw)
+            assert got == (want, info.iterations)
             calls.append(got)
             return got
 
@@ -402,7 +406,7 @@ class TestBrentq:
     @pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
     def test_library_equations_delta_axis(self, against_scipy, eta):
         mu_sym = symmetrize(dm([1.0, 2.0], [0.5, 0.5]))
-        assert freeconv._solve_delta_axis(mu_sym, 1.4, eta, 1e-12) > 0.0
+        assert freeconv._solve_delta_axis(mu_sym, 1.4, eta)[0] > 0.0
         assert len(against_scipy) == 1
 
     def test_iteration_limit_is_convergence_error(self):
