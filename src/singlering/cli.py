@@ -1,13 +1,15 @@
 """Configuration-driven command line front end.
 
-Every run consumes one JSON config, writes CSV outputs plus a JSON
-manifest into the output directory, and is a pure function of
+Every computing command consumes one JSON config, writes CSV outputs plus
+a JSON manifest into the output directory, and is a pure function of
 (config, seed): identical inputs reproduce identical CSV bytes on one
-platform.  Floating point output carries 17 significant digits so files
+platform.  ``report`` merges scan CSVs into ``summary.csv``; ``validate``
+only parses.  Floating point output carries 17 significant digits so files
 reload losslessly.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
-64 usage error (unknown command).
+Every command goes through ``main``, which maps a failure to its exit code:
+0 success, 2 config/validation error, 3 numerical failure, 64 usage error
+(unknown command).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,19 +45,14 @@ class ConfigError(ValueError):
 
 def fmt(x) -> str:
     """17-significant-digit decimal rendering for lossless reload."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
-def canonical_config_bytes(cfg: dict) -> bytes:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-
-
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_config_bytes(cfg)).hexdigest()
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -88,25 +85,43 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
             kind = spec["kind"]
             params = {k: v for k, v in spec.items() if k not in ("kind", "n_atoms")}
             return measure.reference_measure(kind, int(spec.get("n_atoms", 2)), **params)
-        return DiscreteMeasure(
-            np.asarray(_get(cfg, f"{path}.atoms"), float),
-            np.asarray(_get(cfg, f"{path}.weights"), float),
-        )
+        return DiscreteMeasure(*(
+            np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
+            for key in ("atoms", "weights")
+        ))
     except (MeasureError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _pair(value, path):
-    """Two numbers as floats; anything else is a ConfigError naming path."""
-    ok = isinstance(value, list) and len(value) == 2
-    if ok and all(isinstance(v, (int, float)) for v in value):
-        return float(value[0]), float(value[1])
-    raise ConfigError(f"{path}: expected a pair of numbers, got {value!r}")
+def _numbers(value, path, length=None, kind=float):
+    """A JSON list of numbers (``length`` of them, if given) as ``kind`` values.
+
+    With ``kind=int`` only integers qualify; a bool is no number.  Anything
+    else is a ConfigError naming path.
+    """
+    types = (int,) if kind is int else (int, float)
+    if (
+        isinstance(value, list)
+        and length in (None, len(value))
+        and all(type(v) in types for v in value)
+    ):
+        return [kind(v) for v in value]
+    noun = "integers" if kind is int else "numbers"
+    what = "a pair of numbers" if length == 2 else f"a list of {noun}"
+    raise ConfigError(f"{path}: expected {what}, got {value!r}")
+
+
+def _trials(cfg, default):
+    """``grid.trials``, at least 1."""
+    trials = _get(cfg, "grid.trials", int, required=False, default=default)
+    if trials < 1:
+        raise ConfigError(f"grid.trials: need trials >= 1, got {trials}")
+    return trials
 
 
 def _spectral_points(points, path, axis=False):
     """Pairs as points z with Im z > 0; ``axis`` adds z = 0 (z = i eta, eta >= 0)."""
-    zs = [complex(*_pair(p, f"{path}[{i}]")) for i, p in enumerate(points)]
+    zs = [complex(*_numbers(p, f"{path}[{i}]", 2)) for i, p in enumerate(points)]
     for i, z in enumerate(zs):
         if not (z.imag > 0 or (axis and z == 0)):
             need = "Im z > 0, or z = i eta with eta >= 0" if axis else "Im z > 0"
@@ -138,13 +153,13 @@ def _ring_and_tau(cfg, mu):
 
 
 def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
-    trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
+    trials = _trials(cfg, 10)
     eta_max = float(_get(cfg, "grid.eta_max", (int, float), required=False, default=1.0))
     eta_min = _get(cfg, "grid.eta_min", (int, float), required=False, default=None)
     if eta_min is None:
         eta_min = float(max(N_values)) ** (-default_eta_exponent)
     w_abs = _get(cfg, "grid.w_abs", (int, float), required=False, default=None)
-    phases = _get(cfg, "grid.w_phases", list, required=False, default=[0.0])
+    phases = _numbers(_get(cfg, "grid.w_phases", required=False, default=[0.0]), "grid.w_phases")
     if w_abs is None and ring is not None:
         lo, hi = ring.annulus()
         w_abs = 0.5 * (lo + hi)
@@ -163,15 +178,18 @@ def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
 
 def _ensemble(cfg):
     """Sizes, symmetry class and seed of the ``ensemble`` block."""
-    ns = _get(cfg, "ensemble.N_values", list, required=False, default=None)
-    if ns is None:
-        ns = [_get(cfg, "ensemble.N", int)]
-    if not ns:
-        raise ConfigError("ensemble.N_values: empty")
+    ns = _get(cfg, "ensemble.N_values", required=False, default=None)
+    path = "ensemble.N" if ns is None else "ensemble.N_values"
+    sizes = [_get(cfg, path, int)] if ns is None else _numbers(ns, path, kind=int)
+    if not sizes or min(sizes) < 2:
+        raise ConfigError(f"{path}: need one or more sizes N >= 2, got {sizes}")
     sym = _get(cfg, "ensemble.symmetry", str, required=False, default="unitary")
     if sym not in models.SYMMETRY_CLASSES:
         raise ConfigError(f"ensemble.symmetry: unknown class {sym!r}")
-    return [int(n) for n in ns], sym, _get(cfg, "ensemble.seed", int)
+    seed = _get(cfg, "ensemble.seed", int)
+    if seed < 0:
+        raise ConfigError(f"ensemble.seed: need seed >= 0, got {seed}")
+    return sizes, sym, seed
 
 
 def _one_size(sizes):
@@ -223,10 +241,13 @@ def _write_records(path, record_type, records):
 
 
 def _read_records(path, record_type):
-    """The records of a CSV that _write_records wrote; another header is a ConfigError."""
-    cols = _fields(record_type)
+    """The records of a CSV that _write_records wrote; anything else is a ConfigError."""
+    header, cols = _header(record_type), _fields(record_type)
 
-    def record(row):
+    def record(cells):
+        if len(cells) != len(header):
+            raise ValueError(f"{len(cells)} cells for {len(header)} columns")
+        row = dict(zip(header, cells))
         return record_type(**{
             name: complex(float(row[f"{name}_re"]), float(row[f"{name}_im"]))
             if kind is complex
@@ -234,20 +255,20 @@ def _read_records(path, record_type):
             for name, kind in cols
         })
 
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        if header != _header(record_type):
-            raise ConfigError(f"report: {path} has unknown schema {header}")
-        return [record(row) for row in reader]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise ConfigError(f"report: {path} has unknown schema {found}")
+        try:
+            return [record(cells) for cells in reader if cells]
+        except ValueError as exc:
+            raise ConfigError(f"report: {path} line {reader.line_num}: {exc}") from exc
 
 
 @dataclass
 class RunContext:
-    command: str
-    cfg: dict
     out_dir: str
-    seed: int
     threads: int
     outputs: list = field(default_factory=list)
 
@@ -256,20 +277,9 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
 
-def _finish(ctx: RunContext, started: str):
-    manifest = {
-        "command": ctx.command,
-        "config_hash": config_hash(ctx.cfg),
-        "seed": ctx.seed,
-        "generator_id": GENERATOR_ID,
-        "config": ctx.cfg,
-        "started": started,
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": ctx.outputs,
-        "version": __version__,
-    }
-    with open(os.path.join(ctx.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -340,9 +350,7 @@ def _cmd_certificate(cfg):
 
     def run(ctx):
         report = freeconv.bulk_bound_certificate(mu_sym, r, eta_max=eta_max, grid=grid)
-        with open(ctx.path("certificate.json"), "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(ctx.path("certificate.json"), asdict(report))
         ok = report.lower_ok and report.upper_ok and report.zero_bound_ok
         print(
             f"certificate {'PASS' if ok else 'FAIL'}: s_minus={fmt(report.s_minus)} "
@@ -388,17 +396,20 @@ def _cmd_main_gap(cfg):
     mu = load_measure(cfg, "measure")
     ring = _ring_and_tau(cfg, mu)
     sizes, sym, seed = _ensemble(cfg)
-    w0 = complex(*_pair(_get(cfg, "params.w0"), "params.w0"))
+    w0 = complex(*_numbers(_get(cfg, "params.w0"), "params.w0", 2))
     if not ring.contains(w0):
         raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus {ring.annulus()}")
-    alphas = [float(a) for a in _get(cfg, "params.alphas", list)]
+    alphas = _numbers(_get(cfg, "params.alphas"), "params.alphas")
     if not all(0.0 <= a < 0.5 for a in alphas):
         raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
-    radii_cfg = _get(cfg, "params.support_radii", list, required=False, default=[0.5] * len(alphas))
+    radii_cfg = _numbers(
+        _get(cfg, "params.support_radii", required=False, default=[0.5] * len(alphas)),
+        "params.support_radii",
+    )
     if len(radii_cfg) != len(alphas):
         raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
     try:
-        specs = [locallaw.FSpec(float(radius)) for radius in radii_cfg]
+        specs = [locallaw.FSpec(radius) for radius in radii_cfg]
     except ValueError as exc:
         raise ConfigError(f"params.support_radii: {exc}") from exc
     N = _one_size(sizes)
@@ -409,7 +420,7 @@ def _cmd_main_gap(cfg):
                 f"params.support_radii: test function support touches w = 0: "
                 f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}"
             )
-    trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
+    trials = _trials(cfg, 10)
     e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
 
     def run(ctx):
@@ -429,9 +440,9 @@ def _cmd_ssv_tail(cfg):
     mu = load_measure(cfg, "measure")
     sizes, sym, seed = _ensemble(cfg)
     w_abs = float(_get(cfg, "grid.w_abs", (int, float), required=False, default=1.0))
-    trials = int(_get(cfg, "grid.trials", int, required=False, default=500))
-    t_grid = _get(cfg, "params.t_grid", list, required=False, default=None)
-    t_grid = None if t_grid is None else np.asarray(t_grid, float)
+    trials = _trials(cfg, 500)
+    t_grid = _get(cfg, "params.t_grid", required=False, default=None)
+    t_grid = None if t_grid is None else np.array(_numbers(t_grid, "params.t_grid"))
     e = models.SingleRingEnsemble.from_measure(mu, _one_size(sizes), sym, seed)
 
     def run(ctx):
@@ -443,20 +454,13 @@ def _cmd_ssv_tail(cfg):
             for t in rep.t_grid:
                 rows.append([rep.N, trial, rep.w_abs, t, lam])
         _write_csv(ctx.path("ssv.csv"), ["N", "trial", "w_abs", "t", "lambda1"], rows)
-        with open(ctx.path("ssv_fit.json"), "w") as fh:
-            json.dump(
-                {
-                    "slope": rep.slope,
-                    "slope_ci": list(rep.slope_ci),
-                    "monotone": rep.monotone(),
-                    "t_grid": [float(t) for t in rep.t_grid],
-                    "tail_probability": [float(p) for p in rep.tail_probability],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(ctx.path("ssv_fit.json"), {
+            "slope": rep.slope,
+            "slope_ci": list(rep.slope_ci),
+            "monotone": rep.monotone(),
+            "t_grid": [float(t) for t in rep.t_grid],
+            "tail_probability": [float(p) for p in rep.tail_probability],
+        })
 
     return run
 
@@ -474,11 +478,11 @@ def _block_ensemble(cfg):
 
 def _cmd_block_law(cfg):
     sizes, e = _block_ensemble(cfg)
-    interval = _pair(
-        _get(cfg, "params.E_interval", required=False, default=[0.0, 0.0]), "params.E_interval"
+    interval = _numbers(
+        _get(cfg, "params.E_interval", required=False, default=[0.0, 0.0]), "params.E_interval", 2
     )
     if interval[1] < interval[0]:
-        raise ConfigError(f"params.E_interval: empty energy interval {list(interval)}")
+        raise ConfigError(f"params.E_interval: empty energy interval {interval}")
     n_energies = int(_get(cfg, "params.n_energies", int, required=False, default=1))
     grid = _scan_grid(cfg, None, sizes)
 
@@ -496,8 +500,8 @@ def _cmd_green_sub(cfg):
     _one_size(sizes)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", required=False, default=None)
-    window = None if window is None else _pair(window, "params.bulk_window")
-    trials = int(_get(cfg, "grid.trials", int, required=False, default=10))
+    window = None if window is None else _numbers(window, "params.bulk_window", 2)
+    trials = _trials(cfg, 10)
 
     def run(ctx):
         recs = locallaw.green_subordination_scan(
@@ -511,11 +515,13 @@ def _cmd_green_sub(cfg):
 _SCAN_SCHEMAS = {"locallaw.csv": locallaw.DevRecord, "block.csv": locallaw.BlockRecord}
 
 
-def run_report(run_dirs, out_dir, slope_max=0.2):
+def run_report(run_dirs, out_dir):
     """Merge scan CSVs from run directories and fit the domination slope.
 
     With fewer than three matrix sizes only per-N quantiles are emitted.
     """
+    if not run_dirs:
+        raise ConfigError("report: no run directories given")
     records_by_name = {}
     for d in run_dirs:
         if not os.path.isdir(d):
@@ -536,25 +542,19 @@ def run_report(run_dirs, out_dir, slope_max=0.2):
     report = locallaw.DominationReport(records)
     maxes = report.per_N_max()
     q95 = report.per_N_quantile()
-    out_rows = [
-        [n, sum(1 for r in records if r.N == n), maxes[n], q95[n]] for n in sorted(maxes)
-    ]
-    fit = None
+    rows = [[n, sum(1 for r in records if r.N == n), maxes[n], q95[n]] for n in sorted(maxes)]
     if len(maxes) >= 3:
-        fit = locallaw.fit_domination(report, eps_pass=slope_max)
+        fit = locallaw.fit_domination(report)
         print(
             f"slope {fmt(fit.slope)} intercept {fmt(fit.intercept)} "
-            f"{'PASS' if fit.passed else 'FAIL'} (threshold {slope_max:g})"
+            f"{'PASS' if fit.passed else 'FAIL'} (threshold {locallaw.DOMINATION_SLOPE_MAX:g})"
         )
+        rows += [
+            ["slope", "intercept", "verdict", ""],
+            [fit.slope, fit.intercept, "pass" if fit.passed else "fail", ""],
+        ]
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, ["N", "count", "max_dev", "q95_dev"], out_rows)
-    if fit is not None:
-        with open(path, "a", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["slope", "intercept", "verdict", ""])
-            writer.writerow([fmt(fit.slope), fmt(fit.intercept), "pass" if fit.passed else "fail", ""])
-    return path
+    _write_csv(os.path.join(out_dir, "summary.csv"), ["N", "count", "max_dev", "q95_dev"], rows)
 
 
 _COMMAND_IMPL = {
@@ -596,15 +596,6 @@ def _parse(config_path, command=None, seed=None):
     return cfg, None
 
 
-def validate_config(config_path: str, command: str | None = None) -> list:
-    """The problem ``validate`` reports for the config, as [] or [message]."""
-    try:
-        _parse(config_path, command)
-    except ValueError as exc:
-        return [str(exc)]
-    return []
-
-
 # ConfigError and MeasureError are ValueErrors, as are the library's argument checks
 _FAILURES = (ValueError, ConvergenceError, FloatingPointError)
 
@@ -618,33 +609,26 @@ def _failure(exc) -> int:
     return EXIT_NUMERICAL
 
 
-def run(command, config_path, out_dir, seed=None, threads=None, overwrite=False) -> int:
-    """Execute one command; returns a process exit code."""
-    if command not in _COMMAND_IMPL:
-        print(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        cfg, runner = _parse(config_path, command, seed)
-        if threads is None:
-            threads = os.cpu_count() or 1
-        os.makedirs(out_dir, exist_ok=True)
-        if os.listdir(out_dir) and not overwrite:
-            print(
-                f"output directory {out_dir} is not empty; pass --overwrite to reuse it",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        eff_seed = int(_get(cfg, "ensemble.seed", int, required=False, default=0))
-        ctx = RunContext(command, cfg, out_dir, eff_seed, threads)
-        runner(ctx)
-        _finish(ctx, started)
-        return EXIT_OK
-    except _FAILURES as exc:
-        return _failure(exc)
+def _run(args):
+    """Parse, then run one of the computing commands into ``args.out`` with its manifest."""
+    cfg, runner = _parse(args.config, args.command, args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    if os.listdir(args.out) and not args.overwrite:
+        raise ConfigError(f"output directory {args.out} is not empty; pass --overwrite to reuse it")
+    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    ctx = RunContext(args.out, args.threads)
+    runner(ctx)
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
+        "config_hash": config_hash(cfg),
+        "seed": _get(cfg, "ensemble.seed", int, required=False, default=0),
+        "generator_id": GENERATOR_ID,
+        "config": cfg,
+        "started": started,
+        "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "outputs": ctx.outputs,
+        "version": __version__,
+    })
 
 
 class _Parser(argparse.ArgumentParser):
@@ -655,6 +639,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code."""
     parser = _Parser(
         prog="singlering",
         description="Subordination solvers, ring densities, and local law experiments",
@@ -664,47 +649,31 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         if name == "report":
             p.add_argument("run_dirs", nargs="*")
-            p.add_argument("--out", required=True)
-            p.add_argument("--slope-max", type=float, default=0.2)
-        elif name == "validate":
-            p.add_argument("--config", required=True)
-            p.add_argument("--for-command", dest="for_command", default=None,
-                           choices=list(_COMMAND_IMPL))
         else:
             p.add_argument("--config", required=True)
+        if name == "validate":
+            p.add_argument("--for-command", choices=list(_COMMAND_IMPL))
+        else:
             p.add_argument("--out", required=True)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--threads", type=int, default=None)
+        if name in _COMMAND_IMPL:
+            p.add_argument("--seed", type=int)
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
             p.add_argument("--overwrite", action="store_true")
     args = parser.parse_args(argv)
 
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.command == "validate":
-        try:
+    try:
+        if args.command == "validate":
             _parse(args.config, args.for_command)
-        except _FAILURES as exc:
-            return _failure(exc)
-        return EXIT_OK
-    if args.command == "report":
-        if not args.run_dirs:
-            print("report: no run directories given", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            run_report(args.run_dirs, args.out, args.slope_max)
-            return EXIT_OK
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_CONFIG
-    return run(
-        args.command,
-        args.config,
-        args.out,
-        seed=args.seed,
-        threads=args.threads,
-        overwrite=args.overwrite,
-    )
+        elif args.command == "report":
+            run_report(args.run_dirs, args.out)
+        else:
+            _run(args)
+    except _FAILURES as exc:
+        return _failure(exc)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

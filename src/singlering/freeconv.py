@@ -29,7 +29,7 @@ it against the solved subordination function on a dyadic eta grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -468,13 +468,6 @@ class CertificateReport:
     im_omega2_min: float
     m_abs_min: float
     m_abs_max: float
-
-    def to_json_dict(self):
-        d = asdict(self)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
 
 
 def _one_sided_threshold_position(mu_tilde: AtomicMeasure, threshold: float) -> float:

@@ -50,6 +50,7 @@ __all__ = [
 
 SPLIT_EXPONENT = 1.5  # eta* = N^(-L1) threshold for the integral-split diagnostics
 DOMINATION_QUANTILE = 0.95  # the per-N deviation quantile that slope fits use
+DOMINATION_SLOPE_MAX = 0.2  # the largest fitted slope that passes as domination
 BOOTSTRAP = 200  # resamples behind the smallest-singular-value tail slope CI
 NAN = complex(math.nan, math.nan)  # the reference value of a failed solve
 
@@ -274,11 +275,12 @@ class FitResult:
     quantiles: dict
 
 
-def fit_domination(report: DominationReport, eps_pass: float = 0.2) -> FitResult:
+def fit_domination(report: DominationReport) -> FitResult:
     """Least squares of log DOMINATION_QUANTILE-quantile deviation against log N.
 
-    Passing (slope <= eps_pass) certifies the absence of power-law growth in
-    N, the finite-size surrogate of stochastic domination by a constant.
+    Passing (slope <= DOMINATION_SLOPE_MAX) certifies the absence of
+    power-law growth in N, the finite-size surrogate of stochastic domination
+    by a constant.
     """
     quantiles = report.per_N_quantile()
     ns = sorted(n for n, v in quantiles.items() if np.isfinite(v) and v > 0)
@@ -287,7 +289,7 @@ def fit_domination(report: DominationReport, eps_pass: float = 0.2) -> FitResult
     x = np.log(np.array(ns, dtype=float))
     y = np.log(np.array([quantiles[n] for n in ns]))
     slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(float(slope), float(intercept), bool(slope <= eps_pass), quantiles)
+    return FitResult(float(slope), float(intercept), bool(slope <= DOMINATION_SLOPE_MAX), quantiles)
 
 
 # ---------------------------------------------------------------------------

@@ -305,12 +305,14 @@ def test_criterion_12_reproducibility(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     a, b, c = (str(tmp_path / d) for d in "abc")
-    assert cli.run("local-law", str(cfg_path), a, threads=1) == 0
-    assert cli.run("local-law", str(cfg_path), b, threads=THREADS) == 0
+    assert cli.main(["local-law", "--config", str(cfg_path), "--out", a, "--threads", "1"]) == 0
+    assert cli.main(
+        ["local-law", "--config", str(cfg_path), "--out", b, "--threads", str(THREADS)]
+    ) == 0
     echo = json.loads(open(os.path.join(a, "manifest.json")).read())["config"]
     echo_path = tmp_path / "echo.json"
     echo_path.write_text(json.dumps(echo))
-    assert cli.run("local-law", str(echo_path), c) == 0
+    assert cli.main(["local-law", "--config", str(echo_path), "--out", c]) == 0
 
     def csv_bytes(d):
         return open(os.path.join(d, "locallaw.csv"), "rb").read()

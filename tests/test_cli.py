@@ -10,17 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singlering import cli, locallaw
-from singlering.cli import (
-    EXIT_CONFIG,
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_USAGE,
-    config_hash,
-    fmt,
-    main,
-    validate_config,
-)
+from singlering import cli, freeconv, locallaw
+from singlering.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, config_hash, fmt, main
+from singlering.freeconv import ConvergenceError
+from singlering.measure import DiscreteMeasure, symmetrize
 
 TWO_POINT = {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]}
 
@@ -36,6 +29,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def exit_and_stderr(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
 class TestFormatting:
     def test_seventeen_digits_round_trip(self):
         for x in (1 / 3, math.sqrt(2.5), 1e-17, -math.pi * 1e8):
@@ -48,25 +47,28 @@ class TestFormatting:
 
 
 class TestValidate:
-    def test_valid_config_empty_report(self, tmp_path):
+    def test_valid_config_empty_report(self, tmp_path, capsys):
         p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT})
-        assert validate_config(p, "radii") == []
-        assert main(["validate", "--config", p]) == EXIT_OK
+        assert exit_and_stderr(capsys, ["validate", "--config", p]) == (EXIT_OK, "")
+        argv = ["validate", "--config", p, "--for-command", "radii"]
+        assert exit_and_stderr(capsys, argv) == (EXIT_OK, "")
 
-    def test_missing_weights_names_path(self, tmp_path):
+    def test_missing_weights_names_path(self, tmp_path, capsys):
         p = write_cfg(tmp_path / "c.json", {"measure": {"atoms": [1.0, 2.0]}})
-        problems = validate_config(p, "radii")
-        assert any("measure.weights" in s for s in problems)
-        assert main(["validate", "--config", p, "--for-command", "radii"]) == EXIT_CONFIG
+        argv = ["validate", "--config", p, "--for-command", "radii"]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_CONFIG, "invalid config: measure.weights: missing\n"
+        )
 
-    def test_weights_not_summing_names_measure(self, tmp_path):
+    def test_weights_not_summing_names_measure(self, tmp_path, capsys):
         p = write_cfg(
             tmp_path / "c.json", {"measure": {"atoms": [1.0, 2.0], "weights": [0.7, 0.6]}}
         )
-        problems = validate_config(p, "radii")
-        assert any("measure" in s and "sum" in s for s in problems)
+        code, err = exit_and_stderr(capsys, ["validate", "--config", p, "--for-command", "radii"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("invalid config: measure: ") and "sum" in err
 
-    def test_empty_annulus_names_tau(self, tmp_path):
+    def test_empty_annulus_names_tau(self, tmp_path, capsys):
         p = write_cfg(
             tmp_path / "c.json",
             {
@@ -75,13 +77,17 @@ class TestValidate:
                 "grid": {"tau": 0.5, "trials": 1},
             },
         )
-        problems = validate_config(p, "local-law")
-        assert any("tau" in s and "annulus" in s for s in problems)
+        argv = ["validate", "--config", p, "--for-command", "local-law"]
+        code, err = exit_and_stderr(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("invalid config: grid.tau: ") and "annulus" in err
 
-    def test_unparseable_json(self, tmp_path):
+    def test_unparseable_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{nope")
-        assert validate_config(str(p)) and main(["validate", "--config", str(p)]) == EXIT_CONFIG
+        code, err = exit_and_stderr(capsys, ["validate", "--config", str(p)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("invalid config: config: ") and err.count("\n") == 1
 
 
 MAIN_GAP = {
@@ -98,11 +104,17 @@ BLOCK = {
 }
 GREEN_SUB = dict(BLOCK, params={"z_values": [[0.0, 0.25]], "bulk_window": [-0.5, 0.5]})
 SSV = {"measure": TWO_POINT, "ensemble": {"N": 16, "seed": 1}, "grid": {"w_abs": 1.4, "trials": 4}}
+LOCAL_LAW = {
+    "measure": TWO_POINT,
+    "ensemble": {"N_values": [16], "seed": 1},
+    "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
+}
 TWO_SIZES = {"N_values": [16, 24], "seed": 1}
 
 
-def with_params(cfg, **params):
-    return dict(cfg, params=dict(cfg.get("params", {}), **params))
+def amend(cfg, block, **keys):
+    """A copy of cfg whose section ``block`` has ``keys`` set."""
+    return dict(cfg, **{block: dict(cfg.get(block, {}), **keys)})
 
 
 # (command, config, a fragment of the message): the command's parser, which
@@ -110,34 +122,60 @@ def with_params(cfg, **params):
 BAD_CONFIGS = [
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.5, "s_max": 1.4}},
      "s_min <= s_max"),
-    ("main-gap", with_params(MAIN_GAP, w0=[3.0, 0.0]), "params.w0: |w0| = 3"),
+    ("main-gap", amend(MAIN_GAP, "params", w0=[3.0, 0.0]), "params.w0: |w0| = 3"),
     ("local-law",
      {"measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
       "ensemble": {"N_values": [16], "seed": 1},
       "grid": {"w_abs": 1.0, "trials": 1}},
      "measure: radii expects"),
-    ("main-gap", with_params(MAIN_GAP, w0=[1.4]), "params.w0: expected a pair"),
-    ("main-gap", with_params(MAIN_GAP, alphas=[0.0, 0.25]), "params.support_radii: 1 radii"),
-    ("main-gap", with_params(MAIN_GAP, alphas=[0.7]), "params.alphas: each alpha"),
-    ("green-sub", with_params(GREEN_SUB, z_values=[[0.1]]), "params.z_values[0]"),
-    ("green-sub", with_params(GREEN_SUB, bulk_window=[0.5]), "params.bulk_window"),
-    ("block-law", with_params(BLOCK, E_interval=[0.1]), "params.E_interval"),
+    ("main-gap", amend(MAIN_GAP, "params", w0=[1.4]), "params.w0: expected a pair"),
+    ("main-gap", amend(MAIN_GAP, "params", alphas=[0.0, 0.25]), "params.support_radii: 1 radii"),
+    ("main-gap", amend(MAIN_GAP, "params", alphas=[0.7]), "params.alphas: each alpha"),
+    ("green-sub", amend(GREEN_SUB, "params", z_values=[[0.1]]), "params.z_values[0]"),
+    ("green-sub", amend(GREEN_SUB, "params", bulk_window=[0.5]), "params.bulk_window"),
+    ("block-law", amend(BLOCK, "params", E_interval=[0.1]), "params.E_interval"),
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.0, "z_grid": [[0.0, 1.0], [0.1]]}},
      "params.z_grid[1]"),
     ("certificate", {"measure": TWO_POINT, "params": {"r": 5.0}},
      "params.r: r = 5.0 violates the bulk hypothesis"),
-    ("green-sub", with_params(GREEN_SUB, z_values=[[0.0, 0.25], [0.0, -0.25]]),
+    ("green-sub", amend(GREEN_SUB, "params", z_values=[[0.0, 0.25], [0.0, -0.25]]),
      "params.z_values[1]: need Im z > 0;"),
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.0, "z_grid": [[0.0, 1.0], [0.5, 0.0]]}},
      "params.z_grid[1]: need Im z > 0, or z = i eta with eta >= 0"),
     ("freeconv", {"measure": TWO_POINT, "measure2": TWO_POINT, "params": {"z_grid": [[0.0, 0.0]]}},
      "params.z_grid[0]: need Im z > 0;"),
-    ("block-law", with_params(BLOCK, E_interval=[0.2, 0.1]), "params.E_interval: empty"),
+    ("block-law", amend(BLOCK, "params", E_interval=[0.2, 0.1]), "params.E_interval: empty"),
     ("main-gap", dict(MAIN_GAP, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
     ("ssv-tail", dict(SSV, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
     ("green-sub", dict(GREEN_SUB, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
-    ("main-gap", with_params(MAIN_GAP, alphas=[0.0], support_radii=[2.0]),
+    ("main-gap", amend(MAIN_GAP, "params", alphas=[0.0], support_radii=[2.0]),
      "params.support_radii: test function support touches w = 0"),
+    # list elements that are not numbers, read by one typed reader
+    ("main-gap", amend(MAIN_GAP, "params", alphas=[None]),
+     "params.alphas: expected a list of numbers"),
+    ("main-gap", amend(MAIN_GAP, "params", support_radii=[None]),
+     "params.support_radii: expected a list of numbers"),
+    ("local-law", amend(LOCAL_LAW, "grid", w_phases=["x"]),
+     "grid.w_phases: expected a list of numbers"),
+    ("ssv-tail", amend(SSV, "params", t_grid=["x"]), "params.t_grid: expected a list of numbers"),
+    ("local-law", amend(LOCAL_LAW, "ensemble", N_values=["16"]),
+     "ensemble.N_values: expected a list of integers"),
+    ("radii", {"measure": {"atoms": [1.0, "x"], "weights": [0.5, 0.5]}},
+     "measure.atoms: expected a list of numbers"),
+    # seeds, trial counts and sizes out of range
+    ("main-gap", amend(MAIN_GAP, "ensemble", seed=-1), "ensemble.seed: need seed >= 0, got -1"),
+    ("ssv-tail", amend(SSV, "grid", trials=0), "grid.trials: need trials >= 1, got 0"),
+    ("main-gap", amend(MAIN_GAP, "grid", trials=0), "grid.trials: need trials >= 1, got 0"),
+    ("green-sub", amend(GREEN_SUB, "grid", trials=0), "grid.trials: need trials >= 1, got 0"),
+    ("main-gap", amend(MAIN_GAP, "ensemble", N=1), "ensemble.N: need one or more sizes N >= 2"),
+    # parser checks that no other row reaches
+    ("local-law", amend(LOCAL_LAW, "ensemble", symmetry="real"),
+     "ensemble.symmetry: unknown class 'real'"),
+    ("local-law", amend(LOCAL_LAW, "ensemble", N_values=[]),
+     "ensemble.N_values: need one or more sizes N >= 2, got []"),
+    ("local-law", amend(LOCAL_LAW, "grid", tau=-0.1), "grid.tau: tau must be nonnegative"),
+    ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": 1.5, "n_radii": 3.5}},
+     "params.n_radii: expected int, got float"),
 ]
 
 
@@ -204,6 +242,17 @@ class TestCertificateCommand:
         )
         assert main(["certificate", "--config", p, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_failed_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ConvergenceError("fixed point stalled")
+
+        monkeypatch.setattr(freeconv, "bulk_bound_certificate", stall)
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT, "params": {"r": 1.4}})
+        argv = ["certificate", "--config", p, "--out", str(tmp_path / "run")]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_NUMERICAL, "numerical failure: fixed point stalled\n"
+        )
+
 
 class TestFreeconvCommand:
     def test_delta_csv(self, tmp_path):
@@ -238,6 +287,25 @@ class TestFreeconvCommand:
         with open(out / "freeconv.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 and all(int(r["iterations"]) > 0 for r in rows)
+
+    def test_two_measure_route_on_the_default_axis_grid(self, tmp_path):
+        # without params.z_grid the points are z = i eta on the dyadic grid of grid.eta_*
+        mu2 = {"atoms": [0.5, 1.5], "weights": [0.5, 0.5]}
+        p = write_cfg(
+            tmp_path / "c.json",
+            {"measure": TWO_POINT, "measure2": mu2, "grid": {"eta_min": 0.2, "eta_max": 2.0}},
+        )
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        with open(out / "freeconv.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        etas = [2.0, 1.0, 0.5, 0.25]
+        assert [(float(r["z_re"]), float(r["z_im"])) for r in rows] == [(0.0, e) for e in etas]
+        mu1, mu2 = (symmetrize(DiscreteMeasure(m["atoms"], m["weights"])) for m in (TWO_POINT, mu2))
+        for r, eta in zip(rows, etas):
+            state = freeconv.solve_phi_system(mu1, mu2, 1j * eta)
+            assert complex(float(r["m_re"]), float(r["m_im"])) == state.m
+            assert float(r["residual"]) < 1e-10 and state.m.imag > 0
 
 
 class TestRecordHeaders:
@@ -384,6 +452,12 @@ class TestBlasThreads:
                 "grid": {"trials": 2},
                 "params": {"w0": [1.4, 0.0], "alphas": [0.25], "support_radii": [0.5]},
             },
+            "ssv-tail": {
+                "measure": TWO_POINT,
+                "ensemble": {"N": 128, "symmetry": "unitary", "seed": 3},
+                "grid": {"w_abs": 1.4, "trials": 6},
+                "params": {"t_grid": [0.05, 0.1, 0.2]},
+            },
         }
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -404,10 +478,12 @@ class TestBlasThreads:
                         outputs.setdefault((cmd, name), []).append((out / name).read_bytes())
         assert sorted(outputs) == [
             ("local-law", "locallaw.csv"), ("local-law", "locallaw_split.csv"),
-            ("main-gap", "gap.csv"),
+            ("main-gap", "gap.csv"), ("ssv-tail", "ssv.csv"),
         ]
         for key, (pinned, unpinned) in outputs.items():
             assert pinned == unpinned, key
+        # one row per trial and t
+        assert len(outputs["ssv-tail", "ssv.csv"][0].splitlines()) == 1 + 6 * 3
 
 
 class TestReportCommand:
@@ -451,6 +527,18 @@ class TestReportCommand:
         empty.mkdir()
         assert main(["report", str(empty), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("row,problem", [
+        ("16,0,1.4,0,0.5,big", "could not convert string to float: 'big'"),
+        ("16,0,1.4,0,0.5", "5 cells for 6 columns"),
+    ])
+    def test_malformed_row_exits_2(self, tmp_path, capsys, row, problem):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "locallaw.csv").write_text(f"N,trial,w_re,w_im,eta,dev\n16,0,1.4,0,1,0.1\n{row}\n")
+        code, err = exit_and_stderr(capsys, ["report", str(run), "--out", str(tmp_path / "rep")])
+        assert code == EXIT_CONFIG
+        assert err == f"invalid config: report: {run / 'locallaw.csv'} line 3: {problem}\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_64(self, capsys):
@@ -460,9 +548,6 @@ class TestUsage:
 
     def test_no_command_exits_64(self, capsys):
         assert main([]) == EXIT_USAGE
-
-    def test_run_helper_rejects_unknown(self, tmp_path, capsys):
-        assert cli.run("nope", "x.json", str(tmp_path / "o")) == EXIT_USAGE
 
     def test_module_entry_point_imports_cleanly(self, tmp_path):
         # `python -m singlering.cli` must not find the module already
@@ -484,11 +569,7 @@ class TestUsage:
             "params": {"s_min": 0.3, "s_max": 0.8, "n_radii": 3},
         },
         "certificate": {"measure": TWO_POINT, "params": {"r": 1.4}},
-        "local-law": {
-            "measure": TWO_POINT,
-            "ensemble": {"N_values": [16], "seed": 1},
-            "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
-        },
+        "local-law": LOCAL_LAW,
         "block-law": BLOCK,
         "green-sub": GREEN_SUB,
         "main-gap": MAIN_GAP,

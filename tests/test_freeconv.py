@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ class TestCertificate:
 
     def test_json_serializable(self, two_point_sym):
         rep = bulk_bound_certificate(two_point_sym, 1.4, grid=8)
-        blob = json.dumps(rep.to_json_dict())
+        blob = json.dumps(asdict(rep))
         back = json.loads(blob)
         assert back["s_minus"] == rep.s_minus
         assert len(back["upper_margins"]) == 8
