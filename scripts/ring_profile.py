@@ -39,8 +39,11 @@ def main():
     else:
         mu = measure.reference_measure("quarter_circle", args.n_atoms)
 
-    r_minus, r_plus = measure.radii(mu)
-    tau = args.tau if args.tau is not None else 0.05 * (r_plus - r_minus)
+    try:
+        ring = measure.RingGeometry.from_measure(mu, args.tau)
+    except measure.MeasureError as exc:
+        sys.exit(str(exc))
+    r_minus, r_plus, tau = ring.r_minus, ring.r_plus, ring.tau
     lo, hi = r_minus + tau, r_plus - tau
     if lo >= hi:
         sys.exit(f"tau = {tau} empties the annulus [{r_minus}, {r_plus}]")

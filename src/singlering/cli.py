@@ -60,31 +60,42 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _get(cfg, path, expected=None, required=True, default=None):
+_NUMBER_TYPES = {int: (int,), float: (int, float)}  # the JSON types of each kind; no bool
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
+    """The value at the dotted ``path``, or ``default`` where it is missing.
+
+    ``expected`` is the value's type: ``int`` takes only an integer and
+    ``float`` any JSON number, as a float, as ``_numbers`` does; a number
+    read with ``least`` must be at least that.
+    """
     node = cfg
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigError(f"{path}: missing")
             return default
         node = node[key]
-    if expected is not None and not isinstance(node, expected):
-        names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else "/".join(t.__name__ for t in expected)
-        )
+    types = _NUMBER_TYPES.get(expected, (expected,))
+    if expected is not None and type(node) not in types:
+        names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(node).__name__}")
-    return node
+    if least is not None and node < least:
+        raise ConfigError(f"{path}: need {key} >= {least}, got {node}")
+    return expected(node) if expected in _NUMBER_TYPES else node
 
 
 def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
     spec = _get(cfg, path, dict)
     try:
         if "kind" in spec:
-            kind = spec["kind"]
-            params = {k: v for k, v in spec.items() if k not in ("kind", "n_atoms")}
-            return measure.reference_measure(kind, int(spec.get("n_atoms", 2)), **params)
+            kind = _get(cfg, f"{path}.kind", str)
+            n_atoms = _get(cfg, f"{path}.n_atoms", int, default=2)
+            keys = [k for k in spec if k not in ("kind", "n_atoms")]
+            params = {k: _get(cfg, f"{path}.{k}", float) for k in keys}
+            return measure.reference_measure(kind, n_atoms, **params)
         return DiscreteMeasure(*(
             np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
             for key in ("atoms", "weights")
@@ -99,24 +110,15 @@ def _numbers(value, path, length=None, kind=float):
     With ``kind=int`` only integers qualify; a bool is no number.  Anything
     else is a ConfigError naming path.
     """
-    types = (int,) if kind is int else (int, float)
     if (
         isinstance(value, list)
         and length in (None, len(value))
-        and all(type(v) in types for v in value)
+        and all(type(v) in _NUMBER_TYPES[kind] for v in value)
     ):
         return [kind(v) for v in value]
     noun = "integers" if kind is int else "numbers"
     what = "a pair of numbers" if length == 2 else f"a list of {noun}"
     raise ConfigError(f"{path}: expected {what}, got {value!r}")
-
-
-def _trials(cfg, default):
-    """``grid.trials``, at least 1."""
-    trials = _get(cfg, "grid.trials", int, required=False, default=default)
-    if trials < 1:
-        raise ConfigError(f"grid.trials: need trials >= 1, got {trials}")
-    return trials
 
 
 def _spectral_points(points, path, axis=False):
@@ -136,41 +138,42 @@ def _radii(mu):
         raise ConfigError(f"measure: {exc}") from exc
 
 
+def _bulk_ring(mu_sym, r):
+    """``params.r`` must lie in the open ring of mu_sym."""
+    try:
+        freeconv.bulk_ring(mu_sym, r)
+    except ValueError as exc:
+        raise ConfigError(f"params.r: {exc}") from exc
+
+
 def _ring_and_tau(cfg, mu):
-    tau_cfg = _get(cfg, "grid.tau", (int, float), required=False, default=None)
-    r_minus, r_plus = _radii(mu)
-    tau = 0.05 * (r_plus - r_minus) if tau_cfg is None else float(tau_cfg)
+    tau = _get(cfg, "grid.tau", float, default=None)
+    _radii(mu)  # a measure off [0, inf) is an error of the measure, not of tau
     try:
         ring = RingGeometry.from_measure(mu, tau)
     except MeasureError as exc:
         raise ConfigError(f"grid.tau: {exc}") from exc
     if ring.annulus() is None:
         raise ConfigError(
-            f"grid.tau: tau = {tau:g} empties the annulus "
-            f"[r_minus + tau, r_plus - tau] = [{r_minus + tau:g}, {r_plus - tau:g}]"
+            f"grid.tau: tau = {ring.tau:g} empties the annulus [r_minus + tau, r_plus - tau]"
+            f" = [{ring.r_minus + ring.tau:g}, {ring.r_plus - ring.tau:g}]"
         )
     return ring
 
 
 def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
-    trials = _trials(cfg, 10)
-    eta_max = float(_get(cfg, "grid.eta_max", (int, float), required=False, default=1.0))
-    eta_min = _get(cfg, "grid.eta_min", (int, float), required=False, default=None)
-    if eta_min is None:
-        eta_min = float(max(N_values)) ** (-default_eta_exponent)
-    w_abs = _get(cfg, "grid.w_abs", (int, float), required=False, default=None)
-    phases = _numbers(_get(cfg, "grid.w_phases", required=False, default=[0.0]), "grid.w_phases")
+    trials = _get(cfg, "grid.trials", int, default=10, least=1)
+    eta_max = _get(cfg, "grid.eta_max", float, default=1.0)
+    eta_min = _get(cfg, "grid.eta_min", float, default=max(N_values) ** -default_eta_exponent)
+    w_abs = _get(cfg, "grid.w_abs", float, default=None)
+    phases = _numbers(_get(cfg, "grid.w_phases", default=[0.0]), "grid.w_phases")
     if w_abs is None and ring is not None:
-        lo, hi = ring.annulus()
-        w_abs = 0.5 * (lo + hi)
-    ws = (
-        np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases])
-        if w_abs is not None
-        else np.array([], dtype=complex)
-    )
+        w_abs = 0.5 * sum(ring.annulus())
+    phases = [] if w_abs is None else phases
+    ws = np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases], dtype=complex)
     try:
         return locallaw.ScanGrid(
-            locallaw.dyadic_etas(float(eta_min), eta_max), ws, tuple(N_values), trials, ring
+            locallaw.dyadic_etas(eta_min, eta_max), ws, tuple(N_values), trials, ring
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -178,18 +181,15 @@ def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
 
 def _ensemble(cfg):
     """Sizes, symmetry class and seed of the ``ensemble`` block."""
-    ns = _get(cfg, "ensemble.N_values", required=False, default=None)
+    ns = _get(cfg, "ensemble.N_values", default=None)
     path = "ensemble.N" if ns is None else "ensemble.N_values"
     sizes = [_get(cfg, path, int)] if ns is None else _numbers(ns, path, kind=int)
     if not sizes or min(sizes) < 2:
         raise ConfigError(f"{path}: need one or more sizes N >= 2, got {sizes}")
-    sym = _get(cfg, "ensemble.symmetry", str, required=False, default="unitary")
+    sym = _get(cfg, "ensemble.symmetry", str, default="unitary")
     if sym not in models.SYMMETRY_CLASSES:
         raise ConfigError(f"ensemble.symmetry: unknown class {sym!r}")
-    seed = _get(cfg, "ensemble.seed", int)
-    if seed < 0:
-        raise ConfigError(f"ensemble.seed: need seed >= 0, got {seed}")
-    return sizes, sym, seed
+    return sizes, sym, _get(cfg, "ensemble.seed", int, least=0)
 
 
 def _one_size(sizes):
@@ -277,9 +277,19 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
 
+def _make_out_dir(path):
+    """Make the output directory; a path that cannot be one is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+
+
 def _write_json(path, obj):
+    """Strict JSON: a float that is not finite (NaN, +-Infinity) is written as null."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda name: None)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -309,25 +319,32 @@ def _cmd_freeconv(cfg):
     mu1 = load_measure(cfg, "measure")
     if not mu1.is_symmetric():
         mu1 = measure.symmetrize(mu1)
-    r = _get(cfg, "params.r", (int, float), required=False, default=None)
+    r = _get(cfg, "params.r", float, default=None)
     mu2 = None
     if r is None:
         mu2 = load_measure(cfg, "measure2")
         if not mu2.is_symmetric():
             mu2 = measure.symmetrize(mu2)
-    z_grid = _get(cfg, "params.z_grid", list, required=False, default=None)
+    elif r <= 0:
+        raise ConfigError(f"params.r: need r > 0, got {r:g}")
+    z_grid = _get(cfg, "params.z_grid", list, default=None)
     if z_grid is None:
-        etas = locallaw.dyadic_etas(
-            float(_get(cfg, "grid.eta_min", (int, float), required=False, default=1e-3)),
-            float(_get(cfg, "grid.eta_max", (int, float), required=False, default=8.0)),
-        )
+        try:
+            etas = locallaw.dyadic_etas(
+                _get(cfg, "grid.eta_min", float, default=1e-3),
+                _get(cfg, "grid.eta_max", float, default=8.0),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         zs = [complex(0.0, e) for e in etas]
     else:
         zs = _spectral_points(z_grid, "params.z_grid", axis=mu2 is None)
+        if mu2 is None and 0 in zs:
+            _bulk_ring(mu1, r)  # the boundary value z = 0 needs r inside the ring
 
     def run(ctx):
         states = [
-            freeconv.solve_delta_conv(mu1, float(r), z)
+            freeconv.solve_delta_conv(mu1, r, z)
             if mu2 is None
             else freeconv.solve_phi_system(mu1, mu2, z)
             for z in zs
@@ -340,13 +357,12 @@ def _cmd_freeconv(cfg):
 def _cmd_certificate(cfg):
     mu = load_measure(cfg, "measure")
     mu_sym = mu if mu.is_symmetric() else measure.symmetrize(mu)
-    r = float(_get(cfg, "params.r", (int, float)))
-    try:
-        freeconv.bulk_ring(mu_sym, r)
-    except ValueError as exc:
-        raise ConfigError(f"params.r: {exc}") from exc
-    eta_max = float(_get(cfg, "params.eta_max", (int, float), required=False, default=10.0))
-    grid = int(_get(cfg, "params.grid", int, required=False, default=64))
+    r = _get(cfg, "params.r", float)
+    _bulk_ring(mu_sym, r)
+    eta_max = _get(cfg, "params.eta_max", float, default=10.0)
+    if eta_max <= 0:
+        raise ConfigError(f"params.eta_max: need eta_max > 0, got {eta_max:g}")
+    grid = _get(cfg, "params.grid", int, default=64, least=2)
 
     def run(ctx):
         report = freeconv.bulk_bound_certificate(mu_sym, r, eta_max=eta_max, grid=grid)
@@ -362,11 +378,13 @@ def _cmd_certificate(cfg):
 
 def _cmd_ring_density(cfg):
     mu = load_measure(cfg, "measure")
-    s_min = float(_get(cfg, "params.s_min", (int, float)))
-    s_max = float(_get(cfg, "params.s_max", (int, float)))
-    n = int(_get(cfg, "params.n_radii", int, required=False, default=17))
+    s_min = _get(cfg, "params.s_min", float)
+    s_max = _get(cfg, "params.s_max", float)
+    n = _get(cfg, "params.n_radii", int, default=17)
     if not (0 < s_min <= s_max) or n < 2:
         raise ConfigError("params: need 0 < s_min <= s_max and n_radii >= 2")
+    if s_min == s_max:
+        raise ConfigError(f"params: s_min = s_max = {s_min:g} spans no radius grid")
 
     def run(ctx):
         profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
@@ -403,7 +421,7 @@ def _cmd_main_gap(cfg):
     if not all(0.0 <= a < 0.5 for a in alphas):
         raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
     radii_cfg = _numbers(
-        _get(cfg, "params.support_radii", required=False, default=[0.5] * len(alphas)),
+        _get(cfg, "params.support_radii", default=[0.5] * len(alphas)),
         "params.support_radii",
     )
     if len(radii_cfg) != len(alphas):
@@ -420,7 +438,7 @@ def _cmd_main_gap(cfg):
                 f"params.support_radii: test function support touches w = 0: "
                 f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}"
             )
-    trials = _trials(cfg, 10)
+    trials = _get(cfg, "grid.trials", int, default=10, least=1)
     e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
 
     def run(ctx):
@@ -439,10 +457,14 @@ def _cmd_main_gap(cfg):
 def _cmd_ssv_tail(cfg):
     mu = load_measure(cfg, "measure")
     sizes, sym, seed = _ensemble(cfg)
-    w_abs = float(_get(cfg, "grid.w_abs", (int, float), required=False, default=1.0))
-    trials = _trials(cfg, 500)
-    t_grid = _get(cfg, "params.t_grid", required=False, default=None)
+    w_abs = _get(cfg, "grid.w_abs", float, default=1.0)
+    if w_abs <= 0:
+        raise ConfigError(f"grid.w_abs: need w_abs > 0, got {w_abs:g}")
+    trials = _get(cfg, "grid.trials", int, default=500, least=1)
+    t_grid = _get(cfg, "params.t_grid", default=None)
     t_grid = None if t_grid is None else np.array(_numbers(t_grid, "params.t_grid"))
+    if t_grid is not None and len(t_grid) == 0:
+        raise ConfigError("params.t_grid: need one or more t")
     e = models.SingleRingEnsemble.from_measure(mu, _one_size(sizes), sym, seed)
 
     def run(ctx):
@@ -479,11 +501,11 @@ def _block_ensemble(cfg):
 def _cmd_block_law(cfg):
     sizes, e = _block_ensemble(cfg)
     interval = _numbers(
-        _get(cfg, "params.E_interval", required=False, default=[0.0, 0.0]), "params.E_interval", 2
+        _get(cfg, "params.E_interval", default=[0.0, 0.0]), "params.E_interval", 2
     )
     if interval[1] < interval[0]:
         raise ConfigError(f"params.E_interval: empty energy interval {interval}")
-    n_energies = int(_get(cfg, "params.n_energies", int, required=False, default=1))
+    n_energies = _get(cfg, "params.n_energies", int, default=1, least=1)
     grid = _scan_grid(cfg, None, sizes)
 
     def run(ctx):
@@ -499,9 +521,9 @@ def _cmd_green_sub(cfg):
     sizes, e = _block_ensemble(cfg)
     _one_size(sizes)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
-    window = _get(cfg, "params.bulk_window", required=False, default=None)
+    window = _get(cfg, "params.bulk_window", default=None)
     window = None if window is None else _numbers(window, "params.bulk_window", 2)
-    trials = _trials(cfg, 10)
+    trials = _get(cfg, "grid.trials", int, default=10, least=1)
 
     def run(ctx):
         recs = locallaw.green_subordination_scan(
@@ -553,7 +575,7 @@ def run_report(run_dirs, out_dir):
             ["slope", "intercept", "verdict", ""],
             [fit.slope, fit.intercept, "pass" if fit.passed else "fail", ""],
         ]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     _write_csv(os.path.join(out_dir, "summary.csv"), ["N", "count", "max_dev", "q95_dev"], rows)
 
 
@@ -612,7 +634,7 @@ def _failure(exc) -> int:
 def _run(args):
     """Parse, then run one of the computing commands into ``args.out`` with its manifest."""
     cfg, runner = _parse(args.config, args.command, args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     if os.listdir(args.out) and not args.overwrite:
         raise ConfigError(f"output directory {args.out} is not empty; pass --overwrite to reuse it")
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -621,7 +643,7 @@ def _run(args):
     _write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,
         "config_hash": config_hash(cfg),
-        "seed": _get(cfg, "ensemble.seed", int, required=False, default=0),
+        "seed": _get(cfg, "ensemble.seed", int, default=0),
         "generator_id": GENERATOR_ID,
         "config": cfg,
         "started": started,

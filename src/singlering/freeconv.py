@@ -11,7 +11,8 @@ transform of the convolution is m(z) = -1/F_{mu1}(omega2(z)).
 Two solvers are provided:
 
 * :func:`solve_phi_system` for a generic pair of atomic measures, using
-  damped alternating updates with a safeguarded Newton acceleration;
+  damped alternating updates with a safeguarded Newton acceleration, and
+  in closed form when either measure is a point mass;
 * :func:`solve_delta_conv` for the special pair (mu1 symmetric,
   mu2 = (delta_r + delta_{-r})/2), where the system collapses to the
   scalar equation
@@ -40,6 +41,7 @@ from .measure import (
     MeasureError,
     _brentq,
     nevanlinna_rep,
+    stieltjes,
     support_stats,
 )
 
@@ -235,16 +237,23 @@ def _solve_axis_symmetric(F1, F2, z, scale):
 
 def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
     """Solve the two-measure subordination system at z in the open upper
-    half-plane and return the full state (omega1, omega2, m)."""
+    half-plane and return the full state (omega1, omega2, m); a point mass
+    on either side is an exact shift."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError(f"solve_phi_system needs Im z > 0; got z = {z}")
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if len(mu) < 2:
-            raise MeasureError(f"{name} is a point mass; the system degenerates to a shift")
 
     F1, dF1 = _transform_pair(mu1)
     F2, dF2 = _transform_pair(mu2)
+    if len(mu1) == 1 or len(mu2) == 1:
+        # mu [+] delta_a is the shift m(z) = m_mu(z - a), with no iteration:
+        # omega is z - a on the point-mass side and a - 1/m on the other
+        point, other = (mu1, mu2) if len(mu1) == 1 else (mu2, mu1)
+        a = float(point.atoms[0])
+        m = stieltjes(other, z - a)
+        w1, w2 = (z - a, a - 1.0 / m) if point is mu1 else (a - 1.0 / m, z - a)
+        res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
+        return SubordinationState(z, w1, w2, m, res, 0)
     m2_total = mu1.second_moment() + mu2.second_moment()
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
         y, brent_it = _solve_axis_symmetric(F1, F2, z, math.sqrt(m2_total))

@@ -272,7 +272,6 @@ class FitResult:
     slope: float
     intercept: float
     passed: bool
-    quantiles: dict
 
 
 def fit_domination(report: DominationReport) -> FitResult:
@@ -289,7 +288,7 @@ def fit_domination(report: DominationReport) -> FitResult:
     x = np.log(np.array(ns, dtype=float))
     y = np.log(np.array([quantiles[n] for n in ns]))
     slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(float(slope), float(intercept), bool(slope <= DOMINATION_SLOPE_MAX), quantiles)
+    return FitResult(float(slope), float(intercept), bool(slope <= DOMINATION_SLOPE_MAX))
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +536,6 @@ def _block_reference(e: models.BlockAdditiveEnsemble):
     return mu_a, mu_b
 
 
-def _conv_transform(mu_a, mu_b, z):
-    """m of mu_a [+] mu_b, with point masses handled as exact shifts."""
-    if len(mu_a) == 1:
-        return measure.stieltjes(mu_b, z - mu_a.atoms[0])
-    if len(mu_b) == 1:
-        return measure.stieltjes(mu_a, z - mu_b.atoms[0])
-    return freeconv.solve_phi_system(mu_a, mu_b, z).m
-
-
 def block_local_law_scan(
     e: models.BlockAdditiveEnsemble,
     interval,
@@ -567,7 +557,7 @@ def block_local_law_scan(
     E_values = np.linspace(lo, hi, n_energies) if n_energies > 1 else np.array([(lo + hi) / 2.0])
 
     for E in E_values:
-        density = _conv_transform(mu_a, mu_b, complex(E, 1e-4)).imag / math.pi
+        density = freeconv.solve_phi_system(mu_a, mu_b, complex(E, 1e-4)).m.imag / math.pi
         if density < bulk_threshold:
             raise ValueError(
                 f"interval [{lo}, {hi}] leaves the bulk: density {density:.3g} at "
@@ -579,7 +569,7 @@ def block_local_law_scan(
     for ni, N in enumerate(grid.N_values):
         ens = e if N == e.N else e.resized(N)
         mu_a_N, mu_b_N = _block_reference(ens)
-        ref = _references(lambda z: _conv_transform(mu_a_N, mu_b_N, z), zs, NAN)
+        ref = _references(lambda z: freeconv.solve_phi_system(mu_a_N, mu_b_N, z).m, zs, NAN)
 
         def record(trial, s, N=N, ref=ref):
             recs = []

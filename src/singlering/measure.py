@@ -21,7 +21,6 @@ and ``ringlaw`` share them without importing each other or scipy.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -47,6 +46,7 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 MERGE_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
+DEFAULT_TAU_FRACTION = 0.05  # the annulus shrink tau, as a share of r_plus - r_minus
 
 
 class MeasureError(ValueError):
@@ -209,16 +209,6 @@ class DiscreteMeasure:
     def second_moment(self) -> float:
         return float(np.dot(self.weights, self.atoms**2))
 
-    def to_json(self) -> str:
-        return json.dumps({"atoms": self.atoms.tolist(), "weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, text_or_obj):
-        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-        if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
-            raise MeasureError('measure JSON must carry "atoms" and "weights"')
-        return cls(np.asarray(obj["atoms"], dtype=float), np.asarray(obj["weights"], dtype=float))
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -268,9 +258,12 @@ class RingGeometry:
             raise MeasureError("tau must be nonnegative")
 
     @classmethod
-    def from_measure(cls, mu: DiscreteMeasure, tau: float = 0.0) -> "RingGeometry":
+    def from_measure(cls, mu: DiscreteMeasure, tau: float | None = None) -> "RingGeometry":
+        """The ring of mu; tau defaults to DEFAULT_TAU_FRACTION of its width."""
         r_minus, r_plus = radii(mu)
         s_plus, _ = support_stats(mu)
+        if tau is None:
+            tau = DEFAULT_TAU_FRACTION * (r_plus - r_minus)
         return cls(r_minus, r_plus, s_plus, tau)
 
     def annulus(self):

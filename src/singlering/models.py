@@ -128,9 +128,8 @@ class BlockAdditiveEnsemble:
         return DiscreteMeasure.from_points(np.abs(self.xi_diag), np.full(self.N, 1.0 / self.N))
 
     def resized(self, N: int) -> "BlockAdditiveEnsemble":
-        q = (np.arange(N) + 0.5) / N
-        s = self.sigma_measure().quantile(q)
-        x = self.xi_measure().quantile(q)
+        """Same diagonal profiles, re-discretized at size N."""
+        s, x = (sigma_from_measure(mu, N) for mu in (self.sigma_measure(), self.xi_measure()))
         return BlockAdditiveEnsemble(s, x, N, self.symmetry, self.seed)
 
 

@@ -309,13 +309,15 @@ def test_criterion_12_reproducibility(tmp_path):
     assert cli.main(
         ["local-law", "--config", str(cfg_path), "--out", b, "--threads", str(THREADS)]
     ) == 0
-    echo = json.loads(open(os.path.join(a, "manifest.json")).read())["config"]
+    with open(os.path.join(a, "manifest.json")) as fh:
+        echo = json.load(fh)["config"]
     echo_path = tmp_path / "echo.json"
     echo_path.write_text(json.dumps(echo))
     assert cli.main(["local-law", "--config", str(echo_path), "--out", c]) == 0
 
     def csv_bytes(d):
-        return open(os.path.join(d, "locallaw.csv"), "rb").read()
+        with open(os.path.join(d, "locallaw.csv"), "rb") as fh:
+            return fh.read()
 
     ok = csv_bytes(a) == csv_bytes(b) == csv_bytes(c)
     verdict(

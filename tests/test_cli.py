@@ -13,7 +13,7 @@ import pytest
 from singlering import cli, freeconv, locallaw
 from singlering.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, config_hash, fmt, main
 from singlering.freeconv import ConvergenceError
-from singlering.measure import DiscreteMeasure, symmetrize
+from singlering.measure import DiscreteMeasure, stieltjes, symmetrize
 
 TWO_POINT = {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]}
 
@@ -176,6 +176,31 @@ BAD_CONFIGS = [
     ("local-law", amend(LOCAL_LAW, "grid", tau=-0.1), "grid.tau: tau must be nonnegative"),
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": 1.5, "n_radii": 3.5}},
      "params.n_radii: expected int, got float"),
+    # configs the run would reject or misread after validate passed
+    ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.4, "s_max": 1.4}},
+     "params: s_min = s_max = 1.4 spans no radius grid"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "grid": 1}},
+     "params.grid: need grid >= 2, got 1"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "eta_max": -1}},
+     "params.eta_max: need eta_max > 0, got -1"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": -1}}, "params.r: need r > 0, got -1"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 3.0, "z_grid": [[0.0, 1.0], [0.0, 0.0]]}},
+     "params.r: r = 3.0 violates the bulk hypothesis"),
+    ("block-law", amend(BLOCK, "params", n_energies=0), "params.n_energies: need n_energies >= 1"),
+    ("ssv-tail", amend(SSV, "params", t_grid=[]), "params.t_grid: need one or more t"),
+    ("ssv-tail", amend(SSV, "grid", w_abs=0), "grid.w_abs: need w_abs > 0, got 0"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4}, "grid": {"eta_min": 2.0, "eta_max": 1.0}},
+     "grid: need 0 < eta_min < eta_max"),
+    # a scalar is read by the rule of the lists: a bool is no number, null no value
+    ("main-gap", amend(MAIN_GAP, "ensemble", seed=True), "ensemble.seed: expected int, got bool"),
+    ("ssv-tail", amend(SSV, "grid", trials=True), "grid.trials: expected int, got bool"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": True}},
+     "params.r: expected int/float, got bool"),
+    ("local-law", amend(LOCAL_LAW, "grid", eta_max=True), "grid.eta_max: expected int/float, got bool"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": None}},
+     "params.r: expected int/float, got NoneType"),
+    ("radii", {"measure": {"kind": "uniform", "n_atoms": True}},
+     "measure.n_atoms: expected int, got bool"),
 ]
 
 
@@ -306,6 +331,65 @@ class TestFreeconvCommand:
             state = freeconv.solve_phi_system(mu1, mu2, 1j * eta)
             assert complex(float(r["m_re"]), float(r["m_im"])) == state.m
             assert float(r["residual"]) < 1e-10 and state.m.imag > 0
+
+
+class TestPointMassMeasure2:
+    """measure2 = delta_0 makes the convolution an exact shift by 0."""
+
+    ZERO = {"atoms": [0.0], "weights": [1.0]}
+
+    def test_freeconv_transform_is_the_first_measure_s(self, tmp_path):
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT, "measure2": self.ZERO})
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        header, *rows = read_csv(out / "freeconv.csv")
+        mu = symmetrize(DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5])))
+        assert rows
+        for row in rows:
+            cell = dict(zip(header, map(float, row)))
+            z = complex(cell["z_re"], cell["z_im"])
+            assert complex(cell["m_re"], cell["m_im"]) == stieltjes(mu, z)
+            assert cell["iterations"] == 0
+
+    def test_green_sub_omegas_are_exact(self, tmp_path):
+        # xi = 0: Y = U V* has every singular value 1, and H = U~ B U~* holds
+        # the omegas of the shift exactly
+        cfg = amend(dict(GREEN_SUB, measure2=self.ZERO), "params", bulk_window=[0.5, 1.5])
+        p = write_cfg(tmp_path / "c.json", cfg)
+        out = tmp_path / "run"
+        assert main(["green-sub", "--config", p, "--out", str(out)]) == EXIT_OK
+        header, *rows = read_csv(out / "subordination.csv")
+        assert len(rows) == 1
+        cell = dict(zip(header, map(float, rows[0])))
+        assert all(math.isfinite(x) for x in cell.values())
+        assert cell["omegaA_gap"] < 1e-10 and cell["omegaB_gap"] < 1e-10
+
+
+class TestOutputFaults:
+    def test_out_naming_a_file_is_one_config_line(self, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.json", LOCAL_LAW)
+        run = str(tmp_path / "run")
+        assert main(["local-law", "--config", p, "--out", run]) == EXIT_OK
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for argv in (["local-law", "--config", p, "--out", str(afile)],
+                     ["report", run, "--out", str(afile)]):
+            code, err = exit_and_stderr(capsys, argv)
+            assert code == EXIT_CONFIG
+            assert err.startswith("invalid config: --out: ") and err.count("\n") == 1
+
+    def test_ssv_fit_is_strict_json(self, tmp_path):
+        # no t of the grid is informative, so the slope is not a number
+        p = write_cfg(tmp_path / "c.json", amend(SSV, "params", t_grid=[100.0]))
+        out = tmp_path / "run"
+        assert main(["ssv-tail", "--config", p, "--out", str(out)]) == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        fit = json.loads((out / "ssv_fit.json").read_text(), parse_constant=refuse)
+        assert fit["slope"] is None and fit["slope_ci"] == [None, None]
+        assert fit["t_grid"] == [100.0]
 
 
 class TestRecordHeaders:

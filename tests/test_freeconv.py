@@ -15,7 +15,13 @@ from singlering.freeconv import (
     solve_delta_conv,
     solve_phi_system,
 )
-from singlering.measure import DiscreteMeasure, MeasureError, symmetrize
+from singlering.measure import (
+    DiscreteMeasure,
+    MeasureError,
+    neg_recip_stieltjes,
+    stieltjes,
+    symmetrize,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -78,10 +84,22 @@ class TestSolvePhiSystem:
             assert abs(st_.omega2.real) < 1e-12
             assert abs(st_.m.real) < 1e-12
 
-    def test_point_mass_rejected(self, bernoulli):
-        delta = DiscreteMeasure(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(MeasureError):
-            solve_phi_system(delta, bernoulli, 1j)
+    def test_point_mass_is_an_exact_shift(self, bernoulli, two_point):
+        # mu [+] delta_a has m(z) = m_mu(z - a), on either side of the pair
+        for other, a in ((bernoulli, 0.0), (two_point, 0.7), (two_point, -1.3)):
+            delta = DiscreteMeasure(np.array([a]), np.array([1.0]))
+            for z in (1j, 0.3 + 0.2j):
+                for mu1, mu2 in ((delta, other), (other, delta)):
+                    st_ = solve_phi_system(mu1, mu2, z)
+                    assert st_.m == stieltjes(other, z - a)
+                    assert st_.iterations == 0
+                    w1, w2 = st_.omega1, st_.omega2
+                    eqs = (
+                        neg_recip_stieltjes(mu1, w2) - w1 - w2 + z,
+                        neg_recip_stieltjes(mu2, w1) - w1 - w2 + z,
+                    )
+                    assert max(abs(e) for e in eqs) <= 1e-12
+                    assert st_.residual <= 1e-12
 
     def test_real_z_rejected(self, bernoulli):
         with pytest.raises(ValueError):

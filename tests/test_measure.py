@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -65,17 +64,6 @@ class TestDiscreteMeasure:
             dm([1.0, 1.0], [0.5, 0.5])
         with pytest.raises(MeasureError):
             dm([2.0, 1.0], [0.5, 0.5])
-
-    def test_json_round_trip(self, two_point):
-        again = DiscreteMeasure.from_json(two_point.to_json())
-        assert np.array_equal(again.atoms, two_point.atoms)
-        assert np.array_equal(again.weights, two_point.weights)
-
-    def test_json_loader_rejects_invalid(self):
-        with pytest.raises(MeasureError):
-            DiscreteMeasure.from_json('{"atoms": [0.0, 1.0], "weights": [0.7, 0.6]}')
-        with pytest.raises(MeasureError):
-            DiscreteMeasure.from_json('{"atoms": [0.0, 1.0]}')
 
     def test_quantiles(self):
         mu = reference_measure("uniform", 2, a=0.0, b=1.0)
@@ -329,6 +317,12 @@ class TestRingGeometry:
     def test_empty_annulus(self, two_point):
         ring = RingGeometry.from_measure(two_point, tau=0.2)
         assert ring.annulus() is None
+
+    def test_default_tau_is_five_percent_of_the_width(self, two_point):
+        r_minus, r_plus = radii(two_point)
+        ring = RingGeometry.from_measure(two_point)
+        assert ring.tau == 0.05 * (r_plus - r_minus)
+        assert ring.tau == pytest.approx(0.05 * (math.sqrt(2.5) - math.sqrt(8 / 5)), abs=1e-15)
 
 
 class TestBrentq:
