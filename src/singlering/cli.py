@@ -100,7 +100,9 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
             np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
             for key in ("atoms", "weights")
         ))
-    except (MeasureError, KeyError, TypeError) as exc:
+    except KeyError as exc:  # a parameter the law needs
+        raise ConfigError(f"{path}.{exc.args[0]}: missing") from exc
+    except (MeasureError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -148,6 +150,8 @@ def _bulk_ring(mu_sym, r):
 
 def _ring_and_tau(cfg, mu):
     tau = _get(cfg, "grid.tau", float, default=None)
+    if len(mu) < 2:
+        raise ConfigError("measure: a single atom makes the ring degenerate, r_minus = r_plus")
     _radii(mu)  # a measure off [0, inf) is an error of the measure, not of tau
     try:
         ring = RingGeometry.from_measure(mu, tau)
@@ -506,12 +510,14 @@ def _cmd_block_law(cfg):
     if interval[1] < interval[0]:
         raise ConfigError(f"params.E_interval: empty energy interval {interval}")
     n_energies = _get(cfg, "params.n_energies", int, default=1, least=1)
+    try:
+        energies = locallaw.block_energies(e, interval, n_energies)
+    except ValueError as exc:
+        raise ConfigError(f"params.E_interval: {exc}") from exc
     grid = _scan_grid(cfg, None, sizes)
 
     def run(ctx):
-        report = locallaw.block_local_law_scan(
-            e, interval, grid, threads=ctx.threads, n_energies=n_energies
-        )
+        report = locallaw.block_local_law_scan(e, energies, grid, threads=ctx.threads)
         _write_records(ctx.path("block.csv"), locallaw.BlockRecord, report.records)
 
     return run

@@ -49,10 +49,8 @@ __all__ = [
     "ConvergenceError",
     "SubordinationState",
     "CertificateReport",
-    "DensityEstimate",
     "solve_phi_system",
     "solve_delta_conv",
-    "boundary_density",
     "bulk_ring",
     "bulk_bound_certificate",
 ]
@@ -353,7 +351,7 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
 
 
 # ---------------------------------------------------------------------------
-# boundary density by extrapolation
+# bulk bound certificate
 # ---------------------------------------------------------------------------
 
 
@@ -375,54 +373,6 @@ def _neville_to_zero(xs, ys):
     diag = [tab[k][0] for k in range(n)]
     err = abs(diag[-1] - diag[-2]) if n >= 2 else math.inf
     return diag[-1], err, diag
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Boundary density value with its extrapolation diagnostics."""
-
-    value: float
-    error: float
-    reliable: bool
-    eta_values: tuple
-    raw_values: tuple
-
-
-def _extrapolate_density(etas, vals) -> DensityEstimate:
-    value, err, diag = _neville_to_zero(etas, vals)
-    steps = np.abs(np.diff(diag))
-    # ignore steps at the roundoff floor when judging monotonicity
-    floor = 10 * max(abs(value), 1e-300) * 1e-16
-    sig = steps[steps > floor]
-    reliable = bool(len(sig) < 2 or np.all(np.diff(sig) <= 0))
-    return DensityEstimate(float(value), float(err), reliable, tuple(etas), tuple(vals))
-
-
-def boundary_density(
-    mu1: DiscreteMeasure,
-    mu2: DiscreteMeasure,
-    E: float,
-    eta_seq,
-) -> DensityEstimate:
-    """Density of mu1 [+] mu2 at E via Im m(E + i eta)/pi, eta -> 0.
-
-    eta_seq must be strictly decreasing; the limit is taken by polynomial
-    extrapolation in eta.  Non-shrinking extrapolation residuals mark the
-    estimate unreliable rather than raising.
-    """
-    etas = np.asarray(list(eta_seq), dtype=float)
-    if len(etas) < 2 or np.any(np.diff(etas) >= 0) or np.any(etas <= 0):
-        raise ValueError("eta_seq must be a strictly decreasing sequence of positive reals")
-    vals = []
-    for eta in etas:
-        st = solve_phi_system(mu1, mu2, complex(E, eta))
-        vals.append(st.m.imag / math.pi)
-    return _extrapolate_density(etas, vals)
-
-
-# ---------------------------------------------------------------------------
-# bulk bound certificate
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

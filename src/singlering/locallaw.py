@@ -34,7 +34,6 @@ __all__ = [
     "BlockRecord",
     "DominationReport",
     "bump_value",
-    "bump_laplacian",
     "delta_bump_l1",
     "dyadic_etas",
     "parallel_map",
@@ -43,6 +42,7 @@ __all__ = [
     "linear_statistic_rhs",
     "linear_statistic_gap",
     "smallest_sv_tail",
+    "block_energies",
     "block_local_law_scan",
     "green_subordination_scan",
     "fit_domination",
@@ -52,6 +52,7 @@ SPLIT_EXPONENT = 1.5  # eta* = N^(-L1) threshold for the integral-split diagnost
 DOMINATION_QUANTILE = 0.95  # the per-N deviation quantile that slope fits use
 DOMINATION_SLOPE_MAX = 0.2  # the largest fitted slope that passes as domination
 BOOTSTRAP = 200  # resamples behind the smallest-singular-value tail slope CI
+BULK_DENSITY_MIN = 1e-2  # the least reference density at an energy of a block scan
 NAN = complex(math.nan, math.nan)  # the reference value of a failed solve
 
 
@@ -131,14 +132,6 @@ def bump_value(s):
     """Radial profile of the C^2 bump f(zeta) = (1 - |zeta|^2)^3 on |zeta| <= 1."""
     s = np.asarray(s, dtype=float)
     v = np.where(s < 1.0, (1.0 - s * s) ** 3, 0.0)
-    return v if v.ndim else float(v)
-
-
-def bump_laplacian(s):
-    """Laplacian of the bump: -12(1-s^2)^2 + 24 s^2 (1-s^2) on |zeta| <= 1."""
-    s = np.asarray(s, dtype=float)
-    s2 = s * s
-    v = np.where(s < 1.0, -12.0 * (1.0 - s2) ** 2 + 24.0 * s2 * (1.0 - s2), 0.0)
     return v if v.ndim else float(v)
 
 
@@ -262,9 +255,6 @@ class DominationReport:
 
     def per_N_quantile(self):
         return self._per_N(lambda v: float(np.quantile(v, DOMINATION_QUANTILE)))
-
-    def flagged(self):
-        return [r for r in self.records if not np.isfinite(r.dev)]
 
 
 @dataclass(frozen=True)
@@ -536,34 +526,36 @@ def _block_reference(e: models.BlockAdditiveEnsemble):
     return mu_a, mu_b
 
 
-def block_local_law_scan(
-    e: models.BlockAdditiveEnsemble,
-    interval,
-    grid: ScanGrid,
-    threads: int = 1,
-    n_energies: int = 1,
-    bulk_threshold: float = 1e-2,
-) -> DominationReport:
-    """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| on the energy interval.
+def block_energies(e: models.BlockAdditiveEnsemble, interval, n_energies: int) -> np.ndarray:
+    """The energies of a block scan: n_energies points spanning interval, or
+    its midpoint for one.
 
-    m_ref is the transform of the free convolution of the symmetrized
-    empirical diagonal profiles; the interval must lie in its bulk.  A failed
-    reference solve flags its (E, eta) node in every trial.
+    Each must lie in the bulk of the reference convolution: a density
+    Im m(E + 1e-4 i)/pi below BULK_DENSITY_MIN is a ValueError.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo:
-        raise ValueError("empty energy interval")
     mu_a, mu_b = _block_reference(e)
     E_values = np.linspace(lo, hi, n_energies) if n_energies > 1 else np.array([(lo + hi) / 2.0])
-
     for E in E_values:
         density = freeconv.solve_phi_system(mu_a, mu_b, complex(E, 1e-4)).m.imag / math.pi
-        if density < bulk_threshold:
+        if density < BULK_DENSITY_MIN:
             raise ValueError(
                 f"interval [{lo}, {hi}] leaves the bulk: density {density:.3g} at "
-                f"E = {E:.6g} below threshold {bulk_threshold:g}"
+                f"E = {E:.6g} below threshold {BULK_DENSITY_MIN:g}"
             )
+    return E_values
 
+
+def block_local_law_scan(
+    e: models.BlockAdditiveEnsemble, E_values, grid: ScanGrid, threads: int = 1
+) -> DominationReport:
+    """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the energies E_values.
+
+    m_ref is the transform of the free convolution of the symmetrized
+    empirical diagonal profiles; ``block_energies`` checks that the
+    energies lie in its bulk.  A failed reference solve flags its (E, eta)
+    node in every trial.
+    """
     report = DominationReport()
     zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
     for ni, N in enumerate(grid.N_values):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "RingGeometry",
     "symmetrize",
     "stieltjes",
-    "neg_recip_stieltjes",
     "radii",
     "support_stats",
     "nevanlinna_rep",
@@ -194,12 +193,6 @@ class DiscreteMeasure:
             and np.all(np.abs(w - rw) <= SYMMETRY_TOL)
         )
 
-    def cdf(self, x):
-        """Right-continuous distribution function, vectorized in x."""
-        idx = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        return cum[idx]
-
     def quantile(self, q):
         """Generalized inverse CDF, vectorized in q in (0, 1]."""
         cum = np.cumsum(self.weights)
@@ -231,12 +224,6 @@ class AtomicMeasure:
 
     def __len__(self):
         return len(self.atoms)
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def stieltjes(self, z: complex) -> complex:
-        return complex(np.sum(self.weights / (self.atoms - z))) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -300,11 +287,6 @@ def stieltjes(mu: DiscreteMeasure, z: complex) -> complex:
     if z.imag <= 0:
         raise ValueError(f"stieltjes transform needs Im z > 0; got z = {z}")
     return complex(np.sum(mu.weights / (mu.atoms - z)))
-
-
-def neg_recip_stieltjes(mu: DiscreteMeasure, z: complex) -> complex:
-    """F_mu(z) = -1 / m_mu(z); maps the upper half-plane into itself."""
-    return -1.0 / stieltjes(mu, z)
 
 
 def radii(mu: DiscreteMeasure):

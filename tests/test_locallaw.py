@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singlering import freeconv, linalg, locallaw, measure, models, ringlaw
+from oracles import bump_laplacian, flagged, log_potential
+from singlering import freeconv, linalg, locallaw, measure, models
 from singlering.locallaw import (
     BlockRecord,
     DevRecord,
@@ -17,8 +18,8 @@ from singlering.locallaw import (
     ScanGrid,
     SplitRecord,
     SubDiagRecord,
+    block_energies,
     block_local_law_scan,
-    bump_laplacian,
     bump_value,
     delta_bump_l1,
     dyadic_etas,
@@ -203,7 +204,7 @@ class TestLinearStatistics:
         n, alpha, spec, w0 = 256, 0.25, FSpec(0.5), 1.4 + 0j
 
         def L(ws):
-            return np.array([ringlaw.log_potential(two_point, abs(w)) for w in ws])
+            return np.array([log_potential(two_point, abs(w)) for w in ws])
 
         scale = n ** (-alpha) * spec.radius
         paired = n ** (2.0 * alpha) * laplacian_pairing(L, 128, w0, scale)
@@ -241,9 +242,9 @@ class TestLocalLawScan:
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
             rep = local_law_scan(e, grid)
         assert len(rep.records) == 2 * 2
-        flagged = rep.flagged()
-        assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
-        assert all(math.isnan(r.dev) for r in flagged)
+        bad = flagged(rep)
+        assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
+        assert all(math.isnan(r.dev) for r in bad)
         others = [r for r in rep.records if r.eta != 0.25]
         assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
@@ -290,13 +291,13 @@ class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.zeros(24), 24, "unitary", seed=26)
         grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), (24,), 2)
-        rep = block_local_law_scan(e, (0.0, 0.0), grid, bulk_threshold=0.0)
+        rep = block_local_law_scan(e, [0.0], grid)
         assert max(r.dev for r in rep.records) < 1e-10
 
     def test_arcsine_reference(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=27)
         grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), (48,), 3)
-        rep = block_local_law_scan(e, (0.0, 0.0), grid, threads=threads)
+        rep = block_local_law_scan(e, [0.0], grid, threads=threads)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
 
     def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
@@ -311,19 +312,18 @@ class TestBlockScan:
 
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            rep = block_local_law_scan(e, (0.0, 0.0), grid)
+            rep = block_local_law_scan(e, [0.0], grid)
         assert len(rep.records) == 2 * 2
-        flagged = rep.flagged()
-        assert [(r.trial, r.eta) for r in flagged] == [(0, 0.25), (1, 0.25)]
-        assert all(math.isnan(r.dev) for r in flagged)
+        bad = flagged(rep)
+        assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
+        assert all(math.isnan(r.dev) for r in bad)
         others = [r for r in rep.records if r.eta != 0.25]
         assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_bulk_check_rejects_gap(self):
         e = models.BlockAdditiveEnsemble(np.ones(16), np.zeros(16), 16, "unitary", seed=28)
-        grid = ScanGrid(np.array([0.5]), np.array([], dtype=complex), (16,), 1)
         with pytest.raises(ValueError, match="bulk"):
-            block_local_law_scan(e, (0.0, 0.0), grid)
+            block_energies(e, (0.0, 0.0), 1)
 
 
 class TestGreenSubordination:
@@ -548,7 +548,7 @@ class TestBatchesMatchPerTrialOracle:
     def test_block_local_law_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
         grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), (40,), self.TRIALS)
-        rep = block_local_law_scan(e, (0.0, 0.0), grid, threads=threads)
+        rep = block_local_law_scan(e, [0.0], grid, threads=threads)
         assert rep.records == block_oracle(e, 0.0, grid)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
