@@ -100,8 +100,8 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
             np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
             for key in ("atoms", "weights")
         ))
-    except KeyError as exc:  # a parameter the law needs
-        raise ConfigError(f"{path}.{exc.args[0]}: missing") from exc
+    except measure.ParameterError as exc:
+        raise ConfigError(f"{path}.{exc.key}: {exc}") from exc
     except (MeasureError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -430,13 +430,12 @@ def _cmd_main_gap(cfg):
     )
     if len(radii_cfg) != len(alphas):
         raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
-    try:
-        specs = [locallaw.FSpec(radius) for radius in radii_cfg]
-    except ValueError as exc:
-        raise ConfigError(f"params.support_radii: {exc}") from exc
+    if not all(radius > 0 for radius in radii_cfg):
+        raise ConfigError("params.support_radii: support radius must be positive")
     N = _one_size(sizes)
-    for alpha, spec in zip(alphas, specs):
-        scale = float(N) ** (-alpha) * spec.radius  # the support radius linear_statistic_rhs tests
+    tests = list(zip(alphas, radii_cfg))
+    for alpha, radius in tests:
+        scale = float(N) ** (-alpha) * radius  # the support radius linear_statistic_rhs tests
         if abs(w0) <= scale:
             raise ConfigError(
                 f"params.support_radii: test function support touches w = 0: "
@@ -446,13 +445,7 @@ def _cmd_main_gap(cfg):
     e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
 
     def run(ctx):
-        records = [
-            r
-            for alpha, spec in zip(alphas, specs)
-            for r in locallaw.linear_statistic_gap(
-                e, w0, alpha, trials, f_spec=spec, threads=ctx.threads
-            )
-        ]
+        records = locallaw.linear_statistic_gap(e, w0, tests, trials, threads=ctx.threads)
         _write_records(ctx.path("gap.csv"), locallaw.GapRecord, records)
 
     return run

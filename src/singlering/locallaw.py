@@ -28,7 +28,6 @@ from . import freeconv, linalg, measure, models, ringlaw
 from .measure import ConvergenceError, DiscreteMeasure, RingGeometry
 
 __all__ = [
-    "FSpec",
     "ScanGrid",
     "DevRecord",
     "BlockRecord",
@@ -142,20 +141,6 @@ def delta_bump_l1() -> float:
     radial flux 2 pi s f'(s) = -12 pi s^2 (1 - s^2)^2 there gives half the norm.
     """
     return 32.0 * math.pi / 9.0
-
-
-@dataclass(frozen=True)
-class FSpec:
-    """Test function spec: the standard bump scaled to a support radius.
-
-    f_R(zeta) = f(zeta/R) keeps ||Delta f_R||_{L^1} invariant under R.
-    """
-
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("support radius must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +328,13 @@ def local_law_scan(
 # ---------------------------------------------------------------------------
 
 
-def linear_statistic_lhs(
-    X: np.ndarray,
-    w0: complex,
-    alpha: float,
-    f_spec: FSpec = FSpec(),
-) -> float:
-    """Eigenvalue statistic N^{2a} (1/N) sum_i f((lambda_i(X) - w0)/s), s = N^{-a} R.
+def linear_statistic_lhs(X: np.ndarray, w0: complex, tests) -> np.ndarray:
+    """Eigenvalue statistics N^{2a} (1/N) sum_i f((lambda_i(X) - w0)/s), s = N^{-a} R,
+    one per test (a, R) in ``tests``, all read off one ``eigvals`` call.
 
-    X is one N x N matrix, giving a float, or a (k, N, N) stack, giving k values.
+    X is one N x N matrix, giving len(tests) values, or a (k, N, N) stack,
+    giving a (len(tests), k) array.  f_R(zeta) = f(zeta/R) keeps
+    ||Delta f_R||_{L^1} invariant under R.
 
     Girko's formula writes the same number as (1/2pi) N^{2a} times the
     pairing of Delta f with (1/N) log |det(X - w)|; the tests keep that
@@ -359,12 +342,14 @@ def linear_statistic_lhs(
     """
     X = np.asarray(X, dtype=np.complex128)
     n = X.shape[-1]
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError("alpha must lie in [0, 1/2)")
-    lam = np.linalg.eigvals(X)
-    scale = float(n) ** (-alpha) * f_spec.radius
-    stat = float(n) ** (2.0 * alpha) * np.mean(bump_value(np.abs(lam - w0) / scale), axis=-1)
-    return stat if stat.ndim else float(stat)
+    if not all(0.0 <= alpha < 0.5 and radius > 0 for alpha, radius in tests):
+        raise ValueError("each test needs alpha in [0, 1/2) and a support radius R > 0")
+    dist = np.abs(np.linalg.eigvals(X) - w0)
+    return np.array([
+        float(n) ** (2.0 * alpha)
+        * np.mean(bump_value(dist / (float(n) ** (-alpha) * radius)), axis=-1)
+        for alpha, radius in tests
+    ])
 
 
 def _bump_arc_integral(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -383,10 +368,10 @@ def linear_statistic_rhs(
     mu_sigma: DiscreteMeasure,
     w0: complex,
     alpha: float,
-    f_spec: FSpec = FSpec(),
+    radius: float = 1.0,
     n: int = 1,
 ) -> float:
-    """Deterministic side: N^{2a} int f((w - w0)/s) rho(|w|) d^2 w.
+    """Deterministic side: N^{2a} int f((w - w0)/s) rho(|w|) d^2 w, s = N^{-a} R.
 
     In polar coordinates about the origin, |w - w0|^2 / s^2 = 1 - c - d cos phi
     with c = 1 - (r^2 + |w0|^2)/s^2 and d = 2 r |w0| / s^2, so the angular
@@ -394,7 +379,7 @@ def linear_statistic_rhs(
     part of the ring inside |w0| +- s, where rho is smooth, by a 64-node
     Gauss-Legendre rule.
     """
-    scale = float(n) ** (-alpha) * f_spec.radius
+    scale = float(n) ** (-alpha) * radius
     r0 = abs(w0)
     if r0 <= scale:
         raise ValueError("test function support touches w = 0, excluded from the ring law")
@@ -423,30 +408,33 @@ class GapRecord:
 
 
 def linear_statistic_gap(
-    e: models.SingleRingEnsemble,
-    w0: complex,
-    alpha: float,
-    trials: int,
-    f_spec: FSpec = FSpec(),
-    threads: int = 1,
+    e: models.SingleRingEnsemble, w0: complex, tests, trials: int, threads: int = 1
 ) -> list:
-    """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1.
+    """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1 for each test
+    (a, R) in ``tests``: the records of the first test's trials, then the next's.
 
-    The deterministic side is computed once and shared across trials.
+    Every test reads the one spectrum of each trial, and its deterministic
+    side is computed once and shared across trials.
     """
     mu = e.empirical_measure()
-    rhs = linear_statistic_rhs(mu, w0, alpha, f_spec, n=e.N)
     norm = delta_bump_l1()
-    scale = float(e.N) ** (1.0 - 2.0 * alpha) / norm
+    sides = [
+        (alpha, linear_statistic_rhs(mu, w0, alpha, radius, n=e.N),
+         float(e.N) ** (1.0 - 2.0 * alpha) / norm)
+        for alpha, radius in tests
+    ]
 
-    def record(trial, lhs):
-        lhs = float(lhs)
-        return GapRecord(e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale)
+    def record(trial, *lhs):
+        return [
+            GapRecord(e.N, trial, alpha, complex(w0), float(v), rhs, abs(float(v) - rhs) * scale)
+            for (alpha, rhs, scale), v in zip(sides, lhs)
+        ]
 
-    return _batched_trials(
+    per_trial = _batched_trials(
         models.sample_X, e, (), trials, threads,
-        lambda X: [linear_statistic_lhs(X, w0, alpha, f_spec)], record,
+        lambda X: linear_statistic_lhs(X, w0, tests), record,
     )
+    return [r for per_test in zip(*per_trial) for r in per_test]
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +602,7 @@ def green_subordination_scan(
 
     refs = _references(omegas, z_grid, (NAN, NAN))
 
-    def record(trial, Y, P, s, Qh):
+    def record(trial, *svd_Y):
         recs = []
         for z in z_grid:
             omega1, omega2 = refs[z]
@@ -622,7 +610,7 @@ def green_subordination_scan(
             # without a reference, z stands in for omega_B: it keeps the
             # Lambda_d denominators |xi|^2 - omega_B^2 off 0 and is not reported
             obs = models.resolvent_observables(
-                Y, z, e.xi_diag, omega2 if ok else z, bulk_window=bulk_window, svd_Y=(P, s, Qh)
+                svd_Y, z, e.xi_diag, omega2 if ok else z, bulk_window=bulk_window
             )
             scale = e.N * z.imag
             lam_d = math.sqrt(scale) * obs.Lambda_d if ok else math.nan
@@ -632,6 +620,6 @@ def green_subordination_scan(
 
     chunks = _batched_trials(
         models.sample_Y, e, (), trials, threads,
-        lambda Y: [Y, *models.svd(Y, compute_uv=True)], record,
+        lambda Y: models.svd(Y, compute_uv=True), record,
     )
     return [r for recs in chunks for r in recs]

@@ -40,6 +40,7 @@ __all__ = [
     "support_stats",
     "nevanlinna_rep",
     "reference_measure",
+    "ParameterError",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -50,6 +51,14 @@ DEFAULT_TAU_FRACTION = 0.05  # the annulus shrink tau, as a share of r_plus - r_
 
 class MeasureError(ValueError):
     """Structurally invalid measure or unusable measure argument."""
+
+
+class ParameterError(MeasureError):
+    """A parameter ``key`` of a named law that is missing or that the law does not take."""
+
+    def __init__(self, key, problem):
+        super().__init__(problem)
+        self.key = key
 
 
 class ConvergenceError(RuntimeError):
@@ -417,11 +426,24 @@ def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:
     ``two_point``           p delta_a + (1-p) delta_b  (n_atoms ignored)
     ``uniform``             uniform on [a, b]
 
-    Atom i sits at the (i - 1/2)/n quantile with weight 1/n.
+    Atom i sits at the (i - 1/2)/n quantile with weight 1/n.  A parameter
+    the law does not take, or a required one left out, is a ParameterError.
     """
+    laws = {  # each law's parameters and their defaults; None marks a required one
+        "quarter_circle": {},
+        "two_point": {"a": None, "b": None, "p": 0.5},
+        "uniform": {"a": 0.0, "b": 1.0},
+    }
+    if name not in laws:
+        raise MeasureError(f"unknown reference measure {name!r}")
+    takes = laws[name]
+    for key in [*params, *takes]:
+        if key not in takes:
+            raise ParameterError(key, f"{name} takes {', '.join(takes) or 'n_atoms only'}")
+        if params.setdefault(key, takes[key]) is None:
+            raise ParameterError(key, "missing")
     if name == "two_point":
-        a, b = float(params["a"]), float(params["b"])
-        p = float(params.get("p", 0.5))
+        a, b, p = (float(params[k]) for k in ("a", "b", "p"))
         if not 0.0 < p < 1.0:
             raise MeasureError("two_point weight p must lie in (0,1)")
         return DiscreteMeasure.from_points([a, b], [p, 1.0 - p])
@@ -430,11 +452,9 @@ def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:
     q = (np.arange(n_atoms) + 0.5) / n_atoms
     if name == "quarter_circle":
         atoms = np.array([_quarter_circle_quantile(qi) for qi in q])
-    elif name == "uniform":
-        a, b = float(params.get("a", 0.0)), float(params.get("b", 1.0))
+    else:
+        a, b = float(params["a"]), float(params["b"])
         if not b > a:
             raise MeasureError("uniform needs b > a")
         atoms = a + (b - a) * q
-    else:
-        raise MeasureError(f"unknown reference measure {name!r}")
     return DiscreteMeasure.from_points(atoms, np.full(n_atoms, 1.0 / n_atoms))

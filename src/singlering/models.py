@@ -7,8 +7,10 @@ The local laws are statements about the Girko hermitization
 
 whose 2N eigenvalues are plus/minus the N singular values of X - w.  Every
 spectral quantity here is therefore read off one N x N SVD; the 2N x 2N
-matrix is never formed.  Only the linear eigenvalue statistic
-(``locallaw.linear_statistic_lhs``) uses the eigenvalues of X itself.
+matrix is never formed: ``resolvent_observables`` takes the decomposition
+``svd(Y, compute_uv=True)`` that its caller made once per matrix.  Only
+the linear eigenvalue statistic (``locallaw.linear_statistic_lhs``) uses
+the eigenvalues of X itself, every test function from one ``eigvals``.
 
 X is sampled as diag(sigma) W with one Haar W.  For X = U diag(sigma) V*
 and W = V* U this is U* X U, so it has the eigenvalues of X and, jointly
@@ -192,31 +194,26 @@ class ResolventObservables:
 
 
 def resolvent_observables(
-    Y: np.ndarray,
-    z: complex,
-    xi_diag: np.ndarray,
-    omega_B: complex,
-    bulk_window=None,
-    svd_Y=None,
+    svd_Y, z: complex, xi_diag: np.ndarray, omega_B: complex, bulk_window=None
 ) -> ResolventObservables:
     """Evaluate m_H, partial traces, approximate subordination functions,
     the entrywise control parameter Lambda_d against the supplied omega_B,
     and the sup-norm statistic of bulk eigenvectors, for the resolvent
-    G = (H - z)^(-1) of H = [[0, Y], [Y*, 0]].
+    G = (H - z)^(-1) of H = [[0, Y], [Y*, 0]], from the SVD
+    ``svd_Y = (P, s, Q*)`` of Y that ``svd(Y, compute_uv=True)`` returns.
 
     Lambda_d is the max over i of the deviations of G_ii, G_i^i^, G_i i^,
     G_i^ i from the deterministic targets omega_B/(|xi_i|^2 - omega_B^2)
     and xi_i (resp. conj xi_i) over the same denominator.  Everything comes
-    from the SVD Y = P diag(s) Q* in O(N^2), without forming G: H has the
+    from Y = P diag(s) Q* in O(N^2), without forming G: H has the
     eigenpairs (+-s_k, (p_k, +-q_k)/sqrt 2), so the diagonal blocks of G
     are sum_k z/(s_k^2 - z^2) p_k p_k* (resp. q_k q_k*) and the off-diagonal
-    ones sum_k s_k/(s_k^2 - z^2) p_k q_k* (resp. q_k p_k*).  A precomputed
-    ``svd_Y = (P, s, Q*)`` may be passed to amortize repeated z sweeps.
+    ones sum_k s_k/(s_k^2 - z^2) p_k q_k* (resp. q_k p_k*).
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("resolvent observables need Im z > 0")
-    P, s, Qh = svd(Y, compute_uv=True) if svd_Y is None else svd_Y
+    P, s, Qh = svd_Y
     N = len(s)
     xi = np.asarray(xi_diag, dtype=np.complex128)
     den = s * s - z * z

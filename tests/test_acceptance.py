@@ -166,7 +166,9 @@ def test_criterion_06_exact_identities(two_point):
         e.sigma_diag, np.linspace(0.2, 1.0, N).astype(complex), N, "unitary", seed=SEED
     )
     Y = models.sample_Y(be, linalg.child_rng(SEED, 1))
-    obs = models.resolvent_observables(Y, 0.3 + 0.2j, be.xi_diag, 1.0j)
+    obs = models.resolvent_observables(
+        models.svd(Y, compute_uv=True), 0.3 + 0.2j, be.xi_diag, 1.0j
+    )
     tau_err = abs(obs.tau1 - obs.tau2)
     omega_err = abs(obs.omega_A_c + obs.omega_B_c - (0.3 + 0.2j) + 1.0 / obs.m_H)
 
@@ -213,20 +215,22 @@ def test_criterion_07_local_law(two_point):
     )
 
 
-@pytest.mark.slow
-def test_criterion_08_statistic_gap(two_point):
+@pytest.fixture(scope="module")
+def statistic_gaps(two_point):
+    """{(alpha, R): records} of criteria 8 and 13, over 20 trials of one
+    set of spectra at N = 512: criterion 8 reads the first 10 trials."""
     e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
+    tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
+    recs = locallaw.linear_statistic_gap(e, 1.4 + 0j, tests, trials=20, threads=THREADS)
+    return {test: recs[20 * i : 20 * (i + 1)] for i, test in enumerate(tests)}
+
+
+@pytest.mark.slow
+def test_criterion_08_statistic_gap(statistic_gaps):
     details = []
     ok = True
     for alpha, radius in ((0.0, 0.1), (0.25, 0.5)):
-        recs = locallaw.linear_statistic_gap(
-            e,
-            1.4 + 0j,
-            alpha,
-            trials=10,
-            f_spec=locallaw.FSpec(radius),
-            threads=THREADS,
-        )
+        recs = statistic_gaps[(alpha, radius)][:10]
         good = sum(r.gap_norm <= 10.0 for r in recs)
         worst = max(r.gap_norm for r in recs)
         ok &= good >= 9
@@ -331,13 +335,10 @@ def test_criterion_12_reproducibility(tmp_path):
 
 
 @pytest.mark.slow
-def test_criterion_13_statistic_gap_near_optimal_scale(two_point):
+def test_criterion_13_statistic_gap_near_optimal_scale(statistic_gaps):
     # s = 2.0 * 512^-0.45 puts the support 1.279 < |w| < 1.521 inside the
     # ring 1.265 < |w| < 1.581; it holds about 2 of the 512 eigenvalues
-    e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
-    recs = locallaw.linear_statistic_gap(
-        e, 1.4 + 0j, 0.45, trials=20, f_spec=locallaw.FSpec(2.0), threads=THREADS
-    )
+    recs = statistic_gaps[(0.45, 2.0)]
     good = sum(r.gap_norm <= 1.0 for r in recs)
     worst = max(r.gap_norm for r in recs)
     verdict(

@@ -211,6 +211,15 @@ BAD_CONFIGS = [
      "invalid config: measure: a single atom makes the ring degenerate"),
     ("main-gap", dict(MAIN_GAP, measure={"atoms": [1.0], "weights": [1.0]}),
      "invalid config: measure: a single atom makes the ring degenerate"),
+    # a key that the named law does not take is named, not ignored
+    ("radii", {"measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "P": 0.3}},
+     "invalid config: measure.P: two_point takes a, b, p\n"),
+    ("radii", {"measure": {"kind": "quarter_circle", "n_atoms": 8, "b": 2.0}},
+     "invalid config: measure.b: quarter_circle takes n_atoms only\n"),
+    ("main-gap", amend(MAIN_GAP, "params", support_radii=[0.0]),
+     "invalid config: params.support_radii: support radius must be positive\n"),
+    ("main-gap", amend(MAIN_GAP, "params", support_radii=[-0.5]),
+     "invalid config: params.support_radii: support radius must be positive\n"),
 ]
 
 

@@ -13,7 +13,6 @@ from singlering.locallaw import (
     BlockRecord,
     DevRecord,
     DominationReport,
-    FSpec,
     GapRecord,
     ScanGrid,
     SplitRecord,
@@ -52,7 +51,7 @@ def laplacian_pairing(g, grid_n, w0, scale):
     return float(step * step / (2.0 * math.pi) * np.sum(lap * (vals - np.median(vals))))
 
 
-def girko_statistic(X, w0, alpha, spec, grid_n):
+def girko_statistic(X, w0, alpha, radius, grid_n):
     """N^{2a} (1/2pi) int Delta f (1/N) log |det(X - w)|, one LU per node."""
     n = X.shape[0]
     eye = np.eye(n)
@@ -60,7 +59,7 @@ def girko_statistic(X, w0, alpha, spec, grid_n):
     def g(ws):
         return np.array([np.linalg.slogdet(X - w * eye)[1] for w in ws]) / n
 
-    scale = n ** (-alpha) * spec.radius
+    scale = n ** (-alpha) * radius
     return n ** (2.0 * alpha) * laplacian_pairing(g, grid_n, w0, scale)
 
 
@@ -145,38 +144,40 @@ class TestLinearStatistics:
         disc = np.sqrt(tr * tr - 4 * det)
         lam = np.array([(tr + disc) / 2, (tr - disc) / 2])
         w0 = 0.5 + 0.0j
-        spec = FSpec(radius=0.6)
-        direct = float(np.mean([bump_value(abs(l - w0) / spec.radius) for l in lam]))
+        radius = 0.6
+        direct = float(np.mean([bump_value(abs(l - w0) / radius) for l in lam]))
         # Girko's identity, by midpoint quadrature with LU log-determinants
-        assert girko_statistic(X, w0, 0.0, spec, 192) == pytest.approx(direct, abs=2e-3)
-        assert linear_statistic_lhs(X, w0, 0.0, spec) == pytest.approx(direct, abs=1e-14)
+        assert girko_statistic(X, w0, 0.0, radius, 192) == pytest.approx(direct, abs=2e-3)
+        (lhs,) = linear_statistic_lhs(X, w0, [(0.0, radius)])
+        assert lhs == pytest.approx(direct, abs=1e-14)
 
     def test_lhs_matches_girko_quadrature(self, two_point):
         e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=30)
         X = models.sample_X(e, linalg.child_rng(30))
-        for alpha, spec in ((0.0, FSpec(0.5)), (0.25, FSpec(0.8))):
-            direct = linear_statistic_lhs(X, 1.4 + 0j, alpha, spec)
+        tests = [(0.0, 0.5), (0.25, 0.8)]
+        for (alpha, radius), direct in zip(tests, linear_statistic_lhs(X, 1.4 + 0j, tests)):
             assert direct > 0
-            assert girko_statistic(X, 1.4 + 0j, alpha, spec, 64) == pytest.approx(
+            assert girko_statistic(X, 1.4 + 0j, alpha, radius, 64) == pytest.approx(
                 direct, abs=1e-4
             )
 
     def test_lhs_vanishes_off_spectrum(self):
         X = np.diag([0.2 + 0j, 0.3 + 0.1j])
-        val = linear_statistic_lhs(X, 5.0 + 0j, 0.0, FSpec(0.5))
+        (val,) = linear_statistic_lhs(X, 5.0 + 0j, [(0.0, 0.5)])
         # no eigenvalue lies in the support of the bump
         assert abs(val) < 1e-3
 
     def test_lhs_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            linear_statistic_lhs(np.eye(2, dtype=complex), 0.0, 0.6)
+        for bad in ((0.6, 0.5), (0.0, 0.0), (0.25, -0.5)):
+            with pytest.raises(ValueError, match="alpha in"):
+                linear_statistic_lhs(np.eye(2, dtype=complex), 0.0, [(0.0, 0.5), bad])
 
     @pytest.mark.slow
     def test_rhs_circular_law_macroscopic(self, quarter_circle_2000):
         # alpha = 0, bump of radius 0.3 at w0 = 0.5 inside the unit disk:
         # integral of f against the uniform law is R^2/4
         R = 0.3
-        val = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), n=512)
+        val = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, R, n=512)
         assert val == pytest.approx(R * R / 4.0, abs=1e-3)
         assert val == pytest.approx(R * R / 4.0, rel=5e-3)
         assert val == pytest.approx(R * R / 4.0, abs=1e-6)
@@ -185,30 +186,30 @@ class TestLinearStatistics:
     def test_rhs_rescaling_consistency(self, quarter_circle_2000):
         # alpha > 0 concentrates the bump: both scales see density ~ 1/pi
         R = 0.3
-        a0 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, FSpec(R), n=512)
-        a25 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.25, FSpec(R), n=512)
+        a0 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.0, R, n=512)
+        a25 = linear_statistic_rhs(quarter_circle_2000, 0.5 + 0j, 0.25, R, n=512)
         assert a25 == pytest.approx(a0, rel=1e-4)
 
     def test_rhs_rejects_origin_support(self, two_point):
         with pytest.raises(ValueError):
-            linear_statistic_rhs(two_point, 0.05 + 0j, 0.0, FSpec(0.5), n=8)
+            linear_statistic_rhs(two_point, 0.05 + 0j, 0.0, 0.5, n=8)
 
     def test_rhs_vanishes_off_ring(self, two_point):
         # the support |w - 4| <= 0.5 misses the ring, where rho = 0
-        val = linear_statistic_rhs(two_point, 4.0 + 0j, 0.0, FSpec(0.5), n=16)
+        val = linear_statistic_rhs(two_point, 4.0 + 0j, 0.0, 0.5, n=16)
         assert val == 0.0
         assert abs(val) < 1e-3
 
     def test_rhs_matches_log_potential_pairing(self, two_point):
         # the retired route: Delta f paired with L(|w|), since Delta L = 2 pi rho
-        n, alpha, spec, w0 = 256, 0.25, FSpec(0.5), 1.4 + 0j
+        n, alpha, radius, w0 = 256, 0.25, 0.5, 1.4 + 0j
 
         def L(ws):
             return np.array([log_potential(two_point, abs(w)) for w in ws])
 
-        scale = n ** (-alpha) * spec.radius
+        scale = n ** (-alpha) * radius
         paired = n ** (2.0 * alpha) * laplacian_pairing(L, 128, w0, scale)
-        direct = linear_statistic_rhs(two_point, w0, alpha, spec, n=n)
+        direct = linear_statistic_rhs(two_point, w0, alpha, radius, n=n)
         assert direct > 0
         assert direct == pytest.approx(paired, abs=1e-5)
 
@@ -262,13 +263,27 @@ class TestLocalLawScan:
 class TestLinearStatisticGap:
     def test_gap_records(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 48, "unitary", seed=23)
-        recs = linear_statistic_gap(
-            e, 1.4 + 0j, 0.25, trials=2, f_spec=FSpec(0.5), threads=threads,
-        )
+        recs = linear_statistic_gap(e, 1.4 + 0j, [(0.25, 0.5)], trials=2, threads=threads)
         assert len(recs) == 2
         for r in recs:
             assert np.isfinite(r.gap_norm)
             assert r.rhs == recs[0].rhs  # deterministic side shared
+
+    def test_one_eigvals_call_per_batch(self, two_point, monkeypatch):
+        # 14 trials at N = 40 are the batches of 13 and 1 trials; every test
+        # reads the spectra of one eigvals call per batch
+        e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=38)
+        eigvals, stacks = np.linalg.eigvals, []
+
+        def counted(X):
+            stacks.append(X.shape)
+            return eigvals(X)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
+        recs = linear_statistic_gap(e, 1.4 + 0j, tests, trials=14)
+        assert stacks == [(13, 40, 40), (1, 40, 40)]
+        assert [(r.alpha, r.trial) for r in recs] == [(a, t) for a, _ in tests for t in range(14)]
 
 
 class TestSmallestSvTail:
@@ -455,16 +470,20 @@ def local_law_oracle(e, grid):
     return recs, splits
 
 
-def gap_oracle(e, w0, alpha, trials, spec):
-    rhs = linear_statistic_rhs(e.empirical_measure(), w0, alpha, spec, n=e.N)
-    scale = float(e.N) ** (1.0 - 2.0 * alpha) / delta_bump_l1()
+def gap_oracle(e, w0, tests, trials):
+    """One sample and one spectrum per (test, trial), the tests in turn."""
     out = []
-    for trial in range(trials):
-        lam = np.linalg.eigvals(sample_X(e, trial))
-        lhs = e.N ** (2.0 * alpha) * float(
-            np.mean(bump_value(np.abs(lam - w0) / (e.N ** (-alpha) * spec.radius)))
-        )
-        out.append(GapRecord(e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale))
+    for alpha, radius in tests:
+        rhs = linear_statistic_rhs(e.empirical_measure(), w0, alpha, radius, n=e.N)
+        scale = float(e.N) ** (1.0 - 2.0 * alpha) / delta_bump_l1()
+        for trial in range(trials):
+            lam = np.linalg.eigvals(sample_X(e, trial))
+            lhs = e.N ** (2.0 * alpha) * float(
+                np.mean(bump_value(np.abs(lam - w0) / (e.N ** (-alpha) * radius)))
+            )
+            out.append(
+                GapRecord(e.N, trial, alpha, complex(w0), lhs, rhs, abs(lhs - rhs) * scale)
+            )
     return out
 
 
@@ -486,8 +505,8 @@ def green_oracle(e, z, trials, window):
     st = freeconv.solve_phi_system(mu_a, mu_b, z)
     recs = []
     for trial in range(trials):
-        Y = sample_Y(e, trial)
-        obs = models.resolvent_observables(Y, z, e.xi_diag, st.omega2, bulk_window=window)
+        svd_Y = models.svd(sample_Y(e, trial), compute_uv=True)
+        obs = models.resolvent_observables(svd_Y, z, e.xi_diag, st.omega2, bulk_window=window)
         eta = z.imag
         recs.append(
             SubDiagRecord(
@@ -533,9 +552,9 @@ class TestBatchesMatchPerTrialOracle:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_linear_statistic_gap(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=34)
-        spec = FSpec(0.5)
-        recs = linear_statistic_gap(e, 1.4 + 0j, 0.25, self.TRIALS, spec, threads=threads)
-        assert recs == gap_oracle(e, 1.4 + 0j, 0.25, self.TRIALS, spec)
+        tests = [(0.0, 0.3), (0.25, 0.5)]
+        recs = linear_statistic_gap(e, 1.4 + 0j, tests, self.TRIALS, threads=threads)
+        assert recs == gap_oracle(e, 1.4 + 0j, tests, self.TRIALS)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_smallest_sv_tail(self, two_point, threads):

@@ -251,7 +251,9 @@ class TestResolventObservables:
         h = Y[0, 0]
         z = 0.25 + 0.4j
         omega_B = 1.1j
-        obs = resolvent_observables(Y, z, e.xi_diag, omega_B, bulk_window=(-5, 5))
+        obs = resolvent_observables(
+            svd(Y, compute_uv=True), z, e.xi_diag, omega_B, bulk_window=(-5, 5)
+        )
         det = z * z - abs(h) ** 2
         G = np.array([[-z, -h], [-np.conj(h), -z]]) / det
         assert obs.m_H == pytest.approx(0.5 * (G[0, 0] + G[1, 1]), abs=1e-12)
@@ -273,24 +275,24 @@ class TestResolventObservables:
             np.linspace(0.5, 2.0, 8), np.linspace(0.2, 1.0, 8), 8, "unitary", seed=rng_seed
         )
         for trial in range(20):
-            Y = sample_Y(e, child_rng(rng_seed, trial))
-            obs = resolvent_observables(Y, 0.1 + 0.3j, e.xi_diag, 1.0j)
+            svd_Y = svd(sample_Y(e, child_rng(rng_seed, trial)), compute_uv=True)
+            obs = resolvent_observables(svd_Y, 0.1 + 0.3j, e.xi_diag, 1.0j)
             assert obs.tau1 == pytest.approx(obs.tau2, abs=1e-10)
 
     def test_subordination_identity(self):
         e = BlockAdditiveEnsemble(np.ones(16), np.ones(16), 16, "unitary", seed=15)
         for trial in range(5):
-            Y = sample_Y(e, child_rng(15, trial))
+            svd_Y = svd(sample_Y(e, child_rng(15, trial)), compute_uv=True)
             for z in (0.4j, 0.5 + 0.25j):
-                obs = resolvent_observables(Y, z, e.xi_diag, 0.9j)
+                obs = resolvent_observables(svd_Y, z, e.xi_diag, 0.9j)
                 lhs = obs.omega_A_c + obs.omega_B_c - z + 1.0 / obs.m_H
                 assert abs(lhs) <= 1e-10
 
     def test_rejects_real_z(self):
         e = BlockAdditiveEnsemble(np.ones(4), np.ones(4), 4, "unitary", seed=16)
-        Y = sample_Y(e, child_rng(16))
+        svd_Y = svd(sample_Y(e, child_rng(16)), compute_uv=True)
         with pytest.raises(ValueError):
-            resolvent_observables(Y, 0.5, e.xi_diag, 1.0j)
+            resolvent_observables(svd_Y, 0.5, e.xi_diag, 1.0j)
 
     def test_matches_dense_resolvent(self):
         e = BlockAdditiveEnsemble(
@@ -300,12 +302,9 @@ class TestResolventObservables:
         svd_Y = svd(Y, compute_uv=True)
         for z, omega_B in ((0.3 + 0.2j, 1.0j), (1.1 + 0.05j, 0.2 + 0.9j), (0.1j, 0.9j)):
             want = dense_observables(Y, z, e.xi_diag, omega_B)
-            for obs in (
-                resolvent_observables(Y, z, e.xi_diag, omega_B),
-                resolvent_observables(Y, z, e.xi_diag, omega_B, svd_Y=svd_Y),
-            ):
-                for name, value in want.items():
-                    assert abs(getattr(obs, name) - value) <= 1e-12, name
+            obs = resolvent_observables(svd_Y, z, e.xi_diag, omega_B)
+            for name, value in want.items():
+                assert abs(getattr(obs, name) - value) <= 1e-12, name
 
     def test_eigvec_sup_matches_eigh(self):
         N = 16
@@ -314,9 +313,10 @@ class TestResolventObservables:
         )
         Y = sample_Y(e, child_rng(18))
         lam, vecs = np.linalg.eigh(hermitize(Y))
+        svd_Y = svd(Y, compute_uv=True)
         for window in ((-0.5, 0.5), (0.8, 1.6), (-2.0, -0.9), (-5.0, 5.0)):
             in_bulk = (lam >= window[0]) & (lam <= window[1])
             assert np.any(in_bulk)
             want = math.sqrt(N) * np.max(np.abs(vecs[:, in_bulk]))
-            obs = resolvent_observables(Y, 0.5j, e.xi_diag, 1.0j, bulk_window=window)
+            obs = resolvent_observables(svd_Y, 0.5j, e.xi_diag, 1.0j, bulk_window=window)
             assert obs.eigvec_sup == pytest.approx(want, abs=1e-12)
