@@ -92,10 +92,9 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
     try:
         if "kind" in spec:
             kind = _get(cfg, f"{path}.kind", str)
-            n_atoms = _get(cfg, f"{path}.n_atoms", int, default=2)
-            keys = [k for k in spec if k not in ("kind", "n_atoms")]
-            params = {k: _get(cfg, f"{path}.{k}", float) for k in keys}
-            return measure.reference_measure(kind, n_atoms, **params)
+            keys = [k for k in spec if k != "kind"]
+            params = {k: _get(cfg, f"{path}.{k}", int if k == "n_atoms" else float) for k in keys}
+            return measure.reference_measure(kind, **params)
         return DiscreteMeasure(*(
             np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
             for key in ("atoms", "weights")
@@ -320,15 +319,11 @@ def _cmd_radii(cfg):
 
 
 def _cmd_freeconv(cfg):
-    mu1 = load_measure(cfg, "measure")
-    if not mu1.is_symmetric():
-        mu1 = measure.symmetrize(mu1)
+    mu1 = measure.symmetrize(load_measure(cfg, "measure"))
     r = _get(cfg, "params.r", float, default=None)
     mu2 = None
     if r is None:
-        mu2 = load_measure(cfg, "measure2")
-        if not mu2.is_symmetric():
-            mu2 = measure.symmetrize(mu2)
+        mu2 = measure.symmetrize(load_measure(cfg, "measure2"))
     elif r <= 0:
         raise ConfigError(f"params.r: need r > 0, got {r:g}")
     z_grid = _get(cfg, "params.z_grid", list, default=None)
@@ -359,8 +354,7 @@ def _cmd_freeconv(cfg):
 
 
 def _cmd_certificate(cfg):
-    mu = load_measure(cfg, "measure")
-    mu_sym = mu if mu.is_symmetric() else measure.symmetrize(mu)
+    mu_sym = measure.symmetrize(load_measure(cfg, "measure"))
     r = _get(cfg, "params.r", float)
     _bulk_ring(mu_sym, r)
     eta_max = _get(cfg, "params.eta_max", float, default=10.0)

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra and reproducible random number generation.
+"""Dense linear algebra and reproducible random number generation.
 
-Matrices are plain ``numpy.ndarray`` objects (complex128, row major, one
-matrix or a (k, n, n) stack); Haar sampling is the phase-fixed QR.
+Matrices are plain ``numpy.ndarray`` objects (row major, one matrix or a
+(k, n, n) stack): complex128 for U(n), float64 for O(n), so the orthogonal
+class runs in real arithmetic; Haar sampling is the phase-fixed QR.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
 .Generator``, or a sequence of k of them for a stack, one draw from each.
@@ -55,6 +56,6 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-distributed element of O(n), real entries returned as complex;
-    a sequence of generators gives a stack as in :func:`haar_unitary`."""
-    return _rephased_qr(n, rng, lambda r: r.standard_normal((n, n))).astype(np.complex128)
+    """Haar-distributed element of O(n), as a float64 matrix; a sequence of
+    generators gives a stack as in :func:`haar_unitary`."""
+    return _rephased_qr(n, rng, lambda r: r.standard_normal((n, n)))

@@ -340,7 +340,6 @@ def linear_statistic_lhs(X: np.ndarray, w0: complex, tests) -> np.ndarray:
     pairing of Delta f with (1/N) log |det(X - w)|; the tests keep that
     identity as an oracle.
     """
-    X = np.asarray(X, dtype=np.complex128)
     n = X.shape[-1]
     if not all(0.0 <= alpha < 0.5 and radius > 0 for alpha, radius in tests):
         raise ValueError("each test needs alpha in [0, 1/2) and a support radius R > 0")

@@ -280,11 +280,13 @@ class RingGeometry:
 
 
 def symmetrize(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Even part of mu: A maps to (mu(A) + mu(-A)) / 2.
+    """Even part of mu: A maps to (mu(A) + mu(-A)) / 2; mu itself if it is symmetric.
 
     An atom sitting exactly at 0 is a fixed point of the reflection and keeps
     its full weight; all other atoms split in half between +/-x.
     """
+    if mu.is_symmetric():
+        return mu
     atoms = np.concatenate((mu.atoms, -mu.atoms))
     weights = np.concatenate((mu.weights, mu.weights)) / 2.0
     return DiscreteMeasure.from_points(atoms, weights)
@@ -419,27 +421,27 @@ def _quarter_circle_quantile(q: float) -> float:
     return _brentq(lambda x: _quarter_circle_cdf(x) - q, 0.0, 2.0, xtol=1e-14)[0]
 
 
-def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:
-    """Quantile discretization of a named reference law.
+def reference_measure(name: str, **params) -> DiscreteMeasure:
+    """A named reference law, or the quantile discretization of one.
 
-    ``quarter_circle``      density (1/pi) sqrt(4 - x^2) on [0, 2]
-    ``two_point``           p delta_a + (1-p) delta_b  (n_atoms ignored)
-    ``uniform``             uniform on [a, b]
+    ``quarter_circle``      density (1/pi) sqrt(4 - x^2) on [0, 2], n_atoms atoms
+    ``two_point``           p delta_a + (1-p) delta_b
+    ``uniform``             uniform on [a, b], n_atoms atoms
 
     Atom i sits at the (i - 1/2)/n quantile with weight 1/n.  A parameter
     the law does not take, or a required one left out, is a ParameterError.
     """
     laws = {  # each law's parameters and their defaults; None marks a required one
-        "quarter_circle": {},
+        "quarter_circle": {"n_atoms": 2},
         "two_point": {"a": None, "b": None, "p": 0.5},
-        "uniform": {"a": 0.0, "b": 1.0},
+        "uniform": {"n_atoms": 2, "a": 0.0, "b": 1.0},
     }
     if name not in laws:
         raise MeasureError(f"unknown reference measure {name!r}")
     takes = laws[name]
     for key in [*params, *takes]:
         if key not in takes:
-            raise ParameterError(key, f"{name} takes {', '.join(takes) or 'n_atoms only'}")
+            raise ParameterError(key, f"{name} takes {', '.join(takes)}")
         if params.setdefault(key, takes[key]) is None:
             raise ParameterError(key, "missing")
     if name == "two_point":
@@ -447,6 +449,7 @@ def reference_measure(name: str, n_atoms: int = 2, **params) -> DiscreteMeasure:
         if not 0.0 < p < 1.0:
             raise MeasureError("two_point weight p must lie in (0,1)")
         return DiscreteMeasure.from_points([a, b], [p, 1.0 - p])
+    n_atoms = params["n_atoms"]
     if n_atoms < 2:
         raise MeasureError("quantile discretization needs n_atoms >= 2")
     q = (np.arange(n_atoms) + 0.5) / n_atoms

@@ -110,8 +110,7 @@ class BlockAdditiveEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        s = np.asarray(self.sigma_diag, dtype=np.complex128)
-        x = np.asarray(self.xi_diag, dtype=np.complex128)
+        s, x = np.asarray(self.sigma_diag, dtype=float), np.asarray(self.xi_diag)
         if s.shape != (self.N,) or x.shape != (self.N,):
             raise ValueError("sigma_diag and xi_diag must have length N")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
@@ -159,7 +158,7 @@ def svd(X: np.ndarray, w: complex = 0.0, compute_uv: bool = False):
     singular values are the nonnegative half of the spectrum of the
     hermitization [[0, X - w], [(X - w)*, 0]].
     """
-    X = np.asarray(X, dtype=np.complex128)
+    w = w.real if w.imag == 0 else w  # a real X - w stays real
     return np.linalg.svd(X - w * np.eye(X.shape[-1]), compute_uv=compute_uv)
 
 
@@ -215,7 +214,7 @@ def resolvent_observables(
         raise ValueError("resolvent observables need Im z > 0")
     P, s, Qh = svd_Y
     N = len(s)
-    xi = np.asarray(xi_diag, dtype=np.complex128)
+    xi = np.asarray(xi_diag)
     den = s * s - z * z
     diag_w, off_w = z / den, s / den
 

@@ -34,7 +34,7 @@ def two_point_sym(two_point):
 
 @pytest.fixture(scope="session")
 def quarter_circle_2000():
-    return measure.reference_measure("quarter_circle", 2000)
+    return measure.reference_measure("quarter_circle", n_atoms=2000)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ tolerances and caps are the stated ones.  Run directly with
     python3 tests/test_acceptance.py
 
 or as part of pytest (use -s to see the lines while running).  The Monte
-Carlo criteria 7-11 and 13 are marked slow, so ``pytest -m "not slow"``
+Carlo criteria 7-11, 13 and 15 are marked slow, so ``pytest -m "not slow"``
 skips them.
 """
 
@@ -45,7 +45,7 @@ def two_point():
 
 @pytest.fixture(scope="module")
 def quarter_circle():
-    return measure.reference_measure("quarter_circle", 2000)
+    return measure.reference_measure("quarter_circle", n_atoms=2000)
 
 
 def test_criterion_01_golden_ratio_subordination(bernoulli):
@@ -345,6 +345,35 @@ def test_criterion_13_statistic_gap_near_optimal_scale(statistic_gaps):
         13,
         good >= 18,
         f"main-theorem gap at alpha=0.45: {good}/20 within 1.0, worst {worst:.3f}",
+    )
+
+
+@pytest.mark.slow
+def test_criterion_15_orthogonal_statistic_gap(two_point):
+    # the O(N) class in real arithmetic: about sqrt(2N/pi) = 18 of its 512
+    # eigenvalues are real, so w0 = 1.4 on the real axis is where it differs
+    # from U(N), and w0 = 1.4i is a point off it
+    e = models.SingleRingEnsemble.from_measure(two_point, 512, "orthogonal", seed=SEED)
+    tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
+    caps = (10.0, 10.0, 1.0)
+    t0 = time.perf_counter()
+    details = []
+    ok = True
+    for w0, label in ((1.4 + 0j, "1.4"), (1.4j, "1.4i")):
+        recs = locallaw.linear_statistic_gap(e, w0, tests, trials=10, threads=THREADS)
+        goods = []
+        for i, cap in enumerate(caps):
+            good = sum(r.gap_norm <= cap for r in recs[10 * i : 10 * (i + 1)])
+            ok &= good >= 9
+            goods.append(f"{good}/10")
+        worst = max(r.gap_norm for r in recs)
+        details.append(f"w0={label}: {', '.join(goods)} within caps, worst {worst:.3f}")
+    elapsed = time.perf_counter() - t0
+    verdict(
+        15,
+        ok,
+        f"orthogonal main-theorem gap at alpha=0, 0.25, 0.45 (caps 10, 10, 1.0): "
+        f"{'; '.join(details)}; {elapsed:.1f} s",
     )
 
 

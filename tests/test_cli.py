@@ -215,11 +215,13 @@ BAD_CONFIGS = [
     ("radii", {"measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "P": 0.3}},
      "invalid config: measure.P: two_point takes a, b, p\n"),
     ("radii", {"measure": {"kind": "quarter_circle", "n_atoms": 8, "b": 2.0}},
-     "invalid config: measure.b: quarter_circle takes n_atoms only\n"),
+     "invalid config: measure.b: quarter_circle takes n_atoms\n"),
     ("main-gap", amend(MAIN_GAP, "params", support_radii=[0.0]),
      "invalid config: params.support_radii: support radius must be positive\n"),
     ("main-gap", amend(MAIN_GAP, "params", support_radii=[-0.5]),
      "invalid config: params.support_radii: support radius must be positive\n"),
+    ("radii", {"measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "n_atoms": 7}},
+     "invalid config: measure.n_atoms: two_point takes a, b, p\n"),
 ]
 
 

@@ -167,6 +167,22 @@ class TestLinearStatistics:
         # no eigenvalue lies in the support of the bump
         assert abs(val) < 1e-3
 
+    def test_real_route_matches_complex_route(self, two_point):
+        # an O(N) draw keeps its eigvals real; the complex route is the oracle
+        e = models.SingleRingEnsemble.from_measure(two_point, 64, "orthogonal", seed=31)
+        X = models.sample_X(e, linalg.child_rng(31))
+        Xc = X.astype(np.complex128)
+        ev, want = np.sort_complex(np.linalg.eigvals(X)), np.linalg.eigvals(Xc)
+        # sort the complex route into the same order: a conjugate pair's real
+        # parts tie exactly in the real route and only to rounding in the other
+        nearest = np.argmin(np.abs(ev[:, None] - want[None, :]), axis=1)
+        assert len(set(nearest)) == len(ev)
+        assert np.max(np.abs(ev - want[nearest])) <= 1e-12 * np.max(np.abs(ev))
+        tests = [(0.0, 0.5), (0.25, 0.8), (0.45, 2.0)]
+        for w0 in (1.4 + 0j, 1.4j):
+            got, lhs_c = linear_statistic_lhs(X, w0, tests), linear_statistic_lhs(Xc, w0, tests)
+            assert np.all(np.abs(got - lhs_c) <= 1e-12 * np.abs(lhs_c))
+
     def test_lhs_rejects_bad_alpha(self):
         for bad in ((0.6, 0.5), (0.0, 0.0), (0.25, -0.5)):
             with pytest.raises(ValueError, match="alpha in"):

@@ -66,7 +66,7 @@ class TestDiscreteMeasure:
             dm([2.0, 1.0], [0.5, 0.5])
 
     def test_quantiles(self):
-        mu = reference_measure("uniform", 2, a=0.0, b=1.0)
+        mu = reference_measure("uniform", n_atoms=2, a=0.0, b=1.0)
         assert np.allclose(mu.atoms, [0.25, 0.75])
         assert mu.quantile(0.4) == 0.25
         assert mu.quantile(0.6) == 0.75
@@ -279,12 +279,12 @@ class TestReferenceMeasure:
         assert np.allclose(mu.weights, [0.5, 0.5])
 
     def test_uniform_two_atoms(self):
-        mu = reference_measure("uniform", 2, a=0.0, b=1.0)
+        mu = reference_measure("uniform", n_atoms=2, a=0.0, b=1.0)
         assert np.allclose(mu.atoms, [0.25, 0.75])
 
     def test_quarter_circle_quantiles(self):
         # independent oracle: integrate the density up to each atom position
-        mu = reference_measure("quarter_circle", 4)
+        mu = reference_measure("quarter_circle", n_atoms=4)
         for i, x in enumerate(mu.atoms):
             mass, _ = quad(lambda t: np.sqrt(4 - t * t) / np.pi, 0.0, x)
             assert mass == pytest.approx((i + 0.5) / 4.0, abs=1e-10)
@@ -292,11 +292,11 @@ class TestReferenceMeasure:
 
     def test_unknown_name(self):
         with pytest.raises(MeasureError):
-            reference_measure("pentagon", 4)
+            reference_measure("pentagon", n_atoms=4)
 
     def test_needs_two_atoms(self):
         with pytest.raises(MeasureError):
-            reference_measure("uniform", 1, a=0.0, b=1.0)
+            reference_measure("uniform", n_atoms=1, a=0.0, b=1.0)
 
 
 class TestRingGeometry:
@@ -390,7 +390,7 @@ class TestBrentq:
     )
     def test_library_equations_ring_law(self, against_scipy, mu, ss):
         if mu is None:
-            mu = reference_measure("quarter_circle", 500)
+            mu = reference_measure("quarter_circle", n_atoms=500)
             assert len(against_scipy) == 500  # one quantile root each
         for s in ss:
             y = ringlaw._inverse_radius(mu.weights, mu.atoms**2, s)

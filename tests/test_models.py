@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +78,11 @@ class TestSampleX:
     def test_orthogonal_class_real(self):
         e = SingleRingEnsemble(np.array([1.0, 2.0, 3.0]), 3, "orthogonal", seed=7)
         X = sample_X(e, child_rng(7))
-        assert np.max(np.abs(X.imag)) == 0.0
+        assert X.dtype == np.float64
+        # the scans' w is complex even on the real axis; X - w stays real there
+        for w in (1.4, np.complex128(1.4)):
+            P, s, Qh = svd(X, w, compute_uv=True)
+            assert P.dtype == s.dtype == Qh.dtype == np.float64
 
     def test_one_haar_draw(self, two_point_ensemble):
         rng, ref = child_rng(101, 1), child_rng(101, 1)
@@ -320,3 +325,30 @@ class TestResolventObservables:
             want = math.sqrt(N) * np.max(np.abs(vecs[:, in_bulk]))
             obs = resolvent_observables(svd_Y, 0.5j, e.xi_diag, 1.0j, bulk_window=window)
             assert obs.eigvec_sup == pytest.approx(want, abs=1e-12)
+
+
+class TestRealRoute:
+    """O(N) draws stay real; the complex route on the same matrices is the oracle."""
+
+    def test_svd_matches_complex_route(self, two_point):
+        e = SingleRingEnsemble.from_measure(two_point, 64, "orthogonal", seed=103)
+        X = sample_X(e, child_rng(103))
+        for w in (0.0, 1.4, 0.9 + 0.8j):
+            s, want = svd(X, w), svd(X.astype(np.complex128), w)
+            assert np.max(np.abs(s - want)) <= 1e-12 * np.max(want)
+
+    def test_resolvent_observables_match_complex_route(self):
+        e = BlockAdditiveEnsemble(
+            np.linspace(0.5, 2.0, 16), np.linspace(0.2, 1.0, 16), 16, "orthogonal", seed=19
+        )
+        Y = sample_Y(e, child_rng(19))
+        assert Y.dtype == e.xi_diag.dtype == np.float64
+        real = svd(Y, compute_uv=True)
+        cplx = svd(Y.astype(np.complex128), compute_uv=True)
+        xi_c = e.xi_diag.astype(np.complex128)
+        for z, omega_B in ((0.3 + 0.2j, 1.0j), (1.1 + 0.05j, 0.2 + 0.9j), (0.1j, 0.9j)):
+            got = resolvent_observables(real, z, e.xi_diag, omega_B)
+            want = resolvent_observables(cplx, z, xi_c, omega_B)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert abs(a - b) <= 1e-12 * abs(b), field.name
