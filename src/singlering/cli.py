@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, freeconv, locallaw, measure, models, ringlaw
 from .freeconv import ConvergenceError
-from .measure import DiscreteMeasure, MeasureError, RingGeometry
+from .measure import DiscreteMeasure, MeasureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,6 +37,7 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 GENERATOR_ID = "numpy.random.PCG64+SeedSequence"
+TAU_FRACTION = 0.05  # the default annulus shrink tau, as a share of r_plus - r_minus
 
 
 class ConfigError(ValueError):
@@ -147,37 +148,29 @@ def _bulk_ring(mu_sym, r):
         raise ConfigError(f"params.r: {exc}") from exc
 
 
-def _ring_and_tau(cfg, mu):
-    tau = _get(cfg, "grid.tau", float, default=None)
+def _annulus(cfg, mu):
+    """The bulk annulus (lo, hi) = (r_minus + tau, r_plus - tau) of mu's ring, which
+    holds |w| of every local law test; tau is ``grid.tau``, or TAU_FRACTION of the width."""
     if len(mu) < 2:
         raise ConfigError("measure: a single atom makes the ring degenerate, r_minus = r_plus")
-    _radii(mu)  # a measure off [0, inf) is an error of the measure, not of tau
-    try:
-        ring = RingGeometry.from_measure(mu, tau)
-    except MeasureError as exc:
-        raise ConfigError(f"grid.tau: {exc}") from exc
-    if ring.annulus() is None:
+    r_minus, r_plus = _radii(mu)
+    tau = _get(cfg, "grid.tau", float, default=TAU_FRACTION * (r_plus - r_minus))
+    if tau < 0:
+        raise ConfigError(f"grid.tau: tau must be nonnegative, got {tau:g}")
+    if r_minus + tau > r_plus - tau:
         raise ConfigError(
-            f"grid.tau: tau = {ring.tau:g} empties the annulus [r_minus + tau, r_plus - tau]"
-            f" = [{ring.r_minus + ring.tau:g}, {ring.r_plus - ring.tau:g}]"
+            f"grid.tau: tau = {tau:g} empties the annulus [r_minus + tau, r_plus - tau]"
+            f" = [{r_minus + tau:g}, {r_plus - tau:g}]"
         )
-    return ring
+    return r_minus + tau, r_plus - tau
 
 
-def _scan_grid(cfg, ring, N_values, default_eta_exponent=0.9):
+def _scan_grid(cfg, ws, sizes, default_eta_exponent=0.9):
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
     eta_max = _get(cfg, "grid.eta_max", float, default=1.0)
-    eta_min = _get(cfg, "grid.eta_min", float, default=max(N_values) ** -default_eta_exponent)
-    w_abs = _get(cfg, "grid.w_abs", float, default=None)
-    phases = _numbers(_get(cfg, "grid.w_phases", default=[0.0]), "grid.w_phases")
-    if w_abs is None and ring is not None:
-        w_abs = 0.5 * sum(ring.annulus())
-    phases = [] if w_abs is None else phases
-    ws = np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases], dtype=complex)
+    eta_min = _get(cfg, "grid.eta_min", float, default=max(sizes) ** -default_eta_exponent)
     try:
-        return locallaw.ScanGrid(
-            locallaw.dyadic_etas(eta_min, eta_max), ws, tuple(N_values), trials, ring
-        )
+        return locallaw.ScanGrid(locallaw.dyadic_etas(eta_min, eta_max), ws, trials)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -393,15 +386,20 @@ def _cmd_ring_density(cfg):
 
 def _cmd_local_law(cfg):
     mu = load_measure(cfg, "measure")
-    ring = _ring_and_tau(cfg, mu)
+    lo, hi = _annulus(cfg, mu)
     sizes, sym, seed = _ensemble(cfg)
-    grid = _scan_grid(cfg, ring, sizes)
-    if len(grid.w_values) == 0:
-        raise ConfigError("grid.w_abs: missing")
-    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
+    w_abs = _get(cfg, "grid.w_abs", float, default=0.5 * (lo + hi))
+    phases = _numbers(_get(cfg, "grid.w_phases", default=[0.0]), "grid.w_phases")
+    if not phases:
+        raise ConfigError("grid.w_phases: need one or more phases")
+    ws = np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases])
+    if not all(lo <= abs(w) <= hi for w in ws):
+        raise ConfigError(f"grid.w_abs: |w| = {abs(w_abs):g} outside the annulus [{lo:g}, {hi:g}]")
+    grid = _scan_grid(cfg, ws, sizes)
+    ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
 
     def run(ctx):
-        report = locallaw.local_law_scan(e, grid, threads=ctx.threads)
+        report = locallaw.local_law_scan(ensembles, grid, threads=ctx.threads)
         _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, report.records)
         _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, report.splits)
 
@@ -410,11 +408,11 @@ def _cmd_local_law(cfg):
 
 def _cmd_main_gap(cfg):
     mu = load_measure(cfg, "measure")
-    ring = _ring_and_tau(cfg, mu)
+    lo, hi = _annulus(cfg, mu)
     sizes, sym, seed = _ensemble(cfg)
     w0 = complex(*_numbers(_get(cfg, "params.w0"), "params.w0", 2))
-    if not ring.contains(w0):
-        raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus {ring.annulus()}")
+    if not lo <= abs(w0) <= hi:
+        raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus [{lo:g}, {hi:g}]")
     alphas = _numbers(_get(cfg, "params.alphas"), "params.alphas")
     if not all(0.0 <= a < 0.5 for a in alphas):
         raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
@@ -427,8 +425,8 @@ def _cmd_main_gap(cfg):
     if not all(radius > 0 for radius in radii_cfg):
         raise ConfigError("params.support_radii: support radius must be positive")
     N = _one_size(sizes)
-    tests = list(zip(alphas, radii_cfg))
-    for alpha, radius in tests:
+    tests = [(w0, alpha, radius) for alpha, radius in zip(alphas, radii_cfg)]
+    for _, alpha, radius in tests:
         scale = float(N) ** (-alpha) * radius  # the support radius linear_statistic_rhs tests
         if abs(w0) <= scale:
             raise ConfigError(
@@ -439,7 +437,7 @@ def _cmd_main_gap(cfg):
     e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
 
     def run(ctx):
-        records = locallaw.linear_statistic_gap(e, w0, tests, trials, threads=ctx.threads)
+        records = locallaw.linear_statistic_gap(e, tests, trials, threads=ctx.threads)
         _write_records(ctx.path("gap.csv"), locallaw.GapRecord, records)
 
     return run
@@ -478,19 +476,21 @@ def _cmd_ssv_tail(cfg):
     return run
 
 
-def _block_ensemble(cfg):
-    """The ensemble's sizes and its block additive model at the first size."""
+def _block_ensembles(cfg):
+    """The ensemble's sizes and the block additive model at each of them."""
     mu_s = load_measure(cfg, "measure")
     mu_x = load_measure(cfg, "measure2")
     sizes, sym, seed = _ensemble(cfg)
-    N = sizes[0]
-    return sizes, models.BlockAdditiveEnsemble(
-        models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
-    )
+    return sizes, [
+        models.BlockAdditiveEnsemble(
+            models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
+        )
+        for N in sizes
+    ]
 
 
 def _cmd_block_law(cfg):
-    sizes, e = _block_ensemble(cfg)
+    sizes, ensembles = _block_ensembles(cfg)
     interval = _numbers(
         _get(cfg, "params.E_interval", default=[0.0, 0.0]), "params.E_interval", 2
     )
@@ -498,20 +498,20 @@ def _cmd_block_law(cfg):
         raise ConfigError(f"params.E_interval: empty energy interval {interval}")
     n_energies = _get(cfg, "params.n_energies", int, default=1, least=1)
     try:
-        energies = locallaw.block_energies(e, interval, n_energies)
+        energies = locallaw.block_energies(ensembles[0], interval, n_energies)
     except ValueError as exc:
         raise ConfigError(f"params.E_interval: {exc}") from exc
-    grid = _scan_grid(cfg, None, sizes)
+    grid = _scan_grid(cfg, [], sizes)
 
     def run(ctx):
-        report = locallaw.block_local_law_scan(e, energies, grid, threads=ctx.threads)
+        report = locallaw.block_local_law_scan(ensembles, energies, grid, threads=ctx.threads)
         _write_records(ctx.path("block.csv"), locallaw.BlockRecord, report.records)
 
     return run
 
 
 def _cmd_green_sub(cfg):
-    sizes, e = _block_ensemble(cfg)
+    sizes, (e, *_) = _block_ensembles(cfg)
     _one_size(sizes)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", default=None)

@@ -8,8 +8,8 @@ flagged node) instead of being retried with fresh randomness.
 
 Stochastic domination is operationalized by slope fits: a family of scaled
 deviations obeys the claimed bound when its high quantiles do not grow as a
-power of N, i.e. when the fitted log-log slope stays below a small
-threshold (default 0.2).
+power of N, i.e. when the fitted log-log slope stays below
+DOMINATION_SLOPE_MAX.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import freeconv, linalg, measure, models, ringlaw
-from .measure import ConvergenceError, DiscreteMeasure, RingGeometry
+from .measure import ConvergenceError, DiscreteMeasure
 
 __all__ = [
     "ScanGrid",
@@ -150,37 +149,21 @@ def delta_bump_l1() -> float:
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Spectral-resolution and annulus grid for a multi-size scan.
-
-    Every w must satisfy |w| in [r_- + tau, r_+ - tau] of the supplied ring;
-    an offending point is a constructor error, never a silent clamp.
-    """
+    """The spectral resolutions eta, the points w (none for a block scan) and
+    the trial count that a scan runs at each of its sizes."""
 
     eta_values: np.ndarray
     w_values: np.ndarray
-    N_values: tuple
     trials: int
-    ring: Optional[RingGeometry] = None
 
     def __post_init__(self):
         etas = np.asarray(self.eta_values, dtype=float)
         if len(etas) == 0 or np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
             raise ValueError("eta_values must be positive and strictly decreasing")
-        ws = np.asarray(self.w_values, dtype=np.complex128)
-        if self.ring is not None:
-            for w in ws:
-                if not self.ring.contains(w):
-                    ann = self.ring.annulus()
-                    raise ValueError(
-                        f"|w| = {abs(w):.6g} outside the shrunk annulus {ann}"
-                    )
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if len(self.N_values) == 0 or any(n < 2 for n in self.N_values):
-            raise ValueError("N_values must be nonempty sizes >= 2")
         object.__setattr__(self, "eta_values", etas)
-        object.__setattr__(self, "w_values", ws)
-        object.__setattr__(self, "N_values", tuple(int(n) for n in self.N_values))
+        object.__setattr__(self, "w_values", np.asarray(self.w_values, dtype=np.complex128))
 
 
 # The scan records (DevRecord, BlockRecord, SplitRecord, GapRecord,
@@ -287,17 +270,16 @@ def _references(solve, nodes, failed):
     return ref
 
 
-def local_law_scan(
-    e: models.SingleRingEnsemble, grid: ScanGrid, threads: int = 1
-) -> DominationReport:
-    """Deviations N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid."""
+def local_law_scan(ensembles, grid: ScanGrid, threads: int = 1) -> DominationReport:
+    """Deviations N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid, at
+    the size of each of the SingleRingEnsembles ``ensembles`` in turn."""
     report = DominationReport()
     # reference nodes (|w|, i eta): phases that share |w| share a solve
     w_abs = np.abs(grid.w_values).tolist()
     nodes = [(r, 1j * eta) for r in w_abs for eta in grid.eta_values.tolist()]
 
-    for ni, N in enumerate(grid.N_values):
-        ens = e if N == e.N else e.resized(N)
+    for ni, ens in enumerate(ensembles):
+        N = ens.N
         mu_sym = measure.symmetrize(ens.empirical_measure())
         ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
         eta_star = float(N) ** (-SPLIT_EXPONENT)
@@ -328,9 +310,9 @@ def local_law_scan(
 # ---------------------------------------------------------------------------
 
 
-def linear_statistic_lhs(X: np.ndarray, w0: complex, tests) -> np.ndarray:
+def linear_statistic_lhs(X: np.ndarray, tests) -> np.ndarray:
     """Eigenvalue statistics N^{2a} (1/N) sum_i f((lambda_i(X) - w0)/s), s = N^{-a} R,
-    one per test (a, R) in ``tests``, all read off one ``eigvals`` call.
+    one per test (w0, a, R) in ``tests``, all read off one ``eigvals`` call.
 
     X is one N x N matrix, giving len(tests) values, or a (k, N, N) stack,
     giving a (len(tests), k) array.  f_R(zeta) = f(zeta/R) keeps
@@ -341,13 +323,13 @@ def linear_statistic_lhs(X: np.ndarray, w0: complex, tests) -> np.ndarray:
     identity as an oracle.
     """
     n = X.shape[-1]
-    if not all(0.0 <= alpha < 0.5 and radius > 0 for alpha, radius in tests):
+    if not all(0.0 <= alpha < 0.5 and radius > 0 for _, alpha, radius in tests):
         raise ValueError("each test needs alpha in [0, 1/2) and a support radius R > 0")
-    dist = np.abs(np.linalg.eigvals(X) - w0)
+    eigs = np.linalg.eigvals(X)
     return np.array([
         float(n) ** (2.0 * alpha)
-        * np.mean(bump_value(dist / (float(n) ** (-alpha) * radius)), axis=-1)
-        for alpha, radius in tests
+        * np.mean(bump_value(np.abs(eigs - w0) / (float(n) ** (-alpha) * radius)), axis=-1)
+        for w0, alpha, radius in tests
     ])
 
 
@@ -407,10 +389,10 @@ class GapRecord:
 
 
 def linear_statistic_gap(
-    e: models.SingleRingEnsemble, w0: complex, tests, trials: int, threads: int = 1
+    e: models.SingleRingEnsemble, tests, trials: int, threads: int = 1
 ) -> list:
     """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1 for each test
-    (a, R) in ``tests``: the records of the first test's trials, then the next's.
+    (w0, a, R) in ``tests``: the records of the first test's trials, then the next's.
 
     Every test reads the one spectrum of each trial, and its deterministic
     side is computed once and shared across trials.
@@ -418,20 +400,20 @@ def linear_statistic_gap(
     mu = e.empirical_measure()
     norm = delta_bump_l1()
     sides = [
-        (alpha, linear_statistic_rhs(mu, w0, alpha, radius, n=e.N),
+        (complex(w0), alpha, linear_statistic_rhs(mu, w0, alpha, radius, n=e.N),
          float(e.N) ** (1.0 - 2.0 * alpha) / norm)
-        for alpha, radius in tests
+        for w0, alpha, radius in tests
     ]
 
     def record(trial, *lhs):
         return [
-            GapRecord(e.N, trial, alpha, complex(w0), float(v), rhs, abs(float(v) - rhs) * scale)
-            for (alpha, rhs, scale), v in zip(sides, lhs)
+            GapRecord(e.N, trial, alpha, w0, float(v), rhs, abs(float(v) - rhs) * scale)
+            for (w0, alpha, rhs, scale), v in zip(sides, lhs)
         ]
 
     per_trial = _batched_trials(
         models.sample_X, e, (), trials, threads,
-        lambda X: linear_statistic_lhs(X, w0, tests), record,
+        lambda X: linear_statistic_lhs(X, tests), record,
     )
     return [r for per_test in zip(*per_trial) for r in per_test]
 
@@ -534,9 +516,10 @@ def block_energies(e: models.BlockAdditiveEnsemble, interval, n_energies: int) -
 
 
 def block_local_law_scan(
-    e: models.BlockAdditiveEnsemble, E_values, grid: ScanGrid, threads: int = 1
+    ensembles, E_values, grid: ScanGrid, threads: int = 1
 ) -> DominationReport:
-    """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the energies E_values.
+    """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the energies E_values,
+    at the size of each of the BlockAdditiveEnsembles ``ensembles`` in turn.
 
     m_ref is the transform of the free convolution of the symmetrized
     empirical diagonal profiles; ``block_energies`` checks that the
@@ -545,8 +528,8 @@ def block_local_law_scan(
     """
     report = DominationReport()
     zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
-    for ni, N in enumerate(grid.N_values):
-        ens = e if N == e.N else e.resized(N)
+    for ni, ens in enumerate(ensembles):
+        N = ens.N
         mu_a_N, mu_b_N = _block_reference(ens)
         ref = _references(lambda z: freeconv.solve_phi_system(mu_a_N, mu_b_N, z).m, zs, NAN)
 

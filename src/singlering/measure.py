@@ -33,7 +33,6 @@ __all__ = [
     "ConvergenceError",
     "DiscreteMeasure",
     "AtomicMeasure",
-    "RingGeometry",
     "symmetrize",
     "stieltjes",
     "radii",
@@ -46,7 +45,6 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 MERGE_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-DEFAULT_TAU_FRACTION = 0.05  # the annulus shrink tau, as a share of r_plus - r_minus
 
 
 class MeasureError(ValueError):
@@ -233,45 +231,6 @@ class AtomicMeasure:
 
     def __len__(self):
         return len(self.atoms)
-
-
-@dataclass(frozen=True)
-class RingGeometry:
-    """Inner/outer ring radii with the support bound and annulus shrink tau."""
-
-    r_minus: float
-    r_plus: float
-    s_plus: float
-    tau: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_minus < self.r_plus <= self.s_plus):
-            raise MeasureError(
-                f"need 0 <= r_minus < r_plus <= s_plus; got "
-                f"({self.r_minus}, {self.r_plus}, {self.s_plus})"
-            )
-        if self.tau < 0:
-            raise MeasureError("tau must be nonnegative")
-
-    @classmethod
-    def from_measure(cls, mu: DiscreteMeasure, tau: float | None = None) -> "RingGeometry":
-        """The ring of mu; tau defaults to DEFAULT_TAU_FRACTION of its width."""
-        r_minus, r_plus = radii(mu)
-        s_plus, _ = support_stats(mu)
-        if tau is None:
-            tau = DEFAULT_TAU_FRACTION * (r_plus - r_minus)
-        return cls(r_minus, r_plus, s_plus, tau)
-
-    def annulus(self):
-        """Closed shrunk annulus [r_minus + tau, r_plus - tau]; None if empty."""
-        lo, hi = self.r_minus + self.tau, self.r_plus - self.tau
-        return (lo, hi) if lo <= hi else None
-
-    def contains(self, w: complex) -> bool:
-        ann = self.annulus()
-        if ann is None:
-            return False
-        return ann[0] <= abs(w) <= ann[1]
 
 
 # ---------------------------------------------------------------------------

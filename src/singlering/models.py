@@ -88,12 +88,6 @@ class SingleRingEnsemble:
     def empirical_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure.from_points(self.sigma_diag, np.full(self.N, 1.0 / self.N))
 
-    def resized(self, N: int) -> "SingleRingEnsemble":
-        """Same singular value profile, re-discretized at size N."""
-        return SingleRingEnsemble.from_measure(
-            self.empirical_measure(), N, self.symmetry, self.seed
-        )
-
 
 @dataclass(frozen=True)
 class BlockAdditiveEnsemble:
@@ -127,11 +121,6 @@ class BlockAdditiveEnsemble:
 
     def xi_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure.from_points(np.abs(self.xi_diag), np.full(self.N, 1.0 / self.N))
-
-    def resized(self, N: int) -> "BlockAdditiveEnsemble":
-        """Same diagonal profiles, re-discretized at size N."""
-        s, x = (sigma_from_measure(mu, N) for mu in (self.sigma_measure(), self.xi_measure()))
-        return BlockAdditiveEnsemble(s, x, N, self.symmetry, self.seed)
 
 
 def sample_X(e: SingleRingEnsemble, rng) -> np.ndarray:

@@ -191,18 +191,14 @@ def test_criterion_06_exact_identities(two_point):
 @pytest.mark.slow
 def test_criterion_07_local_law(two_point):
     t0 = time.time()
-    ring = measure.RingGeometry.from_measure(
-        two_point, tau=0.05 * (math.sqrt(2.5) - math.sqrt(1.6))
-    )
-    e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
+    ensembles = [
+        models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=SEED)
+        for n in (128, 256, 512)
+    ]
     grid = locallaw.ScanGrid(
-        locallaw.dyadic_etas(512.0**-0.9, 1.0),
-        np.array([1.4 + 0j]),
-        (128, 256, 512),
-        trials=20,
-        ring=ring,
+        locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([1.4 + 0j]), trials=20
     )
-    rep = locallaw.local_law_scan(e, grid, threads=THREADS)
+    rep = locallaw.local_law_scan(ensembles, grid, threads=THREADS)
     fit = locallaw.fit_domination(rep)
     max_dev = max(rep.per_N_max().values())
     elapsed = time.time() - t0
@@ -221,7 +217,9 @@ def statistic_gaps(two_point):
     set of spectra at N = 512: criterion 8 reads the first 10 trials."""
     e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
     tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
-    recs = locallaw.linear_statistic_gap(e, 1.4 + 0j, tests, trials=20, threads=THREADS)
+    recs = locallaw.linear_statistic_gap(
+        e, [(1.4 + 0j, a, r) for a, r in tests], trials=20, threads=THREADS
+    )
     return {test: recs[20 * i : 20 * (i + 1)] for i, test in enumerate(tests)}
 
 
@@ -240,17 +238,16 @@ def test_criterion_08_statistic_gap(statistic_gaps):
 
 @pytest.mark.slow
 def test_criterion_09_block_strong_law():
-    e = models.BlockAdditiveEnsemble(
-        np.ones(512), np.ones(512), 512, "unitary", seed=SEED
-    )
+    ensembles = [
+        models.BlockAdditiveEnsemble(np.ones(n), np.ones(n), n, "unitary", seed=SEED)
+        for n in (128, 256, 512)
+    ]
+    e = ensembles[-1]
     grid = locallaw.ScanGrid(
-        locallaw.dyadic_etas(512.0**-0.9, 1.0),
-        np.array([], dtype=complex),
-        (128, 256, 512),
-        trials=10,
+        locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([], dtype=complex), trials=10
     )
     energies = locallaw.block_energies(e, (0.0, 0.0), 1)
-    rep = locallaw.block_local_law_scan(e, energies, grid, threads=THREADS)
+    rep = locallaw.block_local_law_scan(ensembles, energies, grid, threads=THREADS)
 
     # the scan's reference transform is the closed-form arcsine law
     mu_b = measure.symmetrize(e.sigma_measure())
@@ -354,19 +351,23 @@ def test_criterion_15_orthogonal_statistic_gap(two_point):
     # eigenvalues are real, so w0 = 1.4 on the real axis is where it differs
     # from U(N), and w0 = 1.4i is a point off it
     e = models.SingleRingEnsemble.from_measure(two_point, 512, "orthogonal", seed=SEED)
-    tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
+    scales = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
     caps = (10.0, 10.0, 1.0)
+    points = ((1.4 + 0j, "1.4"), (1.4j, "1.4i"))
     t0 = time.perf_counter()
+    # the six tests read one set of spectra: ten eigvals calls in all
+    tests = [(w0, a, r) for w0, _ in points for a, r in scales]
+    recs = locallaw.linear_statistic_gap(e, tests, trials=10, threads=THREADS)
     details = []
     ok = True
-    for w0, label in ((1.4 + 0j, "1.4"), (1.4j, "1.4i")):
-        recs = locallaw.linear_statistic_gap(e, w0, tests, trials=10, threads=THREADS)
+    for j, (_, label) in enumerate(points):
         goods = []
         for i, cap in enumerate(caps):
-            good = sum(r.gap_norm <= cap for r in recs[10 * i : 10 * (i + 1)])
+            k = j * len(scales) + i
+            good = sum(r.gap_norm <= cap for r in recs[10 * k : 10 * (k + 1)])
             ok &= good >= 9
             goods.append(f"{good}/10")
-        worst = max(r.gap_norm for r in recs)
+        worst = max(r.gap_norm for r in recs[30 * j : 30 * (j + 1)])
         details.append(f"w0={label}: {', '.join(goods)} within caps, worst {worst:.3f}")
     elapsed = time.perf_counter() - t0
     verdict(

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -222,6 +223,30 @@ BAD_CONFIGS = [
      "invalid config: params.support_radii: support radius must be positive\n"),
     ("radii", {"measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "n_atoms": 7}},
      "invalid config: measure.n_atoms: two_point takes a, b, p\n"),
+    # |w| and w0 lie in the shrunk annulus [sqrt(1.6) + tau, sqrt(2.5) - tau]; the
+    # default tau = 5% of the width = 0.0158114 makes it [1.28072, 1.56533]
+    ("main-gap", amend(MAIN_GAP, "params", w0=[1.28, 0.0]),
+     "invalid config: params.w0: |w0| = 1.28 outside the annulus [1.28072, 1.56533]\n"),
+    ("main-gap", amend(MAIN_GAP, "params", w0=[0.0, 1.57]),
+     "invalid config: params.w0: |w0| = 1.57 outside the annulus [1.28072, 1.56533]\n"),
+    ("main-gap", amend(amend(MAIN_GAP, "grid", tau=0.05), "params", w0=[1.3, 0.0]),
+     "invalid config: params.w0: |w0| = 1.3 outside the annulus [1.31491, 1.53114]\n"),
+    ("local-law", amend(LOCAL_LAW, "grid", w_abs=2.0),
+     "invalid config: grid.w_abs: |w| = 2 outside the annulus [1.28072, 1.56533]\n"),
+    ("main-gap", amend(MAIN_GAP, "grid", tau=0.2),
+     "invalid config: grid.tau: tau = 0.2 empties the annulus [r_minus + tau, r_plus - tau]"),
+    ("local-law", amend(LOCAL_LAW, "grid", w_phases=[]),
+     "invalid config: grid.w_phases: need one or more phases\n"),
+]
+
+# configs next to rejected ones that the command's parser accepts
+GOOD_CONFIGS = [
+    ("main-gap", amend(MAIN_GAP, "params", w0=[1.29, 0.0])),
+    ("main-gap", amend(MAIN_GAP, "params", w0=[0.0, 1.56])),
+    ("main-gap", amend(amend(MAIN_GAP, "grid", tau=0.05), "params", w0=[1.32, 0.0])),
+    ("local-law", amend(LOCAL_LAW, "grid", w_abs=1.29, w_phases=[0.0, 1.0])),
+    # the w grid belongs to local-law; block-law reads none of it
+    ("block-law", amend(BLOCK, "grid", w_abs=2.0, w_phases=["x"])),
 ]
 
 
@@ -239,6 +264,12 @@ class TestBadConfigs:
         assert ran.startswith("invalid config: ") and ran.count("\n") == 1
         assert fragment in ran
         assert not out.exists()  # parsing fails before the output directory is made
+
+    @pytest.mark.parametrize("command,cfg", GOOD_CONFIGS)
+    def test_validate_accepts(self, tmp_path, capsys, command, cfg):
+        p = write_cfg(tmp_path / "c.json", cfg)
+        argv = ["validate", "--config", p, "--for-command", command]
+        assert exit_and_stderr(capsys, argv) == (EXIT_OK, "")
 
 
 class TestRadiiCommand:
@@ -489,6 +520,24 @@ class TestLocalLawRuns:
         assert [r[0] for r in rows[1:4]] == ["16", "24", "32"]
         assert rows[4][0] == "slope"
 
+    def test_each_size_is_quantized_from_the_measure(self, tmp_path):
+        # N = 512 is the (i - 1/2)/512 quantiles of the measure (154 atoms at
+        # a), whichever size comes first, so its rows do not depend on it
+        rows = {}
+        for first in (100, 128):
+            cfg = {
+                "measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "p": 0.3},
+                "ensemble": {"N_values": [first, 512], "seed": 3},
+                "grid": {"eta_min": 0.1, "eta_max": 1.0, "w_abs": 1.6, "trials": 2},
+            }
+            out = tmp_path / str(first)
+            p = write_cfg(tmp_path / f"c{first}.json", cfg)
+            assert main(["local-law", "--config", p, "--out", str(out)]) == EXIT_OK
+            rows[first] = [r for r in (out / "locallaw.csv").read_text().splitlines()
+                           if r.startswith("512,")]
+        assert len(rows[100]) == 2 * 4
+        assert rows[100] == rows[128]
+
     def test_seed_override_changes_hash(self, tmp_path):
         p = write_cfg(tmp_path / "c.json", self.CFG)
         a = tmp_path / "s1"
@@ -684,6 +733,19 @@ class TestUsage:
     def test_runnable_configs_validate(self, tmp_path, command):
         p = write_cfg(tmp_path / "c.json", self.RUNNABLE[command])
         assert main(["validate", "--config", p, "--for-command", command]) == EXIT_OK
+
+    def test_readme_examples_validate(self, tmp_path, capsys):
+        # each `cat > x.json <<'EOF'` config of the README, for the command that reads it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(
+            r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\nsinglering (\S+) --config \1", readme, re.S
+        )
+        assert len(examples) == readme.count("<<'EOF'") >= 2
+        for name, text, command in examples:
+            p = tmp_path / name
+            p.write_text(text)
+            argv = ["validate", "--config", str(p), "--for-command", command]
+            assert exit_and_stderr(capsys, argv) == (EXIT_OK, ""), name
 
     def test_import_loads_no_scipy(self, tmp_path):
         # every solving command runs on measure._brentq; a finder refuses and

@@ -31,7 +31,7 @@ from singlering.locallaw import (
     parallel_map,
     smallest_sv_tail,
 )
-from singlering.measure import DiscreteMeasure, RingGeometry
+from singlering.measure import DiscreteMeasure
 
 
 def laplacian_pairing(g, grid_n, w0, scale):
@@ -97,16 +97,9 @@ class TestGrids:
         with pytest.raises(ValueError):
             dyadic_etas(1.0, 0.5)
 
-    def test_scan_grid_validates_annulus(self, two_point):
-        ring = RingGeometry.from_measure(two_point, tau=0.05)
-        with pytest.raises(ValueError, match="annulus"):
-            ScanGrid(np.array([0.5]), np.array([2.0 + 0j]), (32,), 1, ring)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([1.4 + 0j]), (32,), 2, ring)
-        assert grid.trials == 2
-
     def test_scan_grid_rejects_bad_eta(self):
         with pytest.raises(ValueError):
-            ScanGrid(np.array([0.25, 0.5]), np.array([]), (32,), 1)
+            ScanGrid(np.array([0.25, 0.5]), np.array([]), 1)
 
 
 class TestFitDomination:
@@ -148,14 +141,14 @@ class TestLinearStatistics:
         direct = float(np.mean([bump_value(abs(l - w0) / radius) for l in lam]))
         # Girko's identity, by midpoint quadrature with LU log-determinants
         assert girko_statistic(X, w0, 0.0, radius, 192) == pytest.approx(direct, abs=2e-3)
-        (lhs,) = linear_statistic_lhs(X, w0, [(0.0, radius)])
+        (lhs,) = linear_statistic_lhs(X, [(w0, 0.0, radius)])
         assert lhs == pytest.approx(direct, abs=1e-14)
 
     def test_lhs_matches_girko_quadrature(self, two_point):
         e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=30)
         X = models.sample_X(e, linalg.child_rng(30))
-        tests = [(0.0, 0.5), (0.25, 0.8)]
-        for (alpha, radius), direct in zip(tests, linear_statistic_lhs(X, 1.4 + 0j, tests)):
+        tests = [(1.4 + 0j, 0.0, 0.5), (1.4 + 0j, 0.25, 0.8)]
+        for (_, alpha, radius), direct in zip(tests, linear_statistic_lhs(X, tests)):
             assert direct > 0
             assert girko_statistic(X, 1.4 + 0j, alpha, radius, 64) == pytest.approx(
                 direct, abs=1e-4
@@ -163,7 +156,7 @@ class TestLinearStatistics:
 
     def test_lhs_vanishes_off_spectrum(self):
         X = np.diag([0.2 + 0j, 0.3 + 0.1j])
-        (val,) = linear_statistic_lhs(X, 5.0 + 0j, [(0.0, 0.5)])
+        (val,) = linear_statistic_lhs(X, [(5.0 + 0j, 0.0, 0.5)])
         # no eigenvalue lies in the support of the bump
         assert abs(val) < 1e-3
 
@@ -178,15 +171,15 @@ class TestLinearStatistics:
         nearest = np.argmin(np.abs(ev[:, None] - want[None, :]), axis=1)
         assert len(set(nearest)) == len(ev)
         assert np.max(np.abs(ev - want[nearest])) <= 1e-12 * np.max(np.abs(ev))
-        tests = [(0.0, 0.5), (0.25, 0.8), (0.45, 2.0)]
-        for w0 in (1.4 + 0j, 1.4j):
-            got, lhs_c = linear_statistic_lhs(X, w0, tests), linear_statistic_lhs(Xc, w0, tests)
-            assert np.all(np.abs(got - lhs_c) <= 1e-12 * np.abs(lhs_c))
+        scales = ((0.0, 0.5), (0.25, 0.8), (0.45, 2.0))
+        tests = [(w0, a, r) for w0 in (1.4 + 0j, 1.4j) for a, r in scales]
+        got, lhs_c = linear_statistic_lhs(X, tests), linear_statistic_lhs(Xc, tests)
+        assert np.all(np.abs(got - lhs_c) <= 1e-12 * np.abs(lhs_c))
 
     def test_lhs_rejects_bad_alpha(self):
-        for bad in ((0.6, 0.5), (0.0, 0.0), (0.25, -0.5)):
+        for bad in ((0.0, 0.6, 0.5), (0.0, 0.0, 0.0), (0.0, 0.25, -0.5)):
             with pytest.raises(ValueError, match="alpha in"):
-                linear_statistic_lhs(np.eye(2, dtype=complex), 0.0, [(0.0, 0.5), bad])
+                linear_statistic_lhs(np.eye(2, dtype=complex), [(0.0, 0.0, 0.5), bad])
 
     @pytest.mark.slow
     def test_rhs_circular_law_macroscopic(self, quarter_circle_2000):
@@ -232,10 +225,12 @@ class TestLinearStatistics:
 
 class TestLocalLawScan:
     def test_small_scan_structure(self, two_point, threads):
-        ring = RingGeometry.from_measure(two_point, tau=0.02)
-        e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=21)
-        grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), (32, 48), 2, ring)
-        rep = local_law_scan(e, grid, threads=threads)
+        ensembles = [
+            models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=21)
+            for n in (32, 48)
+        ]
+        grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), 2)
+        rep = local_law_scan(ensembles, grid, threads=threads)
         assert len(rep.records) == 2 * 2 * len(grid.eta_values)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
         assert rep.sizes() == [32, 48]
@@ -245,9 +240,8 @@ class TestLocalLawScan:
             assert s.small_eta_integral >= 0
 
     def test_failed_reference_solve_flags_its_nodes(self, two_point, monkeypatch):
-        ring = RingGeometry.from_measure(two_point, tau=0.02)
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=31)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([1.4 + 0j]), (24,), 2, ring)
+        grid = ScanGrid(np.array([0.5, 0.25]), np.array([1.4 + 0j]), 2)
         solve = freeconv.solve_delta_conv
 
         def failing(mu, r, z, *args, **kwargs):
@@ -257,7 +251,7 @@ class TestLocalLawScan:
 
         monkeypatch.setattr(freeconv, "solve_delta_conv", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            rep = local_law_scan(e, grid)
+            rep = local_law_scan([e], grid)
         assert len(rep.records) == 2 * 2
         bad = flagged(rep)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -266,11 +260,10 @@ class TestLocalLawScan:
         assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_thread_count_invariance(self, two_point):
-        ring = RingGeometry.from_measure(two_point, tau=0.02)
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=22)
-        grid = ScanGrid(np.array([0.5]), np.array([1.4 + 0j]), (24,), 3, ring)
-        a = local_law_scan(e, grid, threads=1)
-        b = local_law_scan(e, grid, threads=3)
+        grid = ScanGrid(np.array([0.5]), np.array([1.4 + 0j]), 3)
+        a = local_law_scan([e], grid, threads=1)
+        b = local_law_scan([e], grid, threads=3)
         assert [(r.N, r.trial, r.eta, r.dev) for r in a.records] == [
             (r.N, r.trial, r.eta, r.dev) for r in b.records
         ]
@@ -279,15 +272,15 @@ class TestLocalLawScan:
 class TestLinearStatisticGap:
     def test_gap_records(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 48, "unitary", seed=23)
-        recs = linear_statistic_gap(e, 1.4 + 0j, [(0.25, 0.5)], trials=2, threads=threads)
+        recs = linear_statistic_gap(e, [(1.4 + 0j, 0.25, 0.5)], trials=2, threads=threads)
         assert len(recs) == 2
         for r in recs:
             assert np.isfinite(r.gap_norm)
             assert r.rhs == recs[0].rhs  # deterministic side shared
 
     def test_one_eigvals_call_per_batch(self, two_point, monkeypatch):
-        # 14 trials at N = 40 are the batches of 13 and 1 trials; every test
-        # reads the spectra of one eigvals call per batch
+        # 14 trials at N = 40 are the batches of 13 and 1 trials; every test,
+        # at either w0, reads the spectra of one eigvals call per batch
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=38)
         eigvals, stacks = np.linalg.eigvals, []
 
@@ -296,10 +289,13 @@ class TestLinearStatisticGap:
             return eigvals(X)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
-        recs = linear_statistic_gap(e, 1.4 + 0j, tests, trials=14)
+        scales = ((0.0, 0.1), (0.25, 0.5), (0.45, 2.0))
+        tests = [(w0, a, r) for w0 in (1.4 + 0j, 1.4j) for a, r in scales]
+        recs = linear_statistic_gap(e, tests, trials=14)
         assert stacks == [(13, 40, 40), (1, 40, 40)]
-        assert [(r.alpha, r.trial) for r in recs] == [(a, t) for a, _ in tests for t in range(14)]
+        assert [(r.w0, r.alpha, r.trial) for r in recs] == [
+            (w0, a, t) for w0, a, _ in tests for t in range(14)
+        ]
 
 
 class TestSmallestSvTail:
@@ -321,19 +317,19 @@ class TestSmallestSvTail:
 class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.zeros(24), 24, "unitary", seed=26)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), (24,), 2)
-        rep = block_local_law_scan(e, [0.0], grid)
+        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
+        rep = block_local_law_scan([e], [0.0], grid)
         assert max(r.dev for r in rep.records) < 1e-10
 
     def test_arcsine_reference(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=27)
-        grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), (48,), 3)
-        rep = block_local_law_scan(e, [0.0], grid, threads=threads)
+        grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), 3)
+        rep = block_local_law_scan([e], [0.0], grid, threads=threads)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
 
     def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.ones(24), 24, "unitary", seed=30)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), (24,), 2)
+        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
         solve = freeconv.solve_phi_system
 
         def failing(mu1, mu2, z, *args, **kwargs):
@@ -343,7 +339,7 @@ class TestBlockScan:
 
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            rep = block_local_law_scan(e, [0.0], grid)
+            rep = block_local_law_scan([e], [0.0], grid)
         assert len(rep.records) == 2 * 2
         bad = flagged(rep)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -465,10 +461,10 @@ def sample_Y(ens, *path):
     return models.sample_Y(ens, linalg.child_rng(ens.seed, *path))
 
 
-def local_law_oracle(e, grid):
+def local_law_oracle(ensembles, grid):
     recs, splits = [], []
-    for ni, N in enumerate(grid.N_values):
-        ens = e if N == e.N else e.resized(N)
+    for ni, ens in enumerate(ensembles):
+        N = ens.N
         mu_sym = measure.symmetrize(ens.empirical_measure())
         eta_star = float(N) ** (-locallaw.SPLIT_EXPONENT)
         for trial in range(grid.trials):
@@ -486,10 +482,10 @@ def local_law_oracle(e, grid):
     return recs, splits
 
 
-def gap_oracle(e, w0, tests, trials):
+def gap_oracle(e, tests, trials):
     """One sample and one spectrum per (test, trial), the tests in turn."""
     out = []
-    for alpha, radius in tests:
+    for w0, alpha, radius in tests:
         rhs = linear_statistic_rhs(e.empirical_measure(), w0, alpha, radius, n=e.N)
         scale = float(e.N) ** (1.0 - 2.0 * alpha) / delta_bump_l1()
         for trial in range(trials):
@@ -555,22 +551,22 @@ class TestBatchesMatchPerTrialOracle:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_local_law_scan(self, two_point, threads):
-        ring = RingGeometry.from_measure(two_point, tau=0.02)
-        e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=33)
-        grid = ScanGrid(
-            np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), (40, 100), self.TRIALS, ring
-        )
-        rep = local_law_scan(e, grid, threads=threads)
-        recs, splits = local_law_oracle(e, grid)
+        ensembles = [
+            models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=33)
+            for n in (40, 100)
+        ]
+        grid = ScanGrid(np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), self.TRIALS)
+        rep = local_law_scan(ensembles, grid, threads=threads)
+        recs, splits = local_law_oracle(ensembles, grid)
         assert rep.records == recs
         assert rep.splits == splits
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_linear_statistic_gap(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=34)
-        tests = [(0.0, 0.3), (0.25, 0.5)]
-        recs = linear_statistic_gap(e, 1.4 + 0j, tests, self.TRIALS, threads=threads)
-        assert recs == gap_oracle(e, 1.4 + 0j, tests, self.TRIALS)
+        tests = [(1.4 + 0j, 0.0, 0.3), (1.4j, 0.25, 0.5)]
+        recs = linear_statistic_gap(e, tests, self.TRIALS, threads=threads)
+        assert recs == gap_oracle(e, tests, self.TRIALS)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_smallest_sv_tail(self, two_point, threads):
@@ -582,8 +578,8 @@ class TestBatchesMatchPerTrialOracle:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_block_local_law_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
-        grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), (40,), self.TRIALS)
-        rep = block_local_law_scan(e, [0.0], grid, threads=threads)
+        grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), self.TRIALS)
+        rep = block_local_law_scan([e], [0.0], grid, threads=threads)
         assert rep.records == block_oracle(e, 0.0, grid)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -15,7 +15,6 @@ from singlering.measure import (
     ConvergenceError,
     DiscreteMeasure,
     MeasureError,
-    RingGeometry,
     nevanlinna_rep,
     radii,
     reference_measure,
@@ -297,32 +296,6 @@ class TestReferenceMeasure:
     def test_needs_two_atoms(self):
         with pytest.raises(MeasureError):
             reference_measure("uniform", n_atoms=1, a=0.0, b=1.0)
-
-
-class TestRingGeometry:
-    def test_ordering_enforced(self):
-        with pytest.raises(MeasureError):
-            RingGeometry(2.0, 1.0, 3.0)
-        with pytest.raises(MeasureError):
-            RingGeometry(0.5, 1.0, 0.9)
-
-    def test_annulus(self, two_point):
-        ring = RingGeometry.from_measure(two_point, tau=0.05)
-        lo, hi = ring.annulus()
-        assert lo == pytest.approx(math.sqrt(8 / 5) + 0.05)
-        assert hi == pytest.approx(math.sqrt(2.5) - 0.05)
-        assert ring.contains(1.4)
-        assert not ring.contains(2.0)
-
-    def test_empty_annulus(self, two_point):
-        ring = RingGeometry.from_measure(two_point, tau=0.2)
-        assert ring.annulus() is None
-
-    def test_default_tau_is_five_percent_of_the_width(self, two_point):
-        r_minus, r_plus = radii(two_point)
-        ring = RingGeometry.from_measure(two_point)
-        assert ring.tau == 0.05 * (r_plus - r_minus)
-        assert ring.tau == pytest.approx(0.05 * (math.sqrt(2.5) - math.sqrt(8 / 5)), abs=1e-15)
 
 
 class TestBrentq:

@@ -43,14 +43,6 @@ class TestSingleRingEnsemble:
         assert np.sum(e.sigma_diag == 1.0) == 64
         assert np.sum(e.sigma_diag == 2.0) == 64
 
-    def test_resized_preserves_profile(self, two_point):
-        e = SingleRingEnsemble.from_measure(two_point, 64, "unitary", seed=0)
-        r = e.resized(256)
-        assert r.N == 256
-        got = r.empirical_measure()
-        assert np.allclose(got.atoms, [1.0, 2.0])
-        assert np.allclose(got.weights, [0.5, 0.5])
-
     def test_rejects_negative_singular_values(self):
         with pytest.raises(ValueError):
             SingleRingEnsemble(np.array([-1.0, 1.0]), 2, "unitary", 0)
