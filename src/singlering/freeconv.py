@@ -8,19 +8,20 @@ self-maps omega1, omega2 of the upper half-plane solving
 with F the negative reciprocal Stieltjes transform.  The Stieltjes
 transform of the convolution is m(z) = -1/F_{mu1}(omega2(z)).
 
-Two solvers are provided:
+:func:`solve_phi_system` solves this one system for any pair of atomic
+measures, by one of three routes:
 
-* :func:`solve_phi_system` for a generic pair of atomic measures, using
-  damped alternating updates with a safeguarded Newton acceleration, and
-  in closed form when either measure is a point mass;
-* :func:`solve_delta_conv` for the special pair (mu1 symmetric,
-  mu2 = (delta_r + delta_{-r})/2), where the system collapses to the
-  scalar equation
+* a point mass on either side is an exact shift, with no iteration;
+* for a symmetric pair at z = i eta, both omegas are purely imaginary and
+  the system is one real Brent root-find in the gap d = Im omega2 - eta,
+  which also holds at the boundary eta = 0;
+* everywhere else a damped alternating iteration with a safeguarded
+  Newton acceleration runs (it also polishes an axis solve that misses
+  the tolerance).
 
-      F_{mu1}(w) - w = -z - r^2/(w - z),     omega1 = -r^2/(omega2 - z),
-
-  and, along the imaginary axis z = i eta, further to a strictly monotone
-  real root-find in y = Im omega2.
+:func:`solve_delta_conv` is the reference law of the hermitized local law,
+mu1_sym [+] delta_r^sym with delta_r^sym = (delta_r + delta_{-r})/2: the
+same system, plus the boundary value z = 0 for r inside mu1's ring.
 
 :func:`bulk_bound_certificate` evaluates the explicit lower/upper bound
 apparatus for |omega2(i eta) - i eta| in the bulk radius regime and checks
@@ -97,17 +98,9 @@ def _transform_pair(mu: DiscreteMeasure):
     return F, dF
 
 
-def _delta_pair(r: float):
-    """F and F' of (delta_r + delta_{-r})/2, in closed form: F(w) = w - r^2/w."""
-    r2 = r * r
-
-    def F(w):
-        return w - r2 / w
-
-    def dF(w):
-        return 1.0 + r2 / (w * w)
-
-    return F, dF
+def _residual(F1, F2, z, w1, w2):
+    """Max norm of the two defining equations at (omega1, omega2)."""
+    return max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
 
 
 def _solve_pair(F1, dF1, F2, dF2, z, w2):
@@ -187,7 +180,7 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2):
 
     res, w2 = best
     w1 = z + F1(w2) - w2
-    full_res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
+    full_res = _residual(F1, F2, z, w1, w2)
     if full_res <= TOL * max(1.0, abs(w1), abs(w2)):
         return w1, w2, full_res, it
     raise ConvergenceError(
@@ -198,39 +191,66 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2):
     )
 
 
-def _initial_point(z, m2_total):
-    return z + 1j * math.sqrt(max(m2_total, 1e-30))
+def _axis_gap(mu: DiscreteMeasure):
+    """g(y) = Im F_mu(iy) - y >= 0 of a symmetric mu, for y > 0.
 
-
-def _solve_axis_symmetric(F1, F2, z, scale):
-    """Axis solve for a symmetric pair: (y, Brent iterations) for the
-    bracketed root y = Im omega2.
-
-    For symmetric measures both subordination functions are purely
-    imaginary on the imaginary axis, so the slaved residual phi(iy) is too.
-    g(y) = Im phi(iy) satisfies g(eta+) >= 0 (Nevanlinna) and g -> -infty,
-    which yields a guaranteed bracket; ``measure._brentq`` does the rest.
-    This route is immune to the residual valleys that trap greedy iteration
-    when the convolution has a spectral gap.
+    A symmetric mu has m_mu(iy) = i y sum p/(x^2 + y^2), so F_mu(iy) = i (y + g(y))
+    with g(y) = sum p x^2/(x^2 + y^2) / (y sum p/(x^2 + y^2)): no cancellation, so
+    g keeps its relative accuracy where it is small next to y.
     """
-    eta = z.imag
+    x2, p = mu.atoms**2, mu.weights
 
     def g(y):
-        w = 1j * y
-        w1 = z + F1(w) - w
-        return (F2(w1) - w1 - w + z).imag
+        q = p / (x2 + y * y)
+        return float(q @ x2) / (y * float(q.sum()))
 
-    lo = eta * (1.0 + 1e-12) + 1e-300
-    if g(lo) <= 0.0:
-        return lo, 0
-    hi = eta + max(scale, 1.0)
-    for _ in range(300):
-        if g(hi) < 0.0:
-            break
-        hi = eta + 2.0 * (hi - eta)
-    else:
-        raise ConvergenceError(f"no axis bracket for the symmetric pair at z = {z}")
-    return _brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return g
+
+
+def _solve_axis_symmetric(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eta: float):
+    """(d, Brent iterations) for the gap d = Im omega2(i eta) - eta > 0 of a
+    symmetric pair, eta >= 0.
+
+    On the imaginary axis both subordination functions are purely imaginary:
+    omega2 = i(eta + d) and, by the first defining equation, omega1 =
+    i(eta + g1(eta + d)), with g = ``_axis_gap``.  The second one reads
+
+        h(d) = g2(eta + g1(eta + d)) - d = 0,
+
+    a real equation with h(0+) > 0.  For eta > 0, h -> -infinity and the root
+    is the unique solution; at eta = 0 it is the boundary value, which exists
+    when the rings are compatible (for mu2 = delta_r^sym: r inside mu1's open
+    ring).  Starting from the scale m2(mu2)/(eta + sqrt(m2(mu1) + m2(mu2)))
+    of the root, doubling or halving d finds a sign change and
+    ``measure._brentq`` does the rest.  Working in d rather than y = eta + d
+    keeps the gap, which shrinks like m2(mu2)/eta, resolved at large eta, and
+    the bracketed root-find is immune to the residual valleys that trap the
+    greedy engine when the convolution has a spectral gap.
+    """
+    g1, g2 = _axis_gap(mu1), _axis_gap(mu2)
+
+    def h(d):
+        return g2(eta + g1(eta + d)) - d
+
+    m2_1, m2_2 = mu1.second_moment(), mu2.second_moment()
+    d = m2_2 / (eta + math.sqrt(m2_1 + m2_2))
+    up = h(d) > 0.0
+    for _ in range(200):
+        nd = 2.0 * d if up else 0.5 * d
+        if (h(nd) > 0.0) != up:
+            return _brentq(h, *((d, nd) if up else (nd, d)), xtol=1e-300, rtol=8.9e-16)
+        d = nd
+    raise ConvergenceError(f"no axis bracket for the symmetric pair at eta = {eta}")
+
+
+def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
+    """The symmetric pair's state at z = i eta, eta >= 0, from the axis root-find."""
+    eta = z.imag
+    d, it = _solve_axis_symmetric(mu1, mu2, eta)
+    w1, w2 = 1j * (eta + _axis_gap(mu1)(eta + d)), 1j * (eta + d)
+    F1, _ = _transform_pair(mu1)
+    F2, _ = _transform_pair(mu2)
+    return SubordinationState(z, w1, w2, -1.0 / F1(w2), _residual(F1, F2, z, w1, w2), it)
 
 
 def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
@@ -250,73 +270,25 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
         a = float(point.atoms[0])
         m = stieltjes(other, z - a)
         w1, w2 = (z - a, a - 1.0 / m) if point is mu1 else (a - 1.0 / m, z - a)
-        res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
-        return SubordinationState(z, w1, w2, m, res, 0)
-    m2_total = mu1.second_moment() + mu2.second_moment()
+        return SubordinationState(z, w1, w2, m, _residual(F1, F2, z, w1, w2), 0)
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
-        y, brent_it = _solve_axis_symmetric(F1, F2, z, math.sqrt(m2_total))
-        w2 = 1j * y
-        w1 = z + F1(w2) - w2
-        res = max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
-        if res <= TOL * max(1.0, abs(w1), abs(w2)):
-            return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, brent_it)
-        w0 = w2  # fall through with a warm start
+        st = _axis_state(mu1, mu2, z)
+        if st.residual <= TOL * max(1.0, abs(st.omega1), abs(st.omega2)):
+            return st
+        brent_it, w0 = st.iterations, st.omega2  # fall through with a warm start
     else:
-        brent_it, w0 = 0, _initial_point(z, m2_total)
+        m2_total = mu1.second_moment() + mu2.second_moment()
+        brent_it, w0 = 0, z + 1j * math.sqrt(max(m2_total, 1e-30))
     w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0)
     return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, brent_it + it)
 
 
-def _imag_axis_gap_equation(mu1_sym: DiscreteMeasure, eta: float):
-    """G(d) = d * (Im F_{mu1}(i(eta+d)) - d) for the gap d = Im omega2 - eta.
-
-    G is strictly increasing on d > 0 and the axis solution solves
-    G(d) = r^2.  Working in d rather than y = eta + d keeps the gap, which
-    shrinks like r^2/eta, fully resolved at large eta.
-    """
-    atoms2 = mu1_sym.atoms**2
-    weights = mu1_sym.weights
-
-    def G(d):
-        y = eta + d
-        im_m = y * np.sum(weights / (atoms2 + y * y))
-        return d * (1.0 / im_m - d)
-
-    return G
-
-
-def _solve_delta_axis(mu1_sym, r, eta):
-    """(d, Brent iterations) for the gap d = Im omega2(i eta) - eta > 0
-    solving G(d) = r^2 by ``measure._brentq`` on the monotone G."""
-    r2 = r * r
-    G = _imag_axis_gap_equation(mu1_sym, eta)
-
-    lo = r2 / (eta + r + float(np.max(np.abs(mu1_sym.atoms))))
-    while lo > 1e-300 and G(lo) >= r2:
-        lo *= 0.5
-    if G(lo) >= r2:
-        if eta > 0:
-            raise ConvergenceError(f"no axis bracket at eta = {eta}")
-        raise ValueError(
-            "boundary value eta = 0 requires r inside the open ring "
-            "(r_minus, r_plus); the gap equation has no solution"
-        )
-    hi = max(r, 1.0) + float(np.max(np.abs(mu1_sym.atoms)))
-    for _ in range(200):
-        if G(hi) > r2:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"no upper axis bracket at eta = {eta}")
-    return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-
 def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> SubordinationState:
-    """Convolve a symmetric measure with (delta_r + delta_{-r})/2.
+    """Convolve a symmetric measure with delta_r^sym = (delta_r + delta_{-r})/2.
 
-    For z = i eta (eta >= 0, boundary included) the solution is purely
-    imaginary and obtained by a monotone scalar root-find; off the axis the
-    generic damped iteration runs with the closed-form second transform.
+    For Im z > 0 this is ``solve_phi_system`` against delta_r^sym.  The
+    boundary value z = 0 exists for r inside mu1_sym's open ring (a
+    ValueError otherwise) and comes from the same axis root-find at eta = 0.
     """
     if r <= 0:
         raise ValueError(f"point-mass radius r must be positive; got {r}")
@@ -328,26 +300,11 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
     if z.imag < 0 or (z.imag == 0 and z.real != 0):
         raise ValueError(f"need Im z > 0, or z = i eta with eta >= 0; got z = {z}")
 
-    F1, dF1 = _transform_pair(mu1_sym)
-    if z.real == 0.0:
-        eta = z.imag
-        d, it = _solve_delta_axis(mu1_sym, r, eta)
-        w2 = 1j * (eta + d)
-        w1 = 1j * (r * r / d)
-        res = abs(F1(w2) - w1 - w2 + z)
-        if res > TOL and eta > 0:
-            # polish with the generic engine from the axis point
-            F2, dF2 = _delta_pair(r)
-            w1, w2, res, polish_it = _solve_pair(F1, dF1, F2, dF2, z, w2)
-            it += polish_it
-        return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, it)
-
-    if z.imag <= 0:
-        raise ValueError(f"off-axis z needs Im z > 0; got z = {z}")
-    F2, dF2 = _delta_pair(r)
-    w0 = _initial_point(z, mu1_sym.second_moment() + r * r)
-    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0)
-    return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, it)
+    delta_sym = DiscreteMeasure(np.array([-r, r]), np.array([0.5, 0.5]))
+    if z != 0:
+        return solve_phi_system(mu1_sym, delta_sym, z)
+    bulk_ring(mu1_sym, r)
+    return _axis_state(mu1_sym, delta_sym, z)
 
 
 # ---------------------------------------------------------------------------

@@ -571,7 +571,8 @@ def green_subordination_scan(
 
     Records sqrt(N eta) Lambda_d, the scaled gaps N eta |omega^c - omega| for
     both approximate subordination functions, and the bulk eigenvector
-    sup-norm statistic sqrt(N) max_k ||u_k||_inf.  A failed reference solve
+    sup-norm statistic sqrt(N) max_k ||u_k||_inf (over repeated singular values,
+    the diagonal of their spectral projector).  A failed reference solve
     warns and leaves NaN in the three diagnostics that use it, at its z in
     every trial; the eigenvector statistic needs no reference.
     """

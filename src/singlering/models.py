@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 SYMMETRY_CLASSES = ("unitary", "orthogonal")
+CLUSTER_GAP = 1e-10  # singular values closer than this times s_max share a cluster
 
 
 def _haar(n, symmetry, rng):
@@ -230,11 +231,18 @@ def resolvent_observables(
         float(np.max(np.abs(g21 - xi.conj() / denom))),
     )
 
+    # a bulk cluster of (numerically) equal singular values enters through the
+    # diagonal of its spectral projector, sum_k |p_ik|^2, which does not
+    # depend on the basis LAPACK picks inside the cluster
     lo, hi = (z.real - 0.5, z.real + 0.5) if bulk_window is None else bulk_window
     in_bulk = ((s >= lo) & (s <= hi)) | ((-s >= lo) & (-s <= hi))
     if np.any(in_bulk):
-        sup = max(np.max(np.abs(P[:, in_bulk])), np.max(np.abs(Qh[in_bulk, :])))
-        eigvec_sup = float(math.sqrt(N / 2.0) * sup)
+        cluster = np.concatenate(([0], np.cumsum(-np.diff(s) >= CLUSTER_GAP * s[0])))
+        in_bulk = np.isin(cluster, cluster[in_bulk])
+        starts = np.flatnonzero(np.diff(cluster[in_bulk], prepend=-1))
+        p2 = np.add.reduceat(np.abs(P[:, in_bulk]) ** 2, starts, axis=1)
+        q2 = np.add.reduceat(np.abs(Qh[in_bulk, :]) ** 2, starts, axis=0)
+        eigvec_sup = math.sqrt(N / 2.0) * math.sqrt(max(p2.max(), q2.max()))
     else:
         eigvec_sup = float("nan")
 

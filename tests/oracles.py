@@ -5,8 +5,9 @@ checks the subordination solver against closed-form densities, the
 log-potential and annulus mass check the ring law through identities
 that the density alone does not pin down, F = -1/m is the subordination
 equations' own transform, Delta f is the Laplacian of the bump that the
-Girko-identity tests pair with log |det|, and a scan's flagged records
-are the nodes whose reference solve failed.
+Girko-identity tests pair with log |det|, a scan's flagged records
+are the nodes whose reference solve failed, and the monotone gap equation
+of mu_sym [+] delta_r^sym checks the library's shared symmetric axis route.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from singlering import ringlaw
 from singlering.freeconv import _neville_to_zero, solve_phi_system
-from singlering.measure import radii, stieltjes
+from singlering.measure import _brentq, radii, stieltjes
 
 
 def neg_recip_stieltjes(mu, z):
@@ -88,3 +89,27 @@ def boundary_density(mu1, mu2, E, eta_seq) -> DensityEstimate:
         raise ValueError("eta_seq must be a strictly decreasing sequence of positive reals")
     vals = [solve_phi_system(mu1, mu2, complex(E, eta)).m.imag / math.pi for eta in etas]
     return extrapolate_density(etas, vals)
+
+
+def delta_axis_gap(mu1_sym, r, eta):
+    """The gap d = Im omega2(i eta) - eta of mu1_sym [+] delta_r^sym, eta >= 0
+    (at eta = 0, r must lie inside mu1_sym's open ring).
+
+    The second measure's F(w) = w - r^2/w turns the axis system into
+    G(d) = d (Im F_{mu1}(i(eta + d)) - d) = r^2, with G strictly increasing
+    on d > 0, solved by Brent between brackets read off the atoms.
+    """
+    atoms2, weights, r2 = mu1_sym.atoms**2, mu1_sym.weights, r * r
+
+    def G(d):
+        y = eta + d
+        return d * (1.0 / (y * np.sum(weights / (atoms2 + y * y))) - d)
+
+    reach = float(np.max(np.abs(mu1_sym.atoms)))
+    lo = r2 / (eta + r + reach)
+    while lo > 1e-300 and G(lo) >= r2:
+        lo *= 0.5
+    hi = max(r, 1.0) + reach
+    while G(hi) <= r2:
+        hi *= 2.0
+    return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)[0]

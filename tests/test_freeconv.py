@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levy import levy_distance
-from oracles import boundary_density, extrapolate_density, neg_recip_stieltjes
+from oracles import boundary_density, delta_axis_gap, extrapolate_density, neg_recip_stieltjes
+from singlering import ringlaw
 from singlering.freeconv import (
     ConvergenceError,
+    _solve_axis_symmetric,
+    _solve_pair,
+    _transform_pair,
     bulk_bound_certificate,
     solve_delta_conv,
     solve_phi_system,
 )
+from singlering.locallaw import BULK_DENSITY_MIN
 from singlering.measure import (
     DiscreteMeasure,
     MeasureError,
@@ -38,6 +43,12 @@ def random_symmetric_measure(rng, max_atoms=4):
     pos += np.arange(n) * 1e-3
     w = rng.uniform(0.2, 1.0, size=n)
     return symmetrize(DiscreteMeasure(pos, w / w.sum()))
+
+
+def ring_radii(mu_sym):
+    """(r_minus, r_plus) of a symmetric measure without an atom at 0."""
+    r_minus = 1.0 / math.sqrt(np.sum(mu_sym.weights / mu_sym.atoms**2))
+    return r_minus, math.sqrt(mu_sym.second_moment())
 
 
 class TestSolvePhiSystem:
@@ -123,17 +134,41 @@ class TestSolveDeltaConv:
                 st_ = solve_delta_conv(two_point_sym, r, 1j * eta)
                 assert abs(st_.omega2 - 1j * eta) <= r * r / eta * (1 + 1e-12)
 
-    def test_agrees_with_generic_solver(self):
+    def test_gap_matches_oracle(self):
+        # the shared axis route against the monotone gap equation of delta_r^sym;
+        # the root's slope goes like r^2/r_plus^2 - 1, so rings narrower than 5%
+        # of r_plus amplify rounding in both routes past the tolerance
         rng = np.random.default_rng(11)
-        for _ in range(50):
+        checked = 0
+        while checked < 500:
             mu1 = random_symmetric_measure(rng)
-            r = rng.uniform(0.3, 2.5)
-            z = complex(rng.uniform(-2, 2), rng.uniform(0.01, 5.0))
+            r_minus, r_plus = ring_radii(mu1)
+            if r_plus - r_minus < 0.05 * r_plus:
+                continue
+            r = rng.uniform(r_minus, r_plus)
+            eta = 10.0 ** rng.uniform(-6.0, 1.0)
+            want = delta_axis_gap(mu1, r, eta)
             delta_sym = DiscreteMeasure(np.array([-r, r]), np.array([0.5, 0.5]))
-            a = solve_delta_conv(mu1, r, z)
-            b = solve_phi_system(mu1, delta_sym, z)
-            assert a.omega2 == pytest.approx(b.omega2, abs=1e-9)
-            assert a.m == pytest.approx(b.m, abs=1e-9)
+            got = _solve_axis_symmetric(mu1, delta_sym, eta)[0]
+            assert abs(got - want) <= 1e-10 * want
+            got = solve_delta_conv(mu1, r, 1j * eta).omega2.imag - eta
+            assert abs(got - want) <= 1e-10 * want
+            checked += 1
+
+    def test_boundary_value_matches_ring_law(self):
+        # Im omega2(i0) = y(r)^(-1/2), with y(r) the ring law's q(y) = r^2
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 500:
+            mu1 = random_symmetric_measure(rng)
+            r_minus, r_plus = ring_radii(mu1)
+            if r_plus - r_minus < 0.05 * r_plus:
+                continue
+            r = r_minus + (r_plus - r_minus) * rng.uniform(0.05, 0.95)
+            want = ringlaw._inverse_radius(mu1.weights, mu1.atoms**2, r) ** -0.5
+            got = solve_delta_conv(mu1, r, 0.0).omega2.imag
+            assert abs(got - want) <= 1e-9 * want
+            checked += 1
 
     def test_eta_monotonicity(self, two_point_sym):
         # eta (Im omega2(i eta) - eta) is nondecreasing in eta
@@ -172,6 +207,49 @@ class TestSolveDeltaConv:
             solve_delta_conv(two_point, 1.0, 1j)  # asymmetric
         with pytest.raises(ValueError):
             solve_delta_conv(bernoulli, 1.0, 1.0 + 0j)  # boundary off axis
+
+
+class TestAxisRoute:
+    """The symmetric axis route in the gap d, for delta_r^sym and for generic pairs."""
+
+    def test_seeded_stress_has_no_convergence_error(self):
+        # narrow rings, atoms at 0 and r near either ring edge included
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            n = rng.integers(2, 7)
+            pos = np.sort(rng.uniform(0.0, 3.0, size=n)) + np.arange(n) * 1e-3
+            if rng.random() < 0.1:
+                pos[0] = 0.0
+            w = rng.uniform(0.05, 1.0, size=n)
+            mu1 = symmetrize(DiscreteMeasure(pos, w / w.sum()))
+            r_minus_sq = 0.0 if pos[0] == 0.0 else 1.0 / np.sum(mu1.weights / mu1.atoms**2)
+            r = math.sqrt(r_minus_sq + (mu1.second_moment() - r_minus_sq) * rng.random())
+            if not r_minus_sq < r * r < mu1.second_moment():
+                continue
+            eta = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-6.0, 1.0)
+            st_ = solve_delta_conv(mu1, r, 1j * eta)
+            assert st_.omega2.imag > eta and st_.omega1.imag >= eta
+            assert st_.residual <= 1e-12 * max(1.0, abs(st_.omega1), abs(st_.omega2))
+
+    def test_generic_pair_matches_engine_in_bulk(self):
+        # with E = 0 in the bulk the damped/Newton engine converges from the
+        # standard start, so it is an independent route to the same point; it
+        # stops at residual 1e-12, which the pair's conditioning amplifies
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 200:
+            mu1, mu2 = random_symmetric_measure(rng), random_symmetric_measure(rng)
+            if solve_phi_system(mu1, mu2, 1e-4j).m.imag / math.pi < BULK_DENSITY_MIN:
+                continue
+            z = 1j * 10.0 ** rng.uniform(-6.0, 1.0)
+            st_ = solve_phi_system(mu1, mu2, z)
+            F1, dF1 = _transform_pair(mu1)
+            F2, dF2 = _transform_pair(mu2)
+            w0 = z + 1j * math.sqrt(mu1.second_moment() + mu2.second_moment())
+            w1, w2, _, _ = _solve_pair(F1, dF1, F2, dF2, z, w0)
+            assert abs(st_.omega2 - w2) <= 1e-8 * abs(w2)
+            assert abs(st_.omega1 - w1) <= 1e-8 * abs(w1)
+            checked += 1
 
 
 class TestBoundaryDensity:

@@ -373,7 +373,8 @@ class TestBrentq:
     @pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
     def test_library_equations_delta_axis(self, against_scipy, eta):
         mu_sym = symmetrize(dm([1.0, 2.0], [0.5, 0.5]))
-        assert freeconv._solve_delta_axis(mu_sym, 1.4, eta)[0] > 0.0
+        delta_sym = dm([-1.4, 1.4], [0.5, 0.5])
+        assert freeconv._solve_axis_symmetric(mu_sym, delta_sym, eta)[0] > 0.0
         assert len(against_scipy) == 1
 
     def test_iteration_limit_is_convergence_error(self):

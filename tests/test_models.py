@@ -330,17 +330,25 @@ class TestRealRoute:
             assert np.max(np.abs(s - want)) <= 1e-12 * np.max(want)
 
     def test_resolvent_observables_match_complex_route(self):
-        e = BlockAdditiveEnsemble(
+        generic = BlockAdditiveEnsemble(
             np.linspace(0.5, 2.0, 16), np.linspace(0.2, 1.0, 16), 16, "orthogonal", seed=19
         )
-        Y = sample_Y(e, child_rng(19))
-        assert Y.dtype == e.xi_diag.dtype == np.float64
-        real = svd(Y, compute_uv=True)
-        cplx = svd(Y.astype(np.complex128), compute_uv=True)
-        xi_c = e.xi_diag.astype(np.complex128)
-        for z, omega_B in ((0.3 + 0.2j, 1.0j), (1.1 + 0.05j, 0.2 + 0.9j), (0.1j, 0.9j)):
-            got = resolvent_observables(real, z, e.xi_diag, omega_B)
-            want = resolvent_observables(cplx, z, xi_c, omega_B)
-            for field in dataclasses.fields(want):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                assert abs(a - b) <= 1e-12 * abs(b), field.name
+        # Y = O + I is normal with exactly paired singular values, so LAPACK's
+        # singular vectors inside each pair depend on the route
+        paired = BlockAdditiveEnsemble(np.ones(512), np.ones(512), 512, "orthogonal", seed=3)
+        rows = (
+            (generic, child_rng(19), ((0.3 + 0.2j, 1.0j), (1.1 + 0.05j, 0.2 + 0.9j), (0.1j, 0.9j))),
+            (paired, child_rng(3, 0), ((0.1j, 0.5 + 1.0j),)),
+        )
+        for e, rng, points in rows:
+            Y = sample_Y(e, rng)
+            assert Y.dtype == e.xi_diag.dtype == np.float64
+            real = svd(Y, compute_uv=True)
+            cplx = svd(Y.astype(np.complex128), compute_uv=True)
+            xi_c = e.xi_diag.astype(np.complex128)
+            for z, omega_B in points:
+                got = resolvent_observables(real, z, e.xi_diag, omega_B)
+                want = resolvent_observables(cplx, z, xi_c, omega_B)
+                for field in dataclasses.fields(want):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert abs(a - b) <= 1e-12 * abs(b), field.name
