@@ -134,10 +134,10 @@ def _spectral_points(points, path, axis=False):
 
 
 def _radii(mu):
-    try:
-        return measure.radii(mu)
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
+    """(r_minus, r_plus) of the singular value profile mu, which has no negative atom."""
+    if mu.atoms[0] < 0:
+        raise ConfigError("measure: radii expects a measure supported on nonnegative reals")
+    return measure.radii(mu)
 
 
 def _bulk_ring(mu_sym, r):
@@ -376,6 +376,7 @@ def _cmd_ring_density(cfg):
         raise ConfigError("params: need 0 < s_min <= s_max and n_radii >= 2")
     if s_min == s_max:
         raise ConfigError(f"params: s_min = s_max = {s_min:g} spans no radius grid")
+    _radii(mu)
 
     def run(ctx):
         profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
@@ -455,6 +456,10 @@ def _cmd_ssv_tail(cfg):
     if t_grid is not None and len(t_grid) == 0:
         raise ConfigError("params.t_grid: need one or more t")
     e = models.SingleRingEnsemble.from_measure(mu, _one_size(sizes), sym, seed)
+    try:
+        locallaw._check_tail_profile(e)
+    except ValueError as exc:
+        raise ConfigError(f"measure: {exc}") from exc
 
     def run(ctx):
         rep = locallaw.smallest_sv_tail(
@@ -516,6 +521,8 @@ def _cmd_green_sub(cfg):
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", default=None)
     window = None if window is None else _numbers(window, "params.bulk_window", 2)
+    if window is not None and window[0] > window[1]:
+        raise ConfigError(f"params.bulk_window: empty singular value window {window}")
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
 
     def run(ctx):

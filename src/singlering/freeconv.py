@@ -36,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import (
-    AtomicMeasure,
     ConvergenceError,
     DiscreteMeasure,
     MeasureError,
     _brentq,
-    nevanlinna_rep,
+    _positive_gap_zeros,
+    _symmetric_pair,
+    radii,
     stieltjes,
     support_stats,
 )
@@ -290,8 +291,8 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
     boundary value z = 0 exists for r inside mu1_sym's open ring (a
     ValueError otherwise) and comes from the same axis root-find at eta = 0.
     """
-    if r <= 0:
-        raise ValueError(f"point-mass radius r must be positive; got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"point-mass radius r must be positive and finite; got {r}")
     if len(mu1_sym) < 2:
         raise MeasureError("mu1 must be supported at more than one point")
     if not mu1_sym.is_symmetric():
@@ -300,7 +301,7 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
     if z.imag < 0 or (z.imag == 0 and z.real != 0):
         raise ValueError(f"need Im z > 0, or z = i eta with eta >= 0; got z = {z}")
 
-    delta_sym = DiscreteMeasure(np.array([-r, r]), np.array([0.5, 0.5]))
+    delta_sym = _symmetric_pair(r)
     if z != 0:
         return solve_phi_system(mu1_sym, delta_sym, z)
     bulk_ring(mu1_sym, r)
@@ -310,26 +311,6 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
 # ---------------------------------------------------------------------------
 # bulk bound certificate
 # ---------------------------------------------------------------------------
-
-
-def _neville_to_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0.
-
-    Returns (value, error estimate, residual diagonal).  The diagonal holds
-    the successive best estimates; their differences should shrink
-    monotonically when the extrapolation is trustworthy.
-    """
-    n = len(xs)
-    tab = [list(ys)]
-    for k in range(1, n):
-        row = []
-        for i in range(n - k):
-            num = xs[i] * tab[k - 1][i + 1] - xs[i + k] * tab[k - 1][i]
-            row.append(num / (xs[i] - xs[i + k]))
-        tab.append(row)
-    diag = [tab[k][0] for k in range(n)]
-    err = abs(diag[-1] - diag[-2]) if n >= 2 else math.inf
-    return diag[-1], err, diag
 
 
 @dataclass(frozen=True)
@@ -369,7 +350,6 @@ class CertificateReport:
     b_minus: float
     omega_hat_abs: float
     im_omega2_zero: float
-    im_omega2_zero_extrapolated: float
     eta_grid: tuple
     lower_ok: bool
     upper_ok: bool
@@ -386,36 +366,15 @@ class CertificateReport:
     m_abs_max: float
 
 
-def _one_sided_threshold_position(mu_tilde: AtomicMeasure, threshold: float) -> float:
-    """s_- for an atomic mu_tilde: the first positive atom at which the
-    inclusive one-sided cumulative mass exceeds the threshold.
-
-    This realizes sup{x : mu_tilde([0, x)) <= threshold} with the half-open
-    convention, which is well defined because the total one-sided mass
-    always exceeds the threshold in the admissible radius range.
-    """
-    pos = mu_tilde.atoms > 0
-    xs = mu_tilde.atoms[pos]
-    ws = mu_tilde.weights[pos]
-    cum = np.cumsum(ws)
-    idx = np.searchsorted(cum, threshold, side="right")
-    if idx >= len(xs):
-        raise MeasureError("one-sided mass never exceeds the threshold; radius out of range")
-    return float(xs[idx])
-
-
 def bulk_ring(mu1_sym: DiscreteMeasure, r: float):
-    """(r_-^2, r_+^2) = (1 / int x^-2, int x^2) of mu1_sym; a ValueError unless r_- < r < r_+."""
-    atoms = mu1_sym.atoms
-    r_minus_sq = 0.0 if np.any(atoms == 0.0) else 1.0 / float(np.sum(mu1_sym.weights / atoms**2))
-    r_plus_sq = mu1_sym.second_moment()
-    r_minus, r_plus = math.sqrt(r_minus_sq), math.sqrt(r_plus_sq)
+    """(r_-, r_+) of mu1_sym from ``measure.radii``; a ValueError unless r_- < r < r_+."""
+    r_minus, r_plus = radii(mu1_sym)
     if not (r_minus < r < r_plus):
         raise ValueError(
             f"r = {r} violates the bulk hypothesis: the bounds hold for "
             f"r in the open ring ({r_minus:.12g}, {r_plus:.12g})"
         )
-    return r_minus_sq, r_plus_sq
+    return r_minus, r_plus
 
 
 def bulk_bound_certificate(
@@ -432,32 +391,38 @@ def bulk_bound_certificate(
     if grid < 2:
         raise ValueError("grid must have at least 2 dyadic points")
 
-    r_minus_sq, r_plus_sq = bulk_ring(mu1_sym, r)
-    r_minus, r_plus = math.sqrt(r_minus_sq), math.sqrt(r_plus_sq)
-    _, mu_tilde, _ = nevanlinna_rep(mu1_sym)
-    s_plus, _ = support_stats(mu1_sym)
+    r_minus, r_plus = bulk_ring(mu1_sym, r)
+    s_plus, r_plus_sq = support_stats(mu1_sym)  # the second moment, exact where r_plus**2 rounds
+    r_minus_sq = r_minus * r_minus
 
     r2 = r * r
     gap_sq = r2 - r_minus_sq
     sigma_minus = math.sqrt(gap_sq / (r_plus_sq - r_minus_sq))
     sigma_plus = math.sqrt(r_plus_sq / (r_plus_sq - r2))
-    s_minus = _one_sided_threshold_position(mu_tilde, gap_sq / 8.0)
 
-    # one-sided tail integral, inclusive at |x| = s_-: the continuum bound
+    # mu_tilde is symmetric, with an atom at each zero x0 of m_mu between
+    # consecutive same-sign atoms, of weight 1/m_mu'(x0)
+    atoms, weights = mu1_sym.atoms, mu1_sym.weights
+    zeros = _positive_gap_zeros(mu1_sym)
+    zero_w = np.array([1.0 / float(np.sum(weights / (atoms - x0) ** 2)) for x0 in zeros])
+    # s_- is the first zero at which the inclusive cumulative mass of
+    # mu_tilde on (0, x] exceeds the threshold, realizing the half-open
+    # sup{x : mu_tilde([0, x)) <= threshold}
+    idx = np.searchsorted(np.cumsum(zero_w), gap_sq / 8.0, side="right")
+    if idx >= len(zeros):
+        raise MeasureError("one-sided mass never exceeds the threshold; radius out of range")
+    s_minus = float(zeros[idx])
+
+    # two-sided tail integral, inclusive at |x| = s_-: the continuum bound
     # 3(r^2-r_-^2)/(4 s_+^2) <= a_- fails for purely atomic measures under
     # strict exclusion
-    sel = np.abs(mu_tilde.atoms) >= s_minus * (1.0 - 1e-14)
-    a_minus = float(np.sum(mu_tilde.weights[sel] / mu_tilde.atoms[sel] ** 2))
+    sel = zeros >= s_minus * (1.0 - 1e-14)
+    a_minus = 2.0 * float(np.sum(zero_w[sel] / zeros[sel] ** 2))
     t_minus = sigma_minus * s_minus
     b_minus = min(1.0, a_minus, a_minus * t_minus**2 / r2)
     omega_hat_abs = math.sqrt(gap_sq / a_minus)
 
-    zero_state = solve_delta_conv(mu1_sym, r, 0.0)
-    im_w2_zero = zero_state.omega2.imag
-    extr_vals, extr_etas = [], (1e-3, 1e-4, 1e-5)
-    for eta in extr_etas:
-        extr_vals.append(solve_delta_conv(mu1_sym, r, 1j * eta).omega2.imag)
-    im_w2_zero_extrap, _, _ = _neville_to_zero(np.array(extr_etas), extr_vals)
+    im_w2_zero = solve_delta_conv(mu1_sym, r, 0.0).omega2.imag
     zero_bound_ok = im_w2_zero > (math.sqrt(3.0) / 2.0) * sigma_minus * s_minus
 
     etas = eta_max * 0.5 ** np.arange(grid)
@@ -498,7 +463,6 @@ def bulk_bound_certificate(
         b_minus=b_minus,
         omega_hat_abs=omega_hat_abs,
         im_omega2_zero=im_w2_zero,
-        im_omega2_zero_extrapolated=float(im_w2_zero_extrap),
         eta_grid=tuple(float(e) for e in etas),
         lower_ok=bool(lower_ok),
         upper_ok=bool(upper_ok),

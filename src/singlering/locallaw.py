@@ -445,6 +445,15 @@ def _tail_slope(lam_scaled: np.ndarray, t_grid: np.ndarray) -> float:
     return float(np.polyfit(np.log(t_grid[keep]), np.log(probs[keep]), 1)[0])
 
 
+def _check_tail_profile(e: models.SingleRingEnsemble):
+    """A ValueError for the orthogonal class at the identity profile, where the
+    tail statement degenerates."""
+    if e.symmetry == "orthogonal" and np.max(np.abs(e.sigma_diag - 1.0)) <= 1e-6:
+        raise ValueError(
+            "orthogonal-class tail runs need a singular value profile away from the identity"
+        )
+
+
 def smallest_sv_tail(
     e: models.SingleRingEnsemble,
     w: complex,
@@ -452,15 +461,9 @@ def smallest_sv_tail(
     trials: int = 500,
     threads: int = 1,
 ) -> SsvTailReport:
-    """Empirical tail P(lambda_1^w <= t/|w|) with a log-log slope fit.
-
-    For the orthogonal symmetry class the tail statement degenerates at the
-    identity profile, so such ensembles are rejected outright.
-    """
-    if e.symmetry == "orthogonal" and np.max(np.abs(e.sigma_diag - 1.0)) <= 1e-6:
-        raise ValueError(
-            "orthogonal-class tail runs need a singular value profile away from the identity"
-        )
+    """Empirical tail P(lambda_1^w <= t/|w|) with a log-log slope fit; the
+    identity profile of the orthogonal class is a ValueError."""
+    _check_tail_profile(e)
 
     lam = np.array(_batched_trials(
         models.sample_X, e, (), trials, threads,
@@ -574,7 +577,8 @@ def green_subordination_scan(
     sup-norm statistic sqrt(N) max_k ||u_k||_inf (over repeated singular values,
     the diagonal of their spectral projector).  A failed reference solve
     warns and leaves NaN in the three diagnostics that use it, at its z in
-    every trial; the eigenvector statistic needs no reference.
+    every trial; the eigenvector statistic needs no reference, and is NaN
+    when no singular value lies in the bulk window.
     """
     z_grid = [complex(z) for z in z_grid]
     mu_a, mu_b = _block_reference(e)

@@ -5,14 +5,9 @@ of point masses.  Continuous reference laws (quarter circle, uniform) enter
 only through quantile discretizations, so a single representation serves
 both empirical singular-value profiles and their limits.
 
-Conventions:
-  * ``DiscreteMeasure`` is a probability measure (weights sum to 1).
-  * ``AtomicMeasure`` is a finite nonnegative atomic measure of arbitrary
-    total mass; it carries the representing measures produced by
-    :func:`nevanlinna_rep`.
-
-All value types are immutable and every operation is a pure function, so
-unrestricted concurrent use is safe.
+``DiscreteMeasure`` is a probability measure (weights sum to 1).  It is
+immutable and every operation is a pure function, so unrestricted
+concurrent use is safe.
 
 The module also holds the package's scalar root-finder ``_brentq`` and the
 ``ConvergenceError`` that every numerical solve raises, so that ``freeconv``
@@ -25,6 +20,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +28,10 @@ __all__ = [
     "MeasureError",
     "ConvergenceError",
     "DiscreteMeasure",
-    "AtomicMeasure",
     "symmetrize",
     "stieltjes",
     "radii",
     "support_stats",
-    "nevanlinna_rep",
     "reference_measure",
     "ParameterError",
 ]
@@ -193,6 +187,11 @@ class DiscreteMeasure:
 
     def is_symmetric(self) -> bool:
         """True iff the atom set is closed under negation with equal weights."""
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        # once per measure: a subordination solve asks at every spectral point
         a, w = self.atoms, self.weights
         ra, rw = -a[::-1], w[::-1]
         return bool(
@@ -210,32 +209,24 @@ class DiscreteMeasure:
         return float(np.dot(self.weights, self.atoms**2))
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite nonnegative atomic measure; total mass unconstrained, may be empty."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float).reshape(-1)
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if atoms.shape != weights.shape:
-            raise MeasureError("atoms and weights must have equal length")
-        if len(atoms) and (np.any(np.diff(atoms) <= 0) or not np.all(np.isfinite(atoms))):
-            raise MeasureError("atoms must be finite and strictly increasing")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise MeasureError("weights must be finite and nonnegative")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self):
-        return len(self.atoms)
-
-
 # ---------------------------------------------------------------------------
 # transforms and operations
 # ---------------------------------------------------------------------------
+
+
+def _symmetric_pair(r: float) -> DiscreteMeasure:
+    """delta_r^sym = (delta_-r + delta_r)/2 for finite r > 0.
+
+    Its atoms increase and its weights sum to 1 by construction, so it skips
+    DiscreteMeasure's checks, and it is symmetric: the subordination solver
+    builds one at every spectral point.
+    """
+    atoms, weights = np.array([-r, r], dtype=float), np.array([0.5, 0.5])
+    atoms.setflags(write=False)
+    weights.setflags(write=False)
+    mu = object.__new__(DiscreteMeasure)
+    mu.__dict__.update(atoms=atoms, weights=weights, _symmetric=True)
+    return mu
 
 
 def symmetrize(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -260,16 +251,19 @@ def stieltjes(mu: DiscreteMeasure, z: complex) -> complex:
 
 
 def radii(mu: DiscreteMeasure):
-    """Inner and outer ring radii of a measure supported on [0, inf).
+    """Inner and outer ring radii of a measure supported on [0, inf), or of a
+    symmetric one: both moments are even in x.
 
     r_minus = (int x^-2 dmu)^(-1/2), or 0 when an atom sits at the origin;
     r_plus = (int x^2 dmu)^(1/2).  A single-atom input collapses the ring
     (r_minus == r_plus); that violates the more-than-one-point assumption the
     ring geometry rests on, so it is flagged with a warning.
     """
-    if np.any(mu.atoms < 0):
-        raise ValueError("radii expects a measure supported on nonnegative reals")
-    if mu.atoms[0] == 0.0:
+    if mu.atoms[0] < 0 and not mu.is_symmetric():
+        raise ValueError(
+            "radii expects a measure supported on nonnegative reals, or a symmetric one"
+        )
+    if np.any(mu.atoms == 0.0):
         r_minus = 0.0
     else:
         r_minus = float(np.sum(mu.weights / mu.atoms**2) ** -0.5)
@@ -321,49 +315,6 @@ def _positive_gap_zeros(mu: DiscreteMeasure):
             hi = hi_atom - eps
         zeros.append(_brentq(m_real, lo, hi, xtol=1e-300, rtol=8.9e-16)[0])
     return np.array(zeros)
-
-
-def nevanlinna_rep(mu_sym: DiscreteMeasure):
-    """Representing measure of F_mu - id for a symmetric atomic measure.
-
-    Returns ``(mu_hat, mu_tilde, r_minus_sq)`` where
-
-        F_mu(w) - w = int d(mu_hat)(x) / (x - w),
-
-    mu_hat has an atom of mass r_minus^2 = (int x^-2 dmu)^(-1) at 0 (zero if
-    mu itself charges 0) and one atom at each zero of m_mu between
-    consecutive same-sign atoms, with weight 1/m_mu'(zero);
-    mu_tilde = mu_hat - r_minus^2 delta_0.  Total mass of mu_hat equals the
-    second moment of mu.
-    """
-    if len(mu_sym) < 2:
-        raise MeasureError("nevanlinna_rep needs a measure with at least 2 atoms")
-    if not mu_sym.is_symmetric():
-        raise MeasureError("nevanlinna_rep needs a symmetric measure")
-
-    atoms, weights = mu_sym.atoms, mu_sym.weights
-    has_zero_atom = bool(np.any(atoms == 0.0))
-
-    def m_prime(x):
-        return float(np.sum(weights / (atoms - x) ** 2))
-
-    pos_zeros = _positive_gap_zeros(mu_sym)
-    pos_w = np.array([1.0 / m_prime(x0) for x0 in pos_zeros])
-
-    if has_zero_atom:
-        r_minus_sq = 0.0
-        hat_atoms = np.concatenate((-pos_zeros[::-1], pos_zeros))
-        hat_weights = np.concatenate((pos_w[::-1], pos_w))
-    else:
-        # symmetry puts one zero of m exactly at the origin
-        r_minus_sq = 1.0 / m_prime(0.0)
-        hat_atoms = np.concatenate((-pos_zeros[::-1], [0.0], pos_zeros))
-        hat_weights = np.concatenate((pos_w[::-1], [r_minus_sq], pos_w))
-
-    mu_hat = AtomicMeasure(hat_atoms, hat_weights)
-    keep = hat_atoms != 0.0
-    mu_tilde = AtomicMeasure(hat_atoms[keep], hat_weights[keep])
-    return mu_hat, mu_tilde, r_minus_sq
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ equations' own transform, Delta f is the Laplacian of the bump that the
 Girko-identity tests pair with log |det|, a scan's flagged records
 are the nodes whose reference solve failed, and the monotone gap equation
 of mu_sym [+] delta_r^sym checks the library's shared symmetric axis route.
+The limit eta -> 0 of Im omega2(i eta) checks the certificate's direct
+z = 0 solve, and the Nevanlinna representing measure of F_mu - id checks
+the gap zeros and weights from which the certificate reads s_- and a_-.
 """
 
 import math
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlering import ringlaw
-from singlering.freeconv import _neville_to_zero, solve_phi_system
-from singlering.measure import _brentq, radii, stieltjes
+from singlering.freeconv import solve_delta_conv, solve_phi_system
+from singlering.measure import MeasureError, _brentq, _positive_gap_zeros, radii, stieltjes
 
 
 def neg_recip_stieltjes(mu, z):
@@ -54,6 +57,85 @@ def bump_laplacian(s):
     s2 = s * s
     v = np.where(s < 1.0, -12.0 * (1.0 - s2) ** 2 + 24.0 * s2 * (1.0 - s2), 0.0)
     return v if v.ndim else float(v)
+
+
+def _neville_to_zero(xs, ys):
+    """Polynomial extrapolation of (xs, ys) to x = 0.
+
+    Returns (value, error estimate, residual diagonal).  The diagonal holds
+    the successive best estimates; their differences should shrink
+    monotonically when the extrapolation is trustworthy.
+    """
+    n = len(xs)
+    tab = [list(ys)]
+    for k in range(1, n):
+        row = []
+        for i in range(n - k):
+            num = xs[i] * tab[k - 1][i + 1] - xs[i + k] * tab[k - 1][i]
+            row.append(num / (xs[i] - xs[i + k]))
+        tab.append(row)
+    diag = [tab[k][0] for k in range(n)]
+    err = abs(diag[-1] - diag[-2]) if n >= 2 else math.inf
+    return diag[-1], err, diag
+
+
+def im_omega2_zero_extrapolated(mu1_sym, r, etas=(1e-3, 1e-4, 1e-5)):
+    """Im omega2(0) of mu1_sym [+] delta_r^sym, extrapolated to eta = 0 from
+    the solves at z = i eta."""
+    vals = [solve_delta_conv(mu1_sym, r, 1j * eta).omega2.imag for eta in etas]
+    return _neville_to_zero(np.array(etas), vals)[0]
+
+
+@dataclass(frozen=True)
+class Atoms:
+    """A finite nonnegative atomic measure of any total mass; may be empty."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self):
+        return len(self.atoms)
+
+
+def nevanlinna_rep(mu_sym):
+    """Representing measure of F_mu - id for a symmetric atomic measure.
+
+    Returns ``(mu_hat, mu_tilde, r_minus_sq)`` where
+
+        F_mu(w) - w = int d(mu_hat)(x) / (x - w),
+
+    mu_hat has an atom of mass r_minus^2 = (int x^-2 dmu)^(-1) at 0 (zero if
+    mu itself charges 0) and one atom at each zero of m_mu between
+    consecutive same-sign atoms, with weight 1/m_mu'(zero);
+    mu_tilde = mu_hat - r_minus^2 delta_0.  Total mass of mu_hat equals the
+    second moment of mu.
+    """
+    if len(mu_sym) < 2:
+        raise MeasureError("nevanlinna_rep needs a measure with at least 2 atoms")
+    if not mu_sym.is_symmetric():
+        raise MeasureError("nevanlinna_rep needs a symmetric measure")
+
+    atoms, weights = mu_sym.atoms, mu_sym.weights
+
+    def m_prime(x):
+        return float(np.sum(weights / (atoms - x) ** 2))
+
+    pos_zeros = _positive_gap_zeros(mu_sym)
+    pos_w = np.array([1.0 / m_prime(x0) for x0 in pos_zeros])
+
+    if np.any(atoms == 0.0):
+        r_minus_sq = 0.0
+        hat_atoms = np.concatenate((-pos_zeros[::-1], pos_zeros))
+        hat_weights = np.concatenate((pos_w[::-1], pos_w))
+    else:
+        # symmetry puts one zero of m exactly at the origin
+        r_minus_sq = 1.0 / m_prime(0.0)
+        hat_atoms = np.concatenate((-pos_zeros[::-1], [0.0], pos_zeros))
+        hat_weights = np.concatenate((pos_w[::-1], [r_minus_sq], pos_w))
+
+    keep = hat_atoms != 0.0
+    mu_tilde = Atoms(hat_atoms[keep], hat_weights[keep])
+    return Atoms(hat_atoms, hat_weights), mu_tilde, r_minus_sq
 
 
 @dataclass(frozen=True)

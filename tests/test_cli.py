@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -237,6 +238,18 @@ BAD_CONFIGS = [
      "invalid config: grid.tau: tau = 0.2 empties the annulus [r_minus + tau, r_plus - tau]"),
     ("local-law", amend(LOCAL_LAW, "grid", w_phases=[]),
      "invalid config: grid.w_phases: need one or more phases\n"),
+    # checks that the library made at run time, after the output directory existed
+    ("ssv-tail",
+     dict(SSV, measure={"atoms": [1.0], "weights": [1.0]},
+          ensemble={"N": 16, "symmetry": "orthogonal", "seed": 1}),
+     "invalid config: measure: orthogonal-class tail runs need a singular value profile away"
+     " from the identity\n"),
+    ("green-sub", amend(GREEN_SUB, "params", bulk_window=[2.0, 1.0]),
+     "invalid config: params.bulk_window: empty singular value window [2.0, 1.0]\n"),
+    ("ring-density",
+     {"measure": {"atoms": [-1.0, 2.0], "weights": [0.5, 0.5]},
+      "params": {"s_min": 1.3, "s_max": 1.5}},
+     "invalid config: measure: radii expects a measure supported on nonnegative reals\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -247,6 +260,8 @@ GOOD_CONFIGS = [
     ("local-law", amend(LOCAL_LAW, "grid", w_abs=1.29, w_phases=[0.0, 1.0])),
     # the w grid belongs to local-law; block-law reads none of it
     ("block-law", amend(BLOCK, "grid", w_abs=2.0, w_phases=["x"])),
+    ("ssv-tail", amend(SSV, "ensemble", symmetry="orthogonal")),
+    ("green-sub", amend(GREEN_SUB, "params", bulk_window=[0.5, 0.5])),
 ]
 
 
@@ -329,6 +344,32 @@ class TestCertificateCommand:
         assert exit_and_stderr(capsys, argv) == (
             EXIT_NUMERICAL, "numerical failure: fixed point stalled\n"
         )
+
+    def test_traced_run_loads_every_layer_and_counts_solves(self, tmp_path):
+        # perfbench/spans.py wraps the public functions of each layer module
+        # it finds in sys.modules after `import singlering.cli`; a layer that
+        # import does not load fails the run with a KeyError
+        root = Path(__file__).resolve().parents[1]
+        spans = root / "perfbench" / "spans.py"
+        layers = ast.literal_eval(
+            re.search(r"^LAYERS = (\(.*\))$", spans.read_text(), re.M).group(1)
+        )
+        modules = {p.stem for p in (root / "src" / "singlering").glob("*.py")}
+        assert set(layers) == modules - {"__init__", "cli"}
+
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT, "params": {"r": 1.4, "grid": 8}})
+        trace = tmp_path / "trace.json"
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(spans), str(trace),
+             "certificate", "--config", p, "--out", str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        traced = json.loads(trace.read_text())["spans"]
+        # the z = 0 solve and one per grid point
+        assert traced["freeconv.solve_delta_conv"][0] == 9
+        assert {name.split(".")[0] for name in traced} <= {"cli", *layers}
 
 
 class TestFreeconvCommand:

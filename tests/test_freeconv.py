@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levy import levy_distance
-from oracles import boundary_density, delta_axis_gap, extrapolate_density, neg_recip_stieltjes
+from oracles import (
+    boundary_density,
+    delta_axis_gap,
+    extrapolate_density,
+    im_omega2_zero_extrapolated,
+    neg_recip_stieltjes,
+    nevanlinna_rep,
+)
 from singlering import ringlaw
 from singlering.freeconv import (
     ConvergenceError,
@@ -201,8 +208,9 @@ class TestSolveDeltaConv:
         assert 0.8 < slope < 1.2
 
     def test_rejects_bad_inputs(self, bernoulli, two_point):
-        with pytest.raises(ValueError):
-            solve_delta_conv(bernoulli, -1.0, 1j)
+        for r in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_delta_conv(bernoulli, r, 1j)
         with pytest.raises(MeasureError):
             solve_delta_conv(two_point, 1.0, 1j)  # asymmetric
         with pytest.raises(ValueError):
@@ -293,9 +301,32 @@ class TestCertificate:
         assert rep.omega_hat_abs == pytest.approx(1.0, abs=1e-10)
         assert rep.im_omega2_zero == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-8)
         assert rep.im_omega2_zero > (math.sqrt(3.0) / 2.0) * rep.sigma_minus * rep.s_minus
-        assert rep.im_omega2_zero_extrapolated == pytest.approx(
+        assert im_omega2_zero_extrapolated(two_point_sym, 1.4) == pytest.approx(
             rep.im_omega2_zero, abs=1e-7
         )
+
+    @pytest.mark.parametrize(
+        "atoms, weights, radii_inside",
+        [
+            ([1.0, 2.0], [0.5, 0.5], (1.3, 1.4, 1.55)),
+            ([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], (0.5, 1.0, 1.5)),
+            ([0.5, 0.9, 1.4, 2.0], [0.1, 0.4, 0.3, 0.2], (1.0, 1.1, 1.25)),
+        ],
+    )
+    def test_s_minus_and_a_minus_from_the_representing_measure(self, atoms, weights, radii_inside):
+        # the certificate's gap zeros and weights are the positive half of mu_tilde
+        mu_sym = symmetrize(DiscreteMeasure(np.array(atoms), np.array(weights)))
+        _, mu_tilde, r_minus_sq = nevanlinna_rep(mu_sym)
+        pos = mu_tilde.atoms > 0
+        for r in radii_inside:
+            rep = bulk_bound_certificate(mu_sym, r, grid=2)
+            assert rep.r_minus**2 == pytest.approx(r_minus_sq, rel=1e-12, abs=1e-300)
+            cum = np.cumsum(mu_tilde.weights[pos])
+            idx = np.searchsorted(cum, (r * r - r_minus_sq) / 8.0, side="right")
+            assert rep.s_minus == mu_tilde.atoms[pos][idx]
+            sel = np.abs(mu_tilde.atoms) >= rep.s_minus * (1.0 - 1e-14)
+            a_minus = np.sum(mu_tilde.weights[sel] / mu_tilde.atoms[sel] ** 2)
+            assert rep.a_minus == pytest.approx(a_minus, rel=1e-13)
 
     def test_flags_and_grid(self, two_point_sym):
         rep = bulk_bound_certificate(two_point_sym, 1.4, eta_max=10.0, grid=64)

@@ -8,14 +8,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from levy import levy_distance
-from oracles import neg_recip_stieltjes
+from oracles import neg_recip_stieltjes, nevanlinna_rep
 from singlering import freeconv, measure, ringlaw
 from singlering.measure import (
-    AtomicMeasure,
     ConvergenceError,
     DiscreteMeasure,
     MeasureError,
-    nevanlinna_rep,
     radii,
     reference_measure,
     stieltjes,
@@ -96,6 +94,14 @@ class TestSymmetrize:
     def test_result_is_symmetric(self, mu):
         assert symmetrize(mu).is_symmetric()
 
+    @given(st.floats(1e-3, 1e3))
+    def test_unchecked_point_pair_is_the_checked_one(self, r):
+        pair, checked = measure._symmetric_pair(r), dm([-r, r], [0.5, 0.5])
+        assert np.array_equal(pair.atoms, checked.atoms)
+        assert np.array_equal(pair.weights, checked.weights)
+        assert pair.is_symmetric() and checked.is_symmetric()
+        assert not (pair.atoms.flags.writeable or pair.weights.flags.writeable)
+
 
 class TestStieltjes:
     def test_point_mass_at_i(self):
@@ -167,9 +173,16 @@ class TestRadii:
             r_minus, r_plus = radii(dm([2.0], [1.0]))
         assert r_minus == r_plus == 2.0
 
-    def test_negative_support_rejected(self, bernoulli):
-        with pytest.raises(ValueError):
-            radii(bernoulli)
+    def test_negative_support_rejected(self):
+        # a negative atom is allowed only in a symmetric measure
+        with pytest.raises(ValueError, match="nonnegative reals, or a symmetric one"):
+            radii(dm([-1.0, 2.0], [0.5, 0.5]))
+
+    @given(measures(lo=0.1, hi=3.0))
+    def test_symmetric_measure_has_the_radii_of_its_positive_half(self, mu):
+        for nu in (mu, DiscreteMeasure.from_points([0.0, *mu.atoms], [0.1, *0.9 * mu.weights])):
+            got, want = radii(symmetrize(nu)), radii(nu)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_quarter_circle_outer_radius(self, quarter_circle_2000):
         # independent quadrature oracle for the second moment of the density
