@@ -69,8 +69,9 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
     """The value at the dotted ``path``, or ``default`` where it is missing.
 
     ``expected`` is the value's type: ``int`` takes only an integer and
-    ``float`` any JSON number, as a float, as ``_numbers`` does; a number
-    read with ``least`` must be at least that.
+    ``float`` any finite JSON number (json.load also reads NaN and Infinity),
+    as a float, as ``_numbers`` does; a number read with ``least`` must be at
+    least that.
     """
     node = cfg
     for key in path.split("."):
@@ -83,6 +84,8 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
     if expected is not None and type(node) not in types:
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(node).__name__}")
+    if type(node) is float and not math.isfinite(node):
+        raise ConfigError(f"{path}: expected a finite number, got {node}")
     if least is not None and node < least:
         raise ConfigError(f"{path}: need {key} >= {least}, got {node}")
     return expected(node) if expected in _NUMBER_TYPES else node
@@ -109,13 +112,13 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
 def _numbers(value, path, length=None, kind=float):
     """A JSON list of numbers (``length`` of them, if given) as ``kind`` values.
 
-    With ``kind=int`` only integers qualify; a bool is no number.  Anything
-    else is a ConfigError naming path.
+    With ``kind=int`` only integers qualify; a bool, NaN or an infinity is
+    no number.  Anything else is a ConfigError naming path.
     """
     if (
         isinstance(value, list)
         and length in (None, len(value))
-        and all(type(v) in _NUMBER_TYPES[kind] for v in value)
+        and all(type(v) in _NUMBER_TYPES[kind] and -math.inf < v < math.inf for v in value)
     ):
         return [kind(v) for v in value]
     noun = "integers" if kind is int else "numbers"
@@ -133,11 +136,12 @@ def _spectral_points(points, path, axis=False):
     return zs
 
 
-def _radii(mu):
-    """(r_minus, r_plus) of the singular value profile mu, which has no negative atom."""
+def _profile(cfg):
+    """The ``measure`` block as a singular value profile, which has no negative atom."""
+    mu = load_measure(cfg, "measure")
     if mu.atoms[0] < 0:
         raise ConfigError("measure: radii expects a measure supported on nonnegative reals")
-    return measure.radii(mu)
+    return mu
 
 
 def _bulk_ring(mu_sym, r):
@@ -153,7 +157,7 @@ def _annulus(cfg, mu):
     holds |w| of every local law test; tau is ``grid.tau``, or TAU_FRACTION of the width."""
     if len(mu) < 2:
         raise ConfigError("measure: a single atom makes the ring degenerate, r_minus = r_plus")
-    r_minus, r_plus = _radii(mu)
+    r_minus, r_plus = measure.radii(mu)
     tau = _get(cfg, "grid.tau", float, default=TAU_FRACTION * (r_plus - r_minus))
     if tau < 0:
         raise ConfigError(f"grid.tau: tau must be nonnegative, got {tau:g}")
@@ -295,18 +299,23 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RadiiRecord:
+    """The ring radii, largest atom and second moment of a profile: radii.csv's schema."""
+
+    r_minus: float
+    r_plus: float
+    s_plus: float
+    second_moment: float
+
+
 def _cmd_radii(cfg):
-    mu = load_measure(cfg, "measure")
-    r_minus, r_plus = _radii(mu)
-    s_plus, m2 = measure.support_stats(mu)
+    mu = _profile(cfg)
+    rec = RadiiRecord(*measure.radii(mu), *measure.support_stats(mu))
 
     def run(ctx):
-        print(f"{fmt(r_minus)} {fmt(r_plus)}")
-        _write_csv(
-            ctx.path("radii.csv"),
-            ["r_minus", "r_plus", "s_plus", "second_moment"],
-            [[r_minus, r_plus, s_plus, m2]],
-        )
+        print(f"{fmt(rec.r_minus)} {fmt(rec.r_plus)}")
+        _write_records(ctx.path("radii.csv"), RadiiRecord, [rec])
 
     return run
 
@@ -368,25 +377,25 @@ def _cmd_certificate(cfg):
 
 
 def _cmd_ring_density(cfg):
-    mu = load_measure(cfg, "measure")
+    mu = _profile(cfg)
     s_min = _get(cfg, "params.s_min", float)
     s_max = _get(cfg, "params.s_max", float)
-    n = _get(cfg, "params.n_radii", int, default=17)
-    if not (0 < s_min <= s_max) or n < 2:
-        raise ConfigError("params: need 0 < s_min <= s_max and n_radii >= 2")
+    n = _get(cfg, "params.n_radii", int, default=17, least=2)
+    if not 0 < s_min <= s_max:
+        raise ConfigError("params: need 0 < s_min <= s_max")
     if s_min == s_max:
         raise ConfigError(f"params: s_min = s_max = {s_min:g} spans no radius grid")
-    _radii(mu)
 
     def run(ctx):
-        profile = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
-        _write_csv(ctx.path("ring_density.csv"), ["s", "L", "dL", "d2L", "rho"], profile.rows())
+        # the profile computes the radii, and warns of a single atom, once
+        records = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
+        _write_records(ctx.path("ring_density.csv"), ringlaw.RingRecord, records)
 
     return run
 
 
 def _cmd_local_law(cfg):
-    mu = load_measure(cfg, "measure")
+    mu = _profile(cfg)
     lo, hi = _annulus(cfg, mu)
     sizes, sym, seed = _ensemble(cfg)
     w_abs = _get(cfg, "grid.w_abs", float, default=0.5 * (lo + hi))
@@ -400,15 +409,15 @@ def _cmd_local_law(cfg):
     ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
 
     def run(ctx):
-        report = locallaw.local_law_scan(ensembles, grid, threads=ctx.threads)
-        _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, report.records)
-        _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, report.splits)
+        records, splits = locallaw.local_law_scan(ensembles, grid, threads=ctx.threads)
+        _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, records)
+        _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, splits)
 
     return run
 
 
 def _cmd_main_gap(cfg):
-    mu = load_measure(cfg, "measure")
+    mu = _profile(cfg)
     lo, hi = _annulus(cfg, mu)
     sizes, sym, seed = _ensemble(cfg)
     w0 = complex(*_numbers(_get(cfg, "params.w0"), "params.w0", 2))
@@ -465,11 +474,12 @@ def _cmd_ssv_tail(cfg):
         rep = locallaw.smallest_sv_tail(
             e, complex(w_abs), t_grid=t_grid, trials=trials, threads=ctx.threads
         )
-        rows = []
-        for trial, lam in enumerate(rep.lambda1):
-            for t in rep.t_grid:
-                rows.append([rep.N, trial, rep.w_abs, t, lam])
-        _write_csv(ctx.path("ssv.csv"), ["N", "trial", "w_abs", "t", "lambda1"], rows)
+        records = [
+            locallaw.SsvRecord(rep.N, trial, rep.w_abs, t, lam)
+            for trial, lam in enumerate(rep.lambda1)
+            for t in rep.t_grid
+        ]
+        _write_records(ctx.path("ssv.csv"), locallaw.SsvRecord, records)
         _write_json(ctx.path("ssv_fit.json"), {
             "slope": rep.slope,
             "slope_ci": list(rep.slope_ci),
@@ -509,8 +519,8 @@ def _cmd_block_law(cfg):
     grid = _scan_grid(cfg, [], sizes)
 
     def run(ctx):
-        report = locallaw.block_local_law_scan(ensembles, energies, grid, threads=ctx.threads)
-        _write_records(ctx.path("block.csv"), locallaw.BlockRecord, report.records)
+        records = locallaw.block_local_law_scan(ensembles, energies, grid, threads=ctx.threads)
+        _write_records(ctx.path("block.csv"), locallaw.BlockRecord, records)
 
     return run
 
@@ -561,12 +571,10 @@ def run_report(run_dirs, out_dir):
         raise ConfigError(f"report: mixed scans {sorted(records_by_name)} cannot be merged")
     _, records = records_by_name.popitem()
 
-    report = locallaw.DominationReport(records)
-    maxes = report.per_N_max()
-    q95 = report.per_N_quantile()
-    rows = [[n, sum(1 for r in records if r.N == n), maxes[n], q95[n]] for n in sorted(maxes)]
-    if len(maxes) >= 3:
-        fit = locallaw.fit_domination(report)
+    stats = locallaw.domination_stats(records)
+    rows = [[n, *per_n] for n, per_n in stats.items()]
+    if len(stats) >= 3:
+        fit = locallaw.fit_domination(records)
         print(
             f"slope {fmt(fit.slope)} intercept {fmt(fit.intercept)} "
             f"{'PASS' if fit.passed else 'FAIL'} (threshold {locallaw.DOMINATION_SLOPE_MAX:g})"
@@ -576,6 +584,7 @@ def run_report(run_dirs, out_dir):
             [fit.slope, fit.intercept, "pass" if fit.passed else "fail", ""],
         ]
     _make_out_dir(out_dir)
+    # the fit's rows share the per-N header, so no one record type holds them
     _write_csv(os.path.join(out_dir, "summary.csv"), ["N", "count", "max_dev", "q95_dev"], rows)
 
 

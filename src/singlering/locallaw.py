@@ -19,7 +19,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "ScanGrid",
     "DevRecord",
     "BlockRecord",
-    "DominationReport",
+    "SsvRecord",
     "bump_value",
     "delta_bump_l1",
     "dyadic_etas",
@@ -43,6 +43,7 @@ __all__ = [
     "block_energies",
     "block_local_law_scan",
     "green_subordination_scan",
+    "domination_stats",
     "fit_domination",
 ]
 
@@ -143,7 +144,7 @@ def delta_bump_l1() -> float:
 
 
 # ---------------------------------------------------------------------------
-# scan grids and domination reports
+# scan grids, scan records and domination fits
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +167,7 @@ class ScanGrid:
         object.__setattr__(self, "w_values", np.asarray(self.w_values, dtype=np.complex128))
 
 
-# The scan records (DevRecord, BlockRecord, SplitRecord, GapRecord,
+# The scan records (DevRecord, BlockRecord, SplitRecord, GapRecord, SsvRecord,
 # SubDiagRecord) are the CLI's CSV schemas: a field per column, a complex
 # field f as the two columns f_re, f_im.  A dev that is not finite flags a
 # node whose reference solve failed.
@@ -201,28 +202,20 @@ class SplitRecord:
     lambda1: float
 
 
-@dataclass
-class DominationReport:
-    """Scaled-deviation records with per-N aggregation for slope fits."""
-
-    records: list = field(default_factory=list)
-    splits: list = field(default_factory=list)
-
-    def sizes(self):
-        return sorted({r.N for r in self.records})
-
-    def _per_N(self, fn):
-        out = {}
-        for n in self.sizes():
-            vals = [r.dev for r in self.records if r.N == n and np.isfinite(r.dev)]
-            out[n] = fn(np.array(vals)) if vals else math.nan
-        return out
-
-    def per_N_max(self):
-        return self._per_N(np.max)
-
-    def per_N_quantile(self):
-        return self._per_N(lambda v: float(np.quantile(v, DOMINATION_QUANTILE)))
+def domination_stats(records) -> dict:
+    """{N: (record count, max dev, DOMINATION_QUANTILE-quantile of dev)} for each
+    size N of the scan records; the statistics skip flagged (non-finite) devs
+    and are NaN where none is left."""
+    stats = {}
+    for n in sorted({r.N for r in records}):
+        devs = [r.dev for r in records if r.N == n]
+        finite = np.array([d for d in devs if np.isfinite(d)])
+        stats[n] = (
+            (len(devs), float(np.max(finite)), float(np.quantile(finite, DOMINATION_QUANTILE)))
+            if len(finite)
+            else (len(devs), math.nan, math.nan)
+        )
+    return stats
 
 
 @dataclass(frozen=True)
@@ -232,14 +225,14 @@ class FitResult:
     passed: bool
 
 
-def fit_domination(report: DominationReport) -> FitResult:
+def fit_domination(records) -> FitResult:
     """Least squares of log DOMINATION_QUANTILE-quantile deviation against log N.
 
     Passing (slope <= DOMINATION_SLOPE_MAX) certifies the absence of
     power-law growth in N, the finite-size surrogate of stochastic domination
     by a constant.
     """
-    quantiles = report.per_N_quantile()
+    quantiles = {n: q for n, (_, _, q) in domination_stats(records).items()}
     ns = sorted(n for n, v in quantiles.items() if np.isfinite(v) and v > 0)
     if len(ns) < 3:
         raise ValueError("fit_domination needs deviations at >= 3 sizes N")
@@ -270,10 +263,12 @@ def _references(solve, nodes, failed):
     return ref
 
 
-def local_law_scan(ensembles, grid: ScanGrid, threads: int = 1) -> DominationReport:
-    """Deviations N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid, at
-    the size of each of the SingleRingEnsembles ``ensembles`` in turn."""
-    report = DominationReport()
+def local_law_scan(ensembles, grid: ScanGrid, threads: int = 1):
+    """(records, splits): the DevRecords of the deviations
+    N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid and the SplitRecords
+    of each (trial, w), at the size of each of the SingleRingEnsembles
+    ``ensembles`` in turn."""
+    records, splits = [], []
     # reference nodes (|w|, i eta): phases that share |w| share a solve
     w_abs = np.abs(grid.w_values).tolist()
     nodes = [(r, 1j * eta) for r in w_abs for eta in grid.eta_values.tolist()]
@@ -285,24 +280,24 @@ def local_law_scan(ensembles, grid: ScanGrid, threads: int = 1) -> DominationRep
         eta_star = float(N) ** (-SPLIT_EXPONENT)
 
         def record(trial, *s_w, N=N, ref=ref, eta_star=eta_star):
-            recs, splits = [], []
+            recs, split_recs = [], []
             for w, r, s in zip(grid.w_values, w_abs, s_w):
                 small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
-                splits.append(
+                split_recs.append(
                     SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
                 )
                 for eta in grid.eta_values:
                     dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
                     recs.append(DevRecord(N, trial, complex(w), eta, dev))
-            return recs, splits
+            return recs, split_recs
 
-        for recs, splits in _batched_trials(
+        for recs, split_recs in _batched_trials(
             models.sample_X, ens, (ni,), grid.trials, threads,
             lambda X: [models.svd(X, w) for w in grid.w_values], record,
         ):
-            report.records.extend(recs)
-            report.splits.extend(splits)
-    return report
+            records.extend(recs)
+            splits.extend(split_recs)
+    return records, splits
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +367,7 @@ def linear_statistic_rhs(
     r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     c = 1.0 - (r * r + r0 * r0) / scale**2
     d = 2.0 * r * r0 / scale**2
-    rho = np.array([ringlaw.ring_density(mu_sigma, ri) for ri in r])
+    rho = np.array([rec.rho for rec in ringlaw.radial_profile(mu_sigma, r)])
     radial = 0.5 * (hi - lo) * float(np.sum(wts * _bump_arc_integral(c, d) * rho * r))
     return float(n) ** (2.0 * alpha) * radial
 
@@ -421,6 +416,17 @@ def linear_statistic_gap(
 # ---------------------------------------------------------------------------
 # smallest singular value tail
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SsvRecord:
+    """A trial's smallest singular value of X - w, |w| = w_abs, at one t of the tail grid."""
+
+    N: int
+    trial: int
+    w_abs: float
+    t: float
+    lambda1: float
 
 
 @dataclass
@@ -518,18 +524,17 @@ def block_energies(e: models.BlockAdditiveEnsemble, interval, n_energies: int) -
     return E_values
 
 
-def block_local_law_scan(
-    ensembles, E_values, grid: ScanGrid, threads: int = 1
-) -> DominationReport:
-    """Deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the energies E_values,
-    at the size of each of the BlockAdditiveEnsembles ``ensembles`` in turn.
+def block_local_law_scan(ensembles, E_values, grid: ScanGrid, threads: int = 1) -> list:
+    """BlockRecords of the deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the
+    energies E_values, at the size of each of the BlockAdditiveEnsembles
+    ``ensembles`` in turn.
 
     m_ref is the transform of the free convolution of the symmetrized
     empirical diagonal profiles; ``block_energies`` checks that the
     energies lie in its bulk.  A failed reference solve flags its (E, eta)
     node in every trial.
     """
-    report = DominationReport()
+    records = []
     zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
     for ni, ens in enumerate(ensembles):
         N = ens.N
@@ -548,8 +553,8 @@ def block_local_law_scan(
         for recs in _batched_trials(
             models.sample_Y, ens, (ni,), grid.trials, threads, lambda Y: [models.svd(Y)], record
         ):
-            report.records.extend(recs)
-    return report
+            records.extend(recs)
+    return records
 
 
 @dataclass(frozen=True)

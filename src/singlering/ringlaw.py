@@ -31,11 +31,7 @@ import numpy as np
 
 from .measure import DiscreteMeasure, _brentq, radii
 
-__all__ = [
-    "RadialPotentialProfile",
-    "ring_density",
-    "radial_profile",
-]
+__all__ = ["RingRecord", "radial_profile"]
 
 
 def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
@@ -61,11 +57,11 @@ def _inverse_radius(p: np.ndarray, x: np.ndarray, s: float) -> float:
     return math.exp(_brentq(gap, lo, hi, xtol=1e-14)[0]) / m2
 
 
-def _ring_point(mu_sigma: DiscreteMeasure, s: float):
-    """(F, L, rho) at radius s > 0: inner mass, log-potential, density."""
+def _ring_point(mu_sigma: DiscreteMeasure, r_minus: float, r_plus: float, s: float):
+    """(F, L, rho) at radius s > 0 of the ring r_minus <= |w| <= r_plus of mu_sigma:
+    inner mass, log-potential, density."""
     if s <= 0:
         raise ValueError("the ring law needs s > 0")
-    r_minus, r_plus = radii(mu_sigma)
     p, x = mu_sigma.weights, mu_sigma.atoms**2
     y = 0.0 if s >= r_plus else math.inf if s <= r_minus else _inverse_radius(p, x, s)
     if y == 0.0:
@@ -83,38 +79,23 @@ def _ring_point(mu_sigma: DiscreteMeasure, s: float):
     return t, L, t * t * xbar / (math.pi * float(np.dot(w, (x - xbar) ** 2)))
 
 
-def ring_density(mu_sigma: DiscreteMeasure, s: float) -> float:
-    """rho(s), the ring law's density per unit area at radius s > 0."""
-    return _ring_point(mu_sigma, s)[2]
-
-
 @dataclass(frozen=True)
-class RadialPotentialProfile:
-    """Log-potential and density samples along a radius grid."""
+class RingRecord:
+    """The ring law at radius s: log-potential L, its derivatives dL = F/s and
+    d2L = 2 pi rho - F/s^2, and the density rho; the schema of ring_density.csv."""
 
-    s_grid: np.ndarray
-    L_values: np.ndarray
-    dL_values: np.ndarray
-    d2L_values: np.ndarray
-    rho_values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s_grid, dtype=float)
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("s_grid must be increasing")
-        for name in ("L_values", "dL_values", "d2L_values", "rho_values"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != s.shape or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite and match s_grid")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "s_grid", s)
-
-    def rows(self):
-        return zip(self.s_grid, self.L_values, self.dL_values, self.d2L_values, self.rho_values)
+    s: float
+    L: float
+    dL: float
+    d2L: float
+    rho: float
 
 
-def radial_profile(mu_sigma: DiscreteMeasure, s_values) -> RadialPotentialProfile:
-    """Evaluate (L, L', L'', rho) on a radius grid."""
-    s = np.asarray(list(s_values), dtype=float)
-    F, L, rho = np.array([_ring_point(mu_sigma, si) for si in s]).reshape(-1, 3).T
-    return RadialPotentialProfile(s, L, F / s, 2.0 * math.pi * rho - F / s**2, rho)
+def radial_profile(mu_sigma: DiscreteMeasure, s_values) -> list:
+    """[RingRecord] at each radius s > 0 of s_values, from one computation of the radii."""
+    r_minus, r_plus = radii(mu_sigma)
+    records = []
+    for s in map(float, s_values):
+        F, L, rho = _ring_point(mu_sigma, r_minus, r_plus, s)
+        records.append(RingRecord(s, L, F / s, 2.0 * math.pi * rho - F / (s * s), rho))
+    return records

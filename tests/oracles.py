@@ -30,7 +30,7 @@ def neg_recip_stieltjes(mu, z):
 
 def log_potential(mu_sigma, s):
     """Radial log-potential L(s) of the ring law for mu_sigma at radius s > 0."""
-    return ringlaw._ring_point(mu_sigma, s)[1]
+    return ringlaw.radial_profile(mu_sigma, [s])[0].L
 
 
 def ring_mass(mu_sigma, tau):
@@ -41,14 +41,16 @@ def ring_mass(mu_sigma, tau):
     lo, hi = r_minus + tau, r_plus - tau
     if lo >= hi:
         return 0.0
-    # lo = 0 only with an atom at the origin, whose weight sits at w = 0
-    inner = ringlaw._ring_point(mu_sigma, lo)[0] if lo > 0 else float(mu_sigma.weights[0])
-    return ringlaw._ring_point(mu_sigma, hi)[0] - inner
+    # the mass inside radius s is F(s) = s L'(s); lo = 0 only with an atom at
+    # the origin, whose weight sits at w = 0
+    edges = [lo, hi] if lo > 0 else [hi]
+    mass = [rec.s * rec.dL for rec in ringlaw.radial_profile(mu_sigma, edges)]
+    return mass[-1] - (mass[0] if lo > 0 else float(mu_sigma.weights[0]))
 
 
-def flagged(report):
+def flagged(records):
     """The records of a scan whose reference solve failed: a dev that is not finite."""
-    return [r for r in report.records if not np.isfinite(r.dev)]
+    return [r for r in records if not np.isfinite(r.dev)]
 
 
 def bump_laplacian(s):

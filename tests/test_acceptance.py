@@ -117,7 +117,7 @@ def test_criterion_04_certificate(two_point):
 def test_criterion_05_circular_law(quarter_circle):
     t0 = time.time()
     L = log_potential(quarter_circle, 0.5)
-    rho = ringlaw.ring_density(quarter_circle, 0.5)
+    rho = ringlaw.radial_profile(quarter_circle, [0.5])[0].rho
     mass = ring_mass(quarter_circle, tau=0.02)
     elapsed = time.time() - t0
     e_L = abs(L + 0.375)
@@ -198,11 +198,11 @@ def test_criterion_07_local_law(two_point):
     grid = locallaw.ScanGrid(
         locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([1.4 + 0j]), trials=20
     )
-    rep = locallaw.local_law_scan(ensembles, grid, threads=THREADS)
-    fit = locallaw.fit_domination(rep)
-    max_dev = max(rep.per_N_max().values())
+    records, _ = locallaw.local_law_scan(ensembles, grid, threads=THREADS)
+    fit = locallaw.fit_domination(records)
+    max_dev = max(mx for _, mx, _ in locallaw.domination_stats(records).values())
     elapsed = time.time() - t0
-    ok = fit.slope <= 0.2 and max_dev <= 20.0 and elapsed < 600.0 and not flagged(rep)
+    ok = fit.slope <= 0.2 and max_dev <= 20.0 and elapsed < 600.0 and not flagged(records)
     verdict(
         7,
         ok,
@@ -247,7 +247,7 @@ def test_criterion_09_block_strong_law():
         locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([], dtype=complex), trials=10
     )
     energies = locallaw.block_energies(e, (0.0, 0.0), 1)
-    rep = locallaw.block_local_law_scan(ensembles, energies, grid, threads=THREADS)
+    records = locallaw.block_local_law_scan(ensembles, energies, grid, threads=THREADS)
 
     # the scan's reference transform is the closed-form arcsine law
     mu_b = measure.symmetrize(e.sigma_measure())
@@ -257,7 +257,7 @@ def test_criterion_09_block_strong_law():
         closed = -1.0 / (np.sqrt(complex(1j * eta - 2)) * np.sqrt(complex(1j * eta + 2)))
         ref_err = max(ref_err, abs(solver - closed))
 
-    fit = locallaw.fit_domination(rep)
+    fit = locallaw.fit_domination(records)
     ok = fit.slope <= 0.2 and ref_err <= 1e-10
     verdict(
         9,

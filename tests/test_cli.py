@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singlering import cli, freeconv, locallaw
+from singlering import cli, freeconv, locallaw, ringlaw
 from singlering.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, config_hash, fmt, main
 from singlering.freeconv import ConvergenceError
 from singlering.measure import DiscreteMeasure, stieltjes, symmetrize
@@ -250,6 +250,19 @@ BAD_CONFIGS = [
      {"measure": {"atoms": [-1.0, 2.0], "weights": [0.5, 0.5]},
       "params": {"s_min": 1.3, "s_max": 1.5}},
      "invalid config: measure: radii expects a measure supported on nonnegative reals\n"),
+    # json.load reads NaN and Infinity, which are no numbers
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": math.inf}},
+     "invalid config: params.r: expected a finite number, got inf\n"),
+    ("ssv-tail", amend(SSV, "grid", w_abs=math.nan),
+     "invalid config: grid.w_abs: expected a finite number, got nan\n"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "eta_max": math.inf}},
+     "invalid config: params.eta_max: expected a finite number, got inf\n"),
+    ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": math.inf}},
+     "invalid config: params.s_max: expected a finite number, got inf\n"),
+    ("radii", {"measure": {"atoms": [1.0, -math.inf], "weights": [0.5, 0.5]}},
+     "invalid config: measure.atoms: expected a list of numbers, got [1.0, -inf]\n"),
+    ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": 1.5, "n_radii": 1}},
+     "invalid config: params.n_radii: need n_radii >= 2, got 1\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -516,6 +529,47 @@ class TestRecordHeaders:
         assert (tmp_path / "empty.csv").read_text() == "N,trial,E,eta,dev\n"
 
 
+class TestRecordRoundTrip:
+    """Every CSV of every computing command is written from its record type:
+    it reads back as records, and writing those again gives the same bytes."""
+
+    SCHEMAS = {
+        "radii.csv": cli.RadiiRecord,
+        "freeconv.csv": freeconv.SubordinationState,
+        "ring_density.csv": ringlaw.RingRecord,
+        "locallaw.csv": locallaw.DevRecord,
+        "locallaw_split.csv": locallaw.SplitRecord,
+        "gap.csv": locallaw.GapRecord,
+        "ssv.csv": locallaw.SsvRecord,
+        "block.csv": locallaw.BlockRecord,
+        "subordination.csv": locallaw.SubDiagRecord,
+    }
+
+    def test_every_csv_round_trips(self, tmp_path):
+        configs = {
+            **TestUsage.RUNNABLE,
+            "radii": {"measure": TWO_POINT},
+            "freeconv": {
+                "measure": TWO_POINT, "params": {"r": 1.4, "z_grid": [[0, 0], [0.3, 0.2]]}
+            },
+            "ssv-tail": SSV,
+        }
+        assert sorted(configs) == sorted(cli._COMMAND_IMPL)
+        seen = set()
+        for command, cfg in configs.items():
+            out = tmp_path / command
+            p = write_cfg(tmp_path / f"{command}.json", cfg)
+            assert main([command, "--config", p, "--out", str(out)]) == EXIT_OK
+            for path in sorted(out.glob("*.csv")):
+                records = cli._read_records(path, self.SCHEMAS[path.name])
+                assert records
+                again = tmp_path / "again.csv"
+                cli._write_records(again, self.SCHEMAS[path.name], records)
+                assert again.read_bytes() == path.read_bytes(), (command, path.name)
+                seen.add(path.name)
+        assert seen == set(self.SCHEMAS)
+
+
 class TestRingDensityCommand:
     def test_csv_columns(self, tmp_path):
         p = write_cfg(
@@ -529,6 +583,19 @@ class TestRingDensityCommand:
         assert rows[0] == ["s", "L", "dL", "d2L", "rho"]
         assert len(rows) == 4
         assert float(rows[2][4]) > 0.1  # density in the bulk
+
+    def test_one_atom_warns_once(self, tmp_path):
+        # the parser computes no radii, so validate stays silent (pytest makes
+        # any warning an error) and the run warns once, from its one profile
+        one_atom = {"atoms": [1.0], "weights": [1.0]}
+        cfg = {"measure": one_atom, "params": {"s_min": 0.5, "s_max": 1.5}}
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["validate", "--config", p, "--for-command", "ring-density"]) == EXIT_OK
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="the ring is degenerate") as record:
+            assert main(["ring-density", "--config", p, "--out", str(out)]) == EXIT_OK
+        assert [w.category for w in record] == [UserWarning]
+        assert len(read_csv(out / "ring_density.csv")) == 1 + 17
 
 
 class TestLocalLawRuns:

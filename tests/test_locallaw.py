@@ -12,7 +12,6 @@ from singlering import freeconv, linalg, locallaw, measure, models
 from singlering.locallaw import (
     BlockRecord,
     DevRecord,
-    DominationReport,
     GapRecord,
     ScanGrid,
     SplitRecord,
@@ -21,6 +20,7 @@ from singlering.locallaw import (
     block_local_law_scan,
     bump_value,
     delta_bump_l1,
+    domination_stats,
     dyadic_etas,
     fit_domination,
     green_subordination_scan,
@@ -104,29 +104,37 @@ class TestGrids:
 
 class TestFitDomination:
     @staticmethod
-    def synthetic_report(exponent, rng):
-        rep = DominationReport()
-        for N in (64, 128, 256, 512, 1024):
-            for t in range(400):
-                dev = N**exponent * math.exp(0.05 * rng.standard_normal())
-                rep.records.append(DevRecord(N, t, 0j, 0.1, dev))
-        return rep
+    def synthetic_records(exponent, rng):
+        return [
+            DevRecord(N, t, 0j, 0.1, N**exponent * math.exp(0.05 * rng.standard_normal()))
+            for N in (64, 128, 256, 512, 1024)
+            for t in range(400)
+        ]
 
     def test_flat_signal(self):
-        fit = fit_domination(self.synthetic_report(0.0, np.random.default_rng(0)))
+        fit = fit_domination(self.synthetic_records(0.0, np.random.default_rng(0)))
         assert fit.slope == pytest.approx(0.0, abs=0.05)
         assert fit.passed
 
     def test_planted_growth(self):
-        fit = fit_domination(self.synthetic_report(0.5, np.random.default_rng(1)))
+        fit = fit_domination(self.synthetic_records(0.5, np.random.default_rng(1)))
         assert fit.slope == pytest.approx(0.5, abs=0.05)
         assert not fit.passed
 
     def test_needs_three_sizes(self):
-        rep = DominationReport()
-        rep.records = [DevRecord(64, 0, 0j, 0.1, 1.0)]
         with pytest.raises(ValueError):
-            fit_domination(rep)
+            fit_domination([DevRecord(64, 0, 0j, 0.1, 1.0)])
+
+    def test_stats_skip_flagged_devs(self):
+        # the count holds every record of a size; max and quantile only the
+        # finite devs, NaN when none is left
+        records = [DevRecord(16, t, 0j, 0.1, dev) for t, dev in enumerate([1.0, math.nan, 3.0])]
+        records.append(DevRecord(8, 0, 0j, 0.1, math.nan))
+        stats = domination_stats(records)
+        assert list(stats) == [8, 16]
+        assert stats[16] == (3, 3.0, pytest.approx(2.9))
+        count, mx, q = stats[8]
+        assert count == 1 and math.isnan(mx) and math.isnan(q)
 
 
 class TestLinearStatistics:
@@ -230,12 +238,12 @@ class TestLocalLawScan:
             for n in (32, 48)
         ]
         grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), 2)
-        rep = local_law_scan(ensembles, grid, threads=threads)
-        assert len(rep.records) == 2 * 2 * len(grid.eta_values)
-        assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
-        assert rep.sizes() == [32, 48]
-        assert len(rep.splits) == 2 * 2
-        for s in rep.splits:
+        records, splits = local_law_scan(ensembles, grid, threads=threads)
+        assert len(records) == 2 * 2 * len(grid.eta_values)
+        assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
+        assert list(domination_stats(records)) == [32, 48]
+        assert len(splits) == 2 * 2
+        for s in splits:
             assert s.lambda1 > 0
             assert s.small_eta_integral >= 0
 
@@ -251,21 +259,21 @@ class TestLocalLawScan:
 
         monkeypatch.setattr(freeconv, "solve_delta_conv", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            rep = local_law_scan([e], grid)
-        assert len(rep.records) == 2 * 2
-        bad = flagged(rep)
+            records, _ = local_law_scan([e], grid)
+        assert len(records) == 2 * 2
+        bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
         assert all(math.isnan(r.dev) for r in bad)
-        others = [r for r in rep.records if r.eta != 0.25]
+        others = [r for r in records if r.eta != 0.25]
         assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_thread_count_invariance(self, two_point):
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=22)
         grid = ScanGrid(np.array([0.5]), np.array([1.4 + 0j]), 3)
-        a = local_law_scan([e], grid, threads=1)
-        b = local_law_scan([e], grid, threads=3)
-        assert [(r.N, r.trial, r.eta, r.dev) for r in a.records] == [
-            (r.N, r.trial, r.eta, r.dev) for r in b.records
+        a, _ = local_law_scan([e], grid, threads=1)
+        b, _ = local_law_scan([e], grid, threads=3)
+        assert [(r.N, r.trial, r.eta, r.dev) for r in a] == [
+            (r.N, r.trial, r.eta, r.dev) for r in b
         ]
 
 
@@ -318,14 +326,14 @@ class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.zeros(24), 24, "unitary", seed=26)
         grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
-        rep = block_local_law_scan([e], [0.0], grid)
-        assert max(r.dev for r in rep.records) < 1e-10
+        records = block_local_law_scan([e], [0.0], grid)
+        assert max(r.dev for r in records) < 1e-10
 
     def test_arcsine_reference(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=27)
         grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), 3)
-        rep = block_local_law_scan([e], [0.0], grid, threads=threads)
-        assert all(np.isfinite(r.dev) and r.dev < 50 for r in rep.records)
+        records = block_local_law_scan([e], [0.0], grid, threads=threads)
+        assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
 
     def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.ones(24), 24, "unitary", seed=30)
@@ -339,12 +347,12 @@ class TestBlockScan:
 
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            rep = block_local_law_scan([e], [0.0], grid)
-        assert len(rep.records) == 2 * 2
-        bad = flagged(rep)
+            records = block_local_law_scan([e], [0.0], grid)
+        assert len(records) == 2 * 2
+        bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
         assert all(math.isnan(r.dev) for r in bad)
-        others = [r for r in rep.records if r.eta != 0.25]
+        others = [r for r in records if r.eta != 0.25]
         assert len(others) == 2 and all(np.isfinite(r.dev) for r in others)
 
     def test_bulk_check_rejects_gap(self):
@@ -556,10 +564,7 @@ class TestBatchesMatchPerTrialOracle:
             for n in (40, 100)
         ]
         grid = ScanGrid(np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), self.TRIALS)
-        rep = local_law_scan(ensembles, grid, threads=threads)
-        recs, splits = local_law_oracle(ensembles, grid)
-        assert rep.records == recs
-        assert rep.splits == splits
+        assert local_law_scan(ensembles, grid, threads=threads) == local_law_oracle(ensembles, grid)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_linear_statistic_gap(self, two_point, threads):
@@ -579,8 +584,8 @@ class TestBatchesMatchPerTrialOracle:
     def test_block_local_law_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
         grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), self.TRIALS)
-        rep = block_local_law_scan([e], [0.0], grid, threads=threads)
-        assert rep.records == block_oracle(e, 0.0, grid)
+        records = block_local_law_scan([e], [0.0], grid, threads=threads)
+        assert records == block_oracle(e, 0.0, grid)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_green_subordination_scan(self, threads):

@@ -1,14 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from oracles import log_potential, ring_mass
-from singlering import linalg, models
+from singlering import linalg, locallaw, measure, models, ringlaw
 from singlering.freeconv import solve_delta_conv
 from singlering.measure import DiscreteMeasure, radii, symmetrize
-from singlering.ringlaw import RadialPotentialProfile, radial_profile, ring_density
+from singlering.ringlaw import RingRecord, radial_profile
+
+
+def ring_density(mu, s):
+    """rho(s) from a one-radius profile."""
+    return radial_profile(mu, [s])[0].rho
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +65,8 @@ class TestSubordinationOracle:
     def test_mass_matches_eta_zero_solve(self, laws, law):
         # F(s) = s L'(s) is the closed-form mass inside radius s
         mu, ss = laws[law]
-        prof = radial_profile(mu, ss)
-        for s, dL in zip(ss, prof.dL_values):
-            assert s * dL == pytest.approx(subordination_mass(mu, s), rel=1e-8)
+        for s, rec in zip(ss, radial_profile(mu, ss)):
+            assert s * rec.dL == pytest.approx(subordination_mass(mu, s), rel=1e-8)
 
     @pytest.mark.parametrize("law", ["two_point", "quarter_circle", "origin_atom"])
     def test_potential_matches_split_identity(self, laws, law):
@@ -174,21 +179,28 @@ class TestRingMass:
 class TestRadialProfile:
     def test_profile_matches_pointwise(self, two_point):
         prof = radial_profile(two_point, [1.35, 1.4, 1.45])
-        assert isinstance(prof, RadialPotentialProfile)
-        for s, rho in zip(prof.s_grid, prof.rho_values):
-            assert rho == pytest.approx(ring_density(two_point, s), abs=1e-10)
-        rows = list(prof.rows())
-        assert len(rows) == 3 and len(rows[0]) == 5
+        assert [rec.s for rec in prof] == [1.35, 1.4, 1.45]
+        for rec in prof:
+            assert isinstance(rec, RingRecord)
+            assert rec == radial_profile(two_point, [rec.s])[0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RadialPotentialProfile(
-                np.array([1.0, 0.5]),
-                np.zeros(2),
-                np.zeros(2),
-                np.zeros(2),
-                np.zeros(2),
-            )
+    def test_validation(self, two_point):
+        # every radius must be positive, wherever it sits in the grid
+        for s_values in ([0.0], [1.4, -0.5]):
+            with pytest.raises(ValueError, match="s > 0"):
+                radial_profile(two_point, s_values)
+
+    def test_radii_once_per_profile(self, two_point):
+        # the ring radii are computed once per call, however many radii;
+        # linear_statistic_rhs reads its 64 Gauss nodes from one profile
+        counted = mock.Mock(wraps=measure.radii)
+        with mock.patch.object(measure, "radii", counted), mock.patch.object(
+            ringlaw, "radii", counted
+        ):
+            radial_profile(two_point, np.linspace(1.3, 1.55, 7))
+            assert counted.call_count == 1
+            locallaw.linear_statistic_rhs(two_point, 1.4, 0.25, 0.5, n=64)
+            assert counted.call_count == 3
 
 
 @pytest.mark.slow
