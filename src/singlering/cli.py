@@ -24,6 +24,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -69,9 +70,9 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
     """The value at the dotted ``path``, or ``default`` where it is missing.
 
     ``expected`` is the value's type: ``int`` takes only an integer and
-    ``float`` any finite JSON number (json.load also reads NaN and Infinity),
-    as a float, as ``_numbers`` does; a number read with ``least`` must be at
-    least that.
+    ``float`` any JSON number, as a float.  As in ``_numbers``, a number must
+    lie in the float range: json.load also reads NaN, Infinity and integers
+    beyond it.  A number read with ``least`` must be at least that.
     """
     node = cfg
     for key in path.split("."):
@@ -84,7 +85,7 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
     if expected is not None and type(node) not in types:
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(node).__name__}")
-    if type(node) is float and not math.isfinite(node):
+    if type(node) in (int, float) and not abs(node) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {node}")
     if least is not None and node < least:
         raise ConfigError(f"{path}: need {key} >= {least}, got {node}")
@@ -112,13 +113,14 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
 def _numbers(value, path, length=None, kind=float):
     """A JSON list of numbers (``length`` of them, if given) as ``kind`` values.
 
-    With ``kind=int`` only integers qualify; a bool, NaN or an infinity is
-    no number.  Anything else is a ConfigError naming path.
+    With ``kind=int`` only integers qualify; a bool, NaN, an infinity or an
+    integer beyond the float range is no number.  Anything else is a
+    ConfigError naming path.
     """
     if (
         isinstance(value, list)
         and length in (None, len(value))
-        and all(type(v) in _NUMBER_TYPES[kind] and -math.inf < v < math.inf for v in value)
+        and all(type(v) in _NUMBER_TYPES[kind] and abs(v) <= sys.float_info.max for v in value)
     ):
         return [kind(v) for v in value]
     noun = "integers" if kind is int else "numbers"
@@ -192,11 +194,10 @@ def _ensemble(cfg):
     return sizes, sym, _get(cfg, "ensemble.seed", int, least=0)
 
 
-def _one_size(sizes):
-    """The size of a command that runs at one N; a longer list is a ConfigError."""
-    if len(sizes) > 1:
-        raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
-    return sizes[0]
+def _each_size(ctx, scan, ensembles, *args):
+    """[scan(e, *args, (i,), threads)] for the ensemble e at each list position i,
+    so that trial t at size position i draws from the stream (i, t)."""
+    return [scan(e, *args, (i,), ctx.threads) for i, e in enumerate(ensembles)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +410,9 @@ def _cmd_local_law(cfg):
     ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
 
     def run(ctx):
-        records, splits = locallaw.local_law_scan(ensembles, grid, threads=ctx.threads)
-        _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, records)
-        _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, splits)
+        records, splits = zip(*_each_size(ctx, locallaw.local_law_scan, ensembles, grid))
+        _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, chain(*records))
+        _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, chain(*splits))
 
     return run
 
@@ -434,28 +435,31 @@ def _cmd_main_gap(cfg):
         raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
     if not all(radius > 0 for radius in radii_cfg):
         raise ConfigError("params.support_radii: support radius must be positive")
-    N = _one_size(sizes)
+    N = min(sizes)  # where the test function supports are widest
     tests = [(w0, alpha, radius) for alpha, radius in zip(alphas, radii_cfg)]
     for _, alpha, radius in tests:
         scale = float(N) ** (-alpha) * radius  # the support radius linear_statistic_rhs tests
         if abs(w0) <= scale:
             raise ConfigError(
                 f"params.support_radii: test function support touches w = 0: "
-                f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}"
+                f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}, N = {N}"
             )
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
-    e = models.SingleRingEnsemble.from_measure(mu, N, sym, seed)
+    ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
 
     def run(ctx):
-        records = locallaw.linear_statistic_gap(e, tests, trials, threads=ctx.threads)
-        _write_records(ctx.path("gap.csv"), locallaw.GapRecord, records)
+        scans = _each_size(ctx, locallaw.linear_statistic_gap, ensembles, tests, trials)
+        _write_records(ctx.path("gap.csv"), locallaw.GapRecord, chain(*scans))
 
     return run
 
 
 def _cmd_ssv_tail(cfg):
-    mu = load_measure(cfg, "measure")
+    mu = _profile(cfg)
     sizes, sym, seed = _ensemble(cfg)
+    if len(sizes) > 1:
+        # ssv_fit.json holds the fit of one size
+        raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
     w_abs = _get(cfg, "grid.w_abs", float, default=1.0)
     if w_abs <= 0:
         raise ConfigError(f"grid.w_abs: need w_abs > 0, got {w_abs:g}")
@@ -464,39 +468,28 @@ def _cmd_ssv_tail(cfg):
     t_grid = None if t_grid is None else np.array(_numbers(t_grid, "params.t_grid"))
     if t_grid is not None and len(t_grid) == 0:
         raise ConfigError("params.t_grid: need one or more t")
-    e = models.SingleRingEnsemble.from_measure(mu, _one_size(sizes), sym, seed)
+    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
     try:
         locallaw._check_tail_profile(e)
     except ValueError as exc:
         raise ConfigError(f"measure: {exc}") from exc
 
     def run(ctx):
-        rep = locallaw.smallest_sv_tail(
-            e, complex(w_abs), t_grid=t_grid, trials=trials, threads=ctx.threads
+        [(records, fit)] = _each_size(
+            ctx, locallaw.smallest_sv_tail, [e], complex(w_abs), t_grid, trials
         )
-        records = [
-            locallaw.SsvRecord(rep.N, trial, rep.w_abs, t, lam)
-            for trial, lam in enumerate(rep.lambda1)
-            for t in rep.t_grid
-        ]
         _write_records(ctx.path("ssv.csv"), locallaw.SsvRecord, records)
-        _write_json(ctx.path("ssv_fit.json"), {
-            "slope": rep.slope,
-            "slope_ci": list(rep.slope_ci),
-            "monotone": rep.monotone(),
-            "t_grid": [float(t) for t in rep.t_grid],
-            "tail_probability": [float(p) for p in rep.tail_probability],
-        })
+        _write_json(ctx.path("ssv_fit.json"), fit)
 
     return run
 
 
 def _block_ensembles(cfg):
-    """The ensemble's sizes and the block additive model at each of them."""
+    """The block additive model at each of the ensemble's sizes."""
     mu_s = load_measure(cfg, "measure")
     mu_x = load_measure(cfg, "measure2")
     sizes, sym, seed = _ensemble(cfg)
-    return sizes, [
+    return [
         models.BlockAdditiveEnsemble(
             models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
         )
@@ -505,7 +498,7 @@ def _block_ensembles(cfg):
 
 
 def _cmd_block_law(cfg):
-    sizes, ensembles = _block_ensembles(cfg)
+    ensembles = _block_ensembles(cfg)
     interval = _numbers(
         _get(cfg, "params.E_interval", default=[0.0, 0.0]), "params.E_interval", 2
     )
@@ -516,18 +509,17 @@ def _cmd_block_law(cfg):
         energies = locallaw.block_energies(ensembles[0], interval, n_energies)
     except ValueError as exc:
         raise ConfigError(f"params.E_interval: {exc}") from exc
-    grid = _scan_grid(cfg, [], sizes)
+    grid = _scan_grid(cfg, [], [e.N for e in ensembles])
 
     def run(ctx):
-        records = locallaw.block_local_law_scan(ensembles, energies, grid, threads=ctx.threads)
-        _write_records(ctx.path("block.csv"), locallaw.BlockRecord, records)
+        scans = _each_size(ctx, locallaw.block_local_law_scan, ensembles, energies, grid)
+        _write_records(ctx.path("block.csv"), locallaw.BlockRecord, chain(*scans))
 
     return run
 
 
 def _cmd_green_sub(cfg):
-    sizes, (e, *_) = _block_ensembles(cfg)
-    _one_size(sizes)
+    ensembles = _block_ensembles(cfg)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
     window = _get(cfg, "params.bulk_window", default=None)
     window = None if window is None else _numbers(window, "params.bulk_window", 2)
@@ -536,10 +528,8 @@ def _cmd_green_sub(cfg):
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
 
     def run(ctx):
-        recs = locallaw.green_subordination_scan(
-            e, zs, trials=trials, bulk_window=window, threads=ctx.threads
-        )
-        _write_records(ctx.path("subordination.csv"), locallaw.SubDiagRecord, recs)
+        scans = _each_size(ctx, locallaw.green_subordination_scan, ensembles, zs, trials, window)
+        _write_records(ctx.path("subordination.csv"), locallaw.SubDiagRecord, chain(*scans))
 
     return run
 

@@ -1,10 +1,12 @@
 """Monte Carlo verification engine for the bulk local laws.
 
-Every experiment is a deterministic map from (configuration, 64-bit seed)
-to records: each trial (N-index, trial) gets its own child generator,
-contiguous batches of trials are the tasks of an order-independent parallel
-map, and a failed reference solve is recorded as a NaN deviation (a
-flagged node) instead of being retried with fresh randomness.
+Every scan runs one ensemble and is a deterministic map from (ensemble,
+arguments, stream path) to records: trial t draws from its own child
+generator child_rng(seed, *path, t) (the CLI passes path (i,) at size
+position i), contiguous batches of trials are the tasks of an
+order-independent parallel map, and a failed reference solve is recorded
+as a NaN deviation (a flagged node) instead of being retried with fresh
+randomness.
 
 Stochastic domination is operationalized by slope fits: a family of scaled
 deviations obeys the claimed bound when its high quantiles do not grow as a
@@ -151,7 +153,7 @@ def delta_bump_l1() -> float:
 @dataclass(frozen=True)
 class ScanGrid:
     """The spectral resolutions eta, the points w (none for a block scan) and
-    the trial count that a scan runs at each of its sizes."""
+    the trial count of a scan."""
 
     eta_values: np.ndarray
     w_values: np.ndarray
@@ -263,41 +265,35 @@ def _references(solve, nodes, failed):
     return ref
 
 
-def local_law_scan(ensembles, grid: ScanGrid, threads: int = 1):
+def local_law_scan(ens: models.SingleRingEnsemble, grid: ScanGrid, path, threads: int = 1):
     """(records, splits): the DevRecords of the deviations
     N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid and the SplitRecords
-    of each (trial, w), at the size of each of the SingleRingEnsembles
-    ``ensembles`` in turn."""
-    records, splits = [], []
+    of each (trial, w); trial t draws from child_rng(ens.seed, *path, t)."""
+    N = ens.N
     # reference nodes (|w|, i eta): phases that share |w| share a solve
     w_abs = np.abs(grid.w_values).tolist()
     nodes = [(r, 1j * eta) for r in w_abs for eta in grid.eta_values.tolist()]
+    mu_sym = measure.symmetrize(ens.empirical_measure())
+    ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
+    eta_star = float(N) ** (-SPLIT_EXPONENT)
 
-    for ni, ens in enumerate(ensembles):
-        N = ens.N
-        mu_sym = measure.symmetrize(ens.empirical_measure())
-        ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
-        eta_star = float(N) ** (-SPLIT_EXPONENT)
+    def record(trial, *s_w):
+        recs, split_recs = [], []
+        for w, r, s in zip(grid.w_values, w_abs, s_w):
+            small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
+            split_recs.append(
+                SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
+            )
+            for eta in grid.eta_values:
+                dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
+                recs.append(DevRecord(N, trial, complex(w), eta, dev))
+        return recs, split_recs
 
-        def record(trial, *s_w, N=N, ref=ref, eta_star=eta_star):
-            recs, split_recs = [], []
-            for w, r, s in zip(grid.w_values, w_abs, s_w):
-                small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
-                split_recs.append(
-                    SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
-                )
-                for eta in grid.eta_values:
-                    dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
-                    recs.append(DevRecord(N, trial, complex(w), eta, dev))
-            return recs, split_recs
-
-        for recs, split_recs in _batched_trials(
-            models.sample_X, ens, (ni,), grid.trials, threads,
-            lambda X: [models.svd(X, w) for w in grid.w_values], record,
-        ):
-            records.extend(recs)
-            splits.extend(split_recs)
-    return records, splits
+    per_trial = _batched_trials(
+        models.sample_X, ens, path, grid.trials, threads,
+        lambda X: [models.svd(X, w) for w in grid.w_values], record,
+    )
+    return [r for recs, _ in per_trial for r in recs], [s for _, ss in per_trial for s in ss]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +380,7 @@ class GapRecord:
 
 
 def linear_statistic_gap(
-    e: models.SingleRingEnsemble, tests, trials: int, threads: int = 1
+    e: models.SingleRingEnsemble, tests, trials: int, path, threads: int = 1
 ) -> list:
     """Per-trial |lhs - rhs| scaled by N^{1-2a}/||Delta f||_1 for each test
     (w0, a, R) in ``tests``: the records of the first test's trials, then the next's.
@@ -407,7 +403,7 @@ def linear_statistic_gap(
         ]
 
     per_trial = _batched_trials(
-        models.sample_X, e, (), trials, threads,
+        models.sample_X, e, path, trials, threads,
         lambda X: linear_statistic_lhs(X, tests), record,
     )
     return [r for per_test in zip(*per_trial) for r in per_test]
@@ -427,20 +423,6 @@ class SsvRecord:
     w_abs: float
     t: float
     lambda1: float
-
-
-@dataclass
-class SsvTailReport:
-    N: int
-    w_abs: float
-    lambda1: np.ndarray
-    t_grid: np.ndarray
-    tail_probability: np.ndarray
-    slope: float
-    slope_ci: tuple
-
-    def monotone(self) -> bool:
-        return bool(np.all(np.diff(self.tail_probability) >= 0))
 
 
 def _tail_slope(lam_scaled: np.ndarray, t_grid: np.ndarray) -> float:
@@ -463,16 +445,23 @@ def _check_tail_profile(e: models.SingleRingEnsemble):
 def smallest_sv_tail(
     e: models.SingleRingEnsemble,
     w: complex,
-    t_grid=None,
-    trials: int = 500,
+    t_grid,
+    trials: int,
+    path,
     threads: int = 1,
-) -> SsvTailReport:
-    """Empirical tail P(lambda_1^w <= t/|w|) with a log-log slope fit; the
-    identity profile of the orthogonal class is a ValueError."""
+):
+    """(records, fit): the empirical tail P(lambda_1^w <= t/|w|) with a log-log
+    slope fit, on t_grid or, when it is None, on quantiles of the sample.
+
+    The records are the SsvRecords of each (trial, t); the fit holds the
+    slope, its bootstrap CI, whether the tail is monotone, the t grid and
+    the tail probabilities.  The identity profile of the orthogonal class
+    is a ValueError.
+    """
     _check_tail_profile(e)
 
     lam = np.array(_batched_trials(
-        models.sample_X, e, (), trials, threads,
+        models.sample_X, e, path, trials, threads,
         lambda X: [models.svd(X, w)], lambda trial, s: models.smallest_sv(s),
     ))
     lam_scaled = lam * abs(w)
@@ -480,7 +469,6 @@ def smallest_sv_tail(
         t_grid = np.quantile(lam_scaled, [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
     t_grid = np.asarray(t_grid, dtype=float)
     probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
-    slope = _tail_slope(lam_scaled, t_grid)
 
     boot_rng = linalg.child_rng(e.seed, 10**6)
     slopes = []
@@ -489,8 +477,20 @@ def smallest_sv_tail(
         s = _tail_slope(resample, t_grid)
         if np.isfinite(s):
             slopes.append(s)
-    ci = tuple(float(np.percentile(slopes, q)) for q in (2.5, 97.5)) if slopes else (math.nan,) * 2
-    return SsvTailReport(e.N, abs(w), lam, t_grid, probs, slope, ci)
+    ci = [float(np.percentile(slopes, q)) for q in (2.5, 97.5)] if slopes else [math.nan] * 2
+    records = [
+        SsvRecord(e.N, trial, abs(w), float(t), float(lam1))
+        for trial, lam1 in enumerate(lam)
+        for t in t_grid
+    ]
+    fit = {
+        "slope": _tail_slope(lam_scaled, t_grid),
+        "slope_ci": ci,
+        "monotone": bool(np.all(np.diff(probs) >= 0)),
+        "t_grid": t_grid.tolist(),
+        "tail_probability": probs.tolist(),
+    }
+    return records, fit
 
 
 # ---------------------------------------------------------------------------
@@ -524,37 +524,35 @@ def block_energies(e: models.BlockAdditiveEnsemble, interval, n_energies: int) -
     return E_values
 
 
-def block_local_law_scan(ensembles, E_values, grid: ScanGrid, threads: int = 1) -> list:
+def block_local_law_scan(
+    ens: models.BlockAdditiveEnsemble, E_values, grid: ScanGrid, path, threads: int = 1
+) -> list:
     """BlockRecords of the deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the
-    energies E_values, at the size of each of the BlockAdditiveEnsembles
-    ``ensembles`` in turn.
+    energies E_values; trial t draws from child_rng(ens.seed, *path, t).
 
     m_ref is the transform of the free convolution of the symmetrized
     empirical diagonal profiles; ``block_energies`` checks that the
     energies lie in its bulk.  A failed reference solve flags its (E, eta)
     node in every trial.
     """
-    records = []
+    N = ens.N
     zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
-    for ni, ens in enumerate(ensembles):
-        N = ens.N
-        mu_a_N, mu_b_N = _block_reference(ens)
-        ref = _references(lambda z: freeconv.solve_phi_system(mu_a_N, mu_b_N, z).m, zs, NAN)
+    mu_a, mu_b = _block_reference(ens)
+    ref = _references(lambda z: freeconv.solve_phi_system(mu_a, mu_b, z).m, zs, NAN)
 
-        def record(trial, s, N=N, ref=ref):
-            recs = []
-            for z in zs:
-                # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
-                m_H = complex(np.mean(z / (s * s - z * z)))
-                dev = N * z.imag * (1.0 + z.imag) * abs(m_H - ref[z])
-                recs.append(BlockRecord(N, trial, z.real, z.imag, dev))
-            return recs
+    def record(trial, s):
+        recs = []
+        for z in zs:
+            # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
+            m_H = complex(np.mean(z / (s * s - z * z)))
+            dev = N * z.imag * (1.0 + z.imag) * abs(m_H - ref[z])
+            recs.append(BlockRecord(N, trial, z.real, z.imag, dev))
+        return recs
 
-        for recs in _batched_trials(
-            models.sample_Y, ens, (ni,), grid.trials, threads, lambda Y: [models.svd(Y)], record
-        ):
-            records.extend(recs)
-    return records
+    chunks = _batched_trials(
+        models.sample_Y, ens, path, grid.trials, threads, lambda Y: [models.svd(Y)], record
+    )
+    return [r for recs in chunks for r in recs]
 
 
 @dataclass(frozen=True)
@@ -571,8 +569,9 @@ class SubDiagRecord:
 def green_subordination_scan(
     e: models.BlockAdditiveEnsemble,
     z_grid,
-    trials: int = 10,
-    bulk_window=None,
+    trials: int,
+    bulk_window,
+    path,
     threads: int = 1,
 ) -> list:
     """Entrywise Green function subordination diagnostics on a z grid.
@@ -611,7 +610,7 @@ def green_subordination_scan(
         return recs
 
     chunks = _batched_trials(
-        models.sample_Y, e, (), trials, threads,
+        models.sample_Y, e, path, trials, threads,
         lambda Y: models.svd(Y, compute_uv=True), record,
     )
     return [r for recs in chunks for r in recs]

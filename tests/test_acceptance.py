@@ -198,7 +198,11 @@ def test_criterion_07_local_law(two_point):
     grid = locallaw.ScanGrid(
         locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([1.4 + 0j]), trials=20
     )
-    records, _ = locallaw.local_law_scan(ensembles, grid, threads=THREADS)
+    records = [
+        r
+        for i, e in enumerate(ensembles)
+        for r in locallaw.local_law_scan(e, grid, (i,), threads=THREADS)[0]
+    ]
     fit = locallaw.fit_domination(records)
     max_dev = max(mx for _, mx, _ in locallaw.domination_stats(records).values())
     elapsed = time.time() - t0
@@ -218,7 +222,7 @@ def statistic_gaps(two_point):
     e = models.SingleRingEnsemble.from_measure(two_point, 512, "unitary", seed=SEED)
     tests = [(0.0, 0.1), (0.25, 0.5), (0.45, 2.0)]
     recs = locallaw.linear_statistic_gap(
-        e, [(1.4 + 0j, a, r) for a, r in tests], trials=20, threads=THREADS
+        e, [(1.4 + 0j, a, r) for a, r in tests], trials=20, path=(), threads=THREADS
     )
     return {test: recs[20 * i : 20 * (i + 1)] for i, test in enumerate(tests)}
 
@@ -247,7 +251,11 @@ def test_criterion_09_block_strong_law():
         locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([], dtype=complex), trials=10
     )
     energies = locallaw.block_energies(e, (0.0, 0.0), 1)
-    records = locallaw.block_local_law_scan(ensembles, energies, grid, threads=THREADS)
+    records = [
+        r
+        for i, ens in enumerate(ensembles)
+        for r in locallaw.block_local_law_scan(ens, energies, grid, (i,), threads=THREADS)
+    ]
 
     # the scan's reference transform is the closed-form arcsine law
     mu_b = measure.symmetrize(e.sigma_measure())
@@ -273,7 +281,7 @@ def test_criterion_10_subordination_diagnostics():
         np.ones(512), np.ones(512), 512, "unitary", seed=SEED
     )
     recs = locallaw.green_subordination_scan(
-        e, [0.1j], trials=10, bulk_window=(-0.5, 0.5), threads=THREADS
+        e, [0.1j], trials=10, bulk_window=(-0.5, 0.5), path=(), threads=THREADS
     )
     lam_max = max(r.lambda_d_scaled for r in recs)
     vec_max = max(r.eigvec_sup for r in recs)
@@ -289,13 +297,16 @@ def test_criterion_10_subordination_diagnostics():
 @pytest.mark.slow
 def test_criterion_11_smallest_sv_tail(two_point):
     e = models.SingleRingEnsemble.from_measure(two_point, 128, "unitary", seed=SEED)
-    rep = locallaw.smallest_sv_tail(e, 1.4 + 0j, trials=500, threads=THREADS)
-    ok = rep.monotone() and rep.slope > 0 and rep.slope_ci[0] > 0
+    _, fit = locallaw.smallest_sv_tail(
+        e, 1.4 + 0j, t_grid=None, trials=500, path=(), threads=THREADS
+    )
+    lo, hi = fit["slope_ci"]
+    ok = fit["monotone"] and fit["slope"] > 0 and lo > 0
     verdict(
         11,
         ok,
-        f"ssv tail: monotone, slope {rep.slope:.2f}, bootstrap CI "
-        f"({rep.slope_ci[0]:.2f}, {rep.slope_ci[1]:.2f}) excludes 0",
+        f"ssv tail: monotone, slope {fit['slope']:.2f}, bootstrap CI "
+        f"({lo:.2f}, {hi:.2f}) excludes 0",
     )
 
 
@@ -357,7 +368,7 @@ def test_criterion_15_orthogonal_statistic_gap(two_point):
     t0 = time.perf_counter()
     # the six tests read one set of spectra: ten eigvals calls in all
     tests = [(w0, a, r) for w0, _ in points for a, r in scales]
-    recs = locallaw.linear_statistic_gap(e, tests, trials=10, threads=THREADS)
+    recs = locallaw.linear_statistic_gap(e, tests, trials=10, path=(), threads=THREADS)
     details = []
     ok = True
     for j, (_, label) in enumerate(points):

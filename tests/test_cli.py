@@ -92,6 +92,11 @@ class TestValidate:
         assert err.startswith("invalid config: config: ") and err.count("\n") == 1
 
 
+def amend(cfg, block, **keys):
+    """A copy of cfg whose section ``block`` has ``keys`` set."""
+    return dict(cfg, **{block: dict(cfg.get(block, {}), **keys)})
+
+
 MAIN_GAP = {
     "measure": TWO_POINT,
     "ensemble": {"N": 24, "seed": 1},
@@ -112,11 +117,7 @@ LOCAL_LAW = {
     "grid": {"eta_min": 0.2, "eta_max": 1.0, "w_abs": 1.4, "trials": 1},
 }
 TWO_SIZES = {"N_values": [16, 24], "seed": 1}
-
-
-def amend(cfg, block, **keys):
-    """A copy of cfg whose section ``block`` has ``keys`` set."""
-    return dict(cfg, **{block: dict(cfg.get(block, {}), **keys)})
+SUPPORT_AT_512 = amend(MAIN_GAP, "params", alphas=[0.1], support_radii=[2.0])
 
 
 # (command, config, a fragment of the message): the command's parser, which
@@ -147,9 +148,14 @@ BAD_CONFIGS = [
     ("freeconv", {"measure": TWO_POINT, "measure2": TWO_POINT, "params": {"z_grid": [[0.0, 0.0]]}},
      "params.z_grid[0]: need Im z > 0;"),
     ("block-law", amend(BLOCK, "params", E_interval=[0.2, 0.1]), "params.E_interval: empty"),
-    ("main-gap", dict(MAIN_GAP, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
+    # the support N^-alpha R is widest at the smallest size: 2.0 * 512^-0.1 = 1.07
+    # passes |w0| = 1.4 (a GOOD_CONFIGS row), 2.0 * 16^-0.1 = 1.52 does not
+    ("main-gap", dict(SUPPORT_AT_512, ensemble={"N_values": [16, 512], "seed": 1}),
+     "invalid config: params.support_radii: test function support touches w = 0: "
+     "N^-alpha R = 1.51572 >= |w0| = 1.4 at alpha = 0.1, N = 16\n"),
     ("ssv-tail", dict(SSV, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
-    ("green-sub", dict(GREEN_SUB, ensemble=TWO_SIZES), "ensemble.N_values: this command runs one"),
+    ("ssv-tail", dict(SSV, measure={"atoms": [-1.0, 2.0], "weights": [0.5, 0.5]}),
+     "invalid config: measure: radii expects a measure supported on nonnegative reals\n"),
     ("main-gap", amend(MAIN_GAP, "params", alphas=[0.0], support_radii=[2.0]),
      "params.support_radii: test function support touches w = 0"),
     # list elements that are not numbers, read by one typed reader
@@ -263,6 +269,11 @@ BAD_CONFIGS = [
      "invalid config: measure.atoms: expected a list of numbers, got [1.0, -inf]\n"),
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": 1.5, "n_radii": 1}},
      "invalid config: params.n_radii: need n_radii >= 2, got 1\n"),
+    # nor is an integer beyond the float range
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 10**400}},
+     "invalid config: params.r: expected a finite number, got 1000"),
+    ("radii", {"measure": {"atoms": [1.0, 10**400], "weights": [0.5, 0.5]}},
+     "invalid config: measure.atoms: expected a list of numbers, got [1.0, 1000"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -275,6 +286,10 @@ GOOD_CONFIGS = [
     ("block-law", amend(BLOCK, "grid", w_abs=2.0, w_phases=["x"])),
     ("ssv-tail", amend(SSV, "ensemble", symmetry="orthogonal")),
     ("green-sub", amend(GREEN_SUB, "params", bulk_window=[0.5, 0.5])),
+    # every Monte Carlo command but ssv-tail runs each size of ensemble.N_values
+    ("main-gap", dict(MAIN_GAP, ensemble=TWO_SIZES)),
+    ("green-sub", dict(GREEN_SUB, ensemble=TWO_SIZES)),
+    ("main-gap", dict(SUPPORT_AT_512, ensemble={"N": 512, "seed": 1})),
 ]
 
 
@@ -696,6 +711,26 @@ class TestMainGapCommand:
         cfg["params"]["grid_n"] = 64
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["main-gap", "--config", p, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+class TestSizeStreams:
+    """Trial t at size position i draws from the stream (i, t), so the rows of
+    the first size do not depend on the sizes after it."""
+
+    @pytest.mark.parametrize("command,cfg,name", [
+        ("main-gap", MAIN_GAP, "gap.csv"),
+        ("green-sub", GREEN_SUB, "subordination.csv"),
+    ])
+    def test_first_size_rows_match_a_one_size_run(self, tmp_path, command, cfg, name):
+        rows = {}
+        for sizes in ([16], [16, 24]):
+            sized = amend(dict(cfg, ensemble={"N_values": sizes, "seed": 1}), "grid", trials=2)
+            p = write_cfg(tmp_path / f"c{len(sizes)}.json", sized)
+            out = tmp_path / f"run{len(sizes)}"
+            assert main([command, "--config", p, "--out", str(out)]) == EXIT_OK
+            rows[len(sizes)] = (out / name).read_text().splitlines()[1:]
+        assert {r.split(",")[0] for r in rows[2]} == {"16", "24"}
+        assert [r for r in rows[2] if r.startswith("16,")] == rows[1]
 
 
 class TestBlasThreads:

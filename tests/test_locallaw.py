@@ -238,7 +238,9 @@ class TestLocalLawScan:
             for n in (32, 48)
         ]
         grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), 2)
-        records, splits = local_law_scan(ensembles, grid, threads=threads)
+        scans = [local_law_scan(e, grid, (i,), threads) for i, e in enumerate(ensembles)]
+        records = [r for recs, _ in scans for r in recs]
+        splits = [s for _, ss in scans for s in ss]
         assert len(records) == 2 * 2 * len(grid.eta_values)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
         assert list(domination_stats(records)) == [32, 48]
@@ -259,7 +261,7 @@ class TestLocalLawScan:
 
         monkeypatch.setattr(freeconv, "solve_delta_conv", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            records, _ = local_law_scan([e], grid)
+            records, _ = local_law_scan(e, grid, (0,))
         assert len(records) == 2 * 2
         bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -270,8 +272,8 @@ class TestLocalLawScan:
     def test_thread_count_invariance(self, two_point):
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=22)
         grid = ScanGrid(np.array([0.5]), np.array([1.4 + 0j]), 3)
-        a, _ = local_law_scan([e], grid, threads=1)
-        b, _ = local_law_scan([e], grid, threads=3)
+        a, _ = local_law_scan(e, grid, (0,), threads=1)
+        b, _ = local_law_scan(e, grid, (0,), threads=3)
         assert [(r.N, r.trial, r.eta, r.dev) for r in a] == [
             (r.N, r.trial, r.eta, r.dev) for r in b
         ]
@@ -280,7 +282,9 @@ class TestLocalLawScan:
 class TestLinearStatisticGap:
     def test_gap_records(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 48, "unitary", seed=23)
-        recs = linear_statistic_gap(e, [(1.4 + 0j, 0.25, 0.5)], trials=2, threads=threads)
+        recs = linear_statistic_gap(
+            e, [(1.4 + 0j, 0.25, 0.5)], trials=2, path=(), threads=threads
+        )
         assert len(recs) == 2
         for r in recs:
             assert np.isfinite(r.gap_norm)
@@ -299,7 +303,7 @@ class TestLinearStatisticGap:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         scales = ((0.0, 0.1), (0.25, 0.5), (0.45, 2.0))
         tests = [(w0, a, r) for w0 in (1.4 + 0j, 1.4j) for a, r in scales]
-        recs = linear_statistic_gap(e, tests, trials=14)
+        recs = linear_statistic_gap(e, tests, trials=14, path=())
         assert stacks == [(13, 40, 40), (1, 40, 40)]
         assert [(r.w0, r.alpha, r.trial) for r in recs] == [
             (w0, a, t) for w0, a, _ in tests for t in range(14)
@@ -309,30 +313,35 @@ class TestLinearStatisticGap:
 class TestSmallestSvTail:
     def test_tail_shape(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 32, "unitary", seed=24)
-        rep = smallest_sv_tail(e, 1.4 + 0j, trials=60, threads=threads)
-        assert rep.monotone()
-        assert np.all((rep.tail_probability >= 0) & (rep.tail_probability <= 1))
-        assert np.mean(rep.lambda1 * 1.4 <= rep.t_grid[-1] * 10) == 1.0
+        records, fit = smallest_sv_tail(
+            e, 1.4 + 0j, t_grid=None, trials=60, path=(), threads=threads
+        )
+        lambda1 = np.array([r.lambda1 for r in records[:: len(fit["t_grid"])]])
+        assert len(lambda1) == 60
+        assert fit["monotone"]
+        probs = np.array(fit["tail_probability"])
+        assert np.all((probs >= 0) & (probs <= 1))
+        assert np.mean(lambda1 * 1.4 <= fit["t_grid"][-1] * 10) == 1.0
         big_t = np.array([100.0])
-        assert np.mean(rep.lambda1 * 1.4 <= big_t[0]) == 1.0
+        assert np.mean(lambda1 * 1.4 <= big_t[0]) == 1.0
 
     def test_orthogonal_identity_rejected(self):
         e = models.SingleRingEnsemble(np.ones(8), 8, "orthogonal", seed=25)
         with pytest.raises(ValueError, match="identity"):
-            smallest_sv_tail(e, 1.0, trials=2)
+            smallest_sv_tail(e, 1.0, t_grid=None, trials=2, path=())
 
 
 class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.zeros(24), 24, "unitary", seed=26)
         grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
-        records = block_local_law_scan([e], [0.0], grid)
+        records = block_local_law_scan(e, [0.0], grid, (0,))
         assert max(r.dev for r in records) < 1e-10
 
     def test_arcsine_reference(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=27)
         grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), 3)
-        records = block_local_law_scan([e], [0.0], grid, threads=threads)
+        records = block_local_law_scan(e, [0.0], grid, (0,), threads=threads)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
 
     def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
@@ -347,7 +356,7 @@ class TestBlockScan:
 
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            records = block_local_law_scan([e], [0.0], grid)
+            records = block_local_law_scan(e, [0.0], grid, (0,))
         assert len(records) == 2 * 2
         bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -365,7 +374,7 @@ class TestGreenSubordination:
     def test_small_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=29)
         recs = green_subordination_scan(
-            e, [0.25j], trials=3, bulk_window=(-0.5, 0.5), threads=threads
+            e, [0.25j], trials=3, bulk_window=(-0.5, 0.5), path=(), threads=threads
         )
         assert len(recs) == 3
         for r in recs:
@@ -385,7 +394,7 @@ class TestGreenSubordination:
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
             recs = green_subordination_scan(
-                e, [0.5j, 0.25j], trials=2, bulk_window=(-0.5, 0.5)
+                e, [0.5j, 0.25j], trials=2, bulk_window=(-0.5, 0.5), path=()
             )
         assert [(r.trial, r.z) for r in recs] == [(0, 0.5j), (0, 0.25j), (1, 0.5j), (1, 0.25j)]
         for r in recs:
@@ -564,27 +573,32 @@ class TestBatchesMatchPerTrialOracle:
             for n in (40, 100)
         ]
         grid = ScanGrid(np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), self.TRIALS)
-        assert local_law_scan(ensembles, grid, threads=threads) == local_law_oracle(ensembles, grid)
+        scans = [local_law_scan(e, grid, (i,), threads) for i, e in enumerate(ensembles)]
+        oracle = local_law_oracle(ensembles, grid)
+        assert [r for recs, _ in scans for r in recs] == oracle[0]
+        assert [s for _, splits in scans for s in splits] == oracle[1]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_linear_statistic_gap(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=34)
         tests = [(1.4 + 0j, 0.0, 0.3), (1.4j, 0.25, 0.5)]
-        recs = linear_statistic_gap(e, tests, self.TRIALS, threads=threads)
+        recs = linear_statistic_gap(e, tests, self.TRIALS, path=(), threads=threads)
         assert recs == gap_oracle(e, tests, self.TRIALS)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_smallest_sv_tail(self, two_point, threads):
         e = models.SingleRingEnsemble.from_measure(two_point, 40, "unitary", seed=35)
-        rep = smallest_sv_tail(e, 1.4 + 0j, trials=self.TRIALS, threads=threads)
+        records, fit = smallest_sv_tail(
+            e, 1.4 + 0j, t_grid=None, trials=self.TRIALS, path=(), threads=threads
+        )
         oracle = [models.smallest_sv(models.svd(sample_X(e, t), 1.4 + 0j)) for t in range(14)]
-        assert rep.lambda1.tolist() == oracle
+        assert [r.lambda1 for r in records[:: len(fit["t_grid"])]] == oracle
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_block_local_law_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
         grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), self.TRIALS)
-        records = block_local_law_scan([e], [0.0], grid, threads=threads)
+        records = block_local_law_scan(e, [0.0], grid, (0,), threads=threads)
         assert records == block_oracle(e, 0.0, grid)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -592,6 +606,6 @@ class TestBatchesMatchPerTrialOracle:
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=37)
         window = (-0.5, 0.5)
         recs = green_subordination_scan(
-            e, [0.25j], trials=self.TRIALS, bulk_window=window, threads=threads
+            e, [0.25j], trials=self.TRIALS, bulk_window=window, path=(), threads=threads
         )
         assert recs == green_oracle(e, 0.25j, self.TRIALS, window)
