@@ -24,6 +24,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -171,18 +172,23 @@ def _annulus(cfg, mu):
     return r_minus + tau, r_plus - tau
 
 
-def _scan_grid(cfg, ws, sizes, default_eta_exponent=0.9):
+def _scan_grid(cfg, sizes):
+    """(etas, trials) of a local law scan: the dyadic etas of the ``grid``
+    block, down to max(sizes)^-0.9 by default, and its trial count."""
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
     eta_max = _get(cfg, "grid.eta_max", float, default=1.0)
-    eta_min = _get(cfg, "grid.eta_min", float, default=max(sizes) ** -default_eta_exponent)
+    eta_min = _get(cfg, "grid.eta_min", float, default=max(sizes) ** -0.9)
     try:
-        return locallaw.ScanGrid(locallaw.dyadic_etas(eta_min, eta_max), ws, trials)
+        return locallaw.dyadic_etas(eta_min, eta_max), trials
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _ensemble(cfg):
-    """Sizes, symmetry class and seed of the ``ensemble`` block."""
+def _ensembles(cfg, build):
+    """[build(N, symmetry, seed)] at each size N of the ``ensemble`` block.
+
+    A profile too large to allocate is a ConfigError that names the sizes.
+    """
     ns = _get(cfg, "ensemble.N_values", default=None)
     path = "ensemble.N" if ns is None else "ensemble.N_values"
     sizes = [_get(cfg, path, int)] if ns is None else _numbers(ns, path, kind=int)
@@ -191,7 +197,11 @@ def _ensemble(cfg):
     sym = _get(cfg, "ensemble.symmetry", str, default="unitary")
     if sym not in models.SYMMETRY_CLASSES:
         raise ConfigError(f"ensemble.symmetry: unknown class {sym!r}")
-    return sizes, sym, _get(cfg, "ensemble.seed", int, least=0)
+    seed = _get(cfg, "ensemble.seed", int, least=0)
+    try:
+        return [build(N, sym, seed) for N in sizes]
+    except MemoryError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _each_size(ctx, scan, ensembles, *args):
@@ -398,7 +408,7 @@ def _cmd_ring_density(cfg):
 def _cmd_local_law(cfg):
     mu = _profile(cfg)
     lo, hi = _annulus(cfg, mu)
-    sizes, sym, seed = _ensemble(cfg)
+    ensembles = _ensembles(cfg, partial(models.SingleRingEnsemble.from_measure, mu))
     w_abs = _get(cfg, "grid.w_abs", float, default=0.5 * (lo + hi))
     phases = _numbers(_get(cfg, "grid.w_phases", default=[0.0]), "grid.w_phases")
     if not phases:
@@ -406,11 +416,11 @@ def _cmd_local_law(cfg):
     ws = np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases])
     if not all(lo <= abs(w) <= hi for w in ws):
         raise ConfigError(f"grid.w_abs: |w| = {abs(w_abs):g} outside the annulus [{lo:g}, {hi:g}]")
-    grid = _scan_grid(cfg, ws, sizes)
-    ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
+    etas, trials = _scan_grid(cfg, [e.N for e in ensembles])
 
     def run(ctx):
-        records, splits = zip(*_each_size(ctx, locallaw.local_law_scan, ensembles, grid))
+        scans = _each_size(ctx, locallaw.local_law_scan, ensembles, ws, etas, trials)
+        records, splits = zip(*scans)
         _write_records(ctx.path("locallaw.csv"), locallaw.DevRecord, chain(*records))
         _write_records(ctx.path("locallaw_split.csv"), locallaw.SplitRecord, chain(*splits))
 
@@ -420,7 +430,7 @@ def _cmd_local_law(cfg):
 def _cmd_main_gap(cfg):
     mu = _profile(cfg)
     lo, hi = _annulus(cfg, mu)
-    sizes, sym, seed = _ensemble(cfg)
+    ensembles = _ensembles(cfg, partial(models.SingleRingEnsemble.from_measure, mu))
     w0 = complex(*_numbers(_get(cfg, "params.w0"), "params.w0", 2))
     if not lo <= abs(w0) <= hi:
         raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus [{lo:g}, {hi:g}]")
@@ -435,7 +445,7 @@ def _cmd_main_gap(cfg):
         raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
     if not all(radius > 0 for radius in radii_cfg):
         raise ConfigError("params.support_radii: support radius must be positive")
-    N = min(sizes)  # where the test function supports are widest
+    N = min(e.N for e in ensembles)  # where the test function supports are widest
     tests = [(w0, alpha, radius) for alpha, radius in zip(alphas, radii_cfg)]
     for _, alpha, radius in tests:
         scale = float(N) ** (-alpha) * radius  # the support radius linear_statistic_rhs tests
@@ -445,7 +455,6 @@ def _cmd_main_gap(cfg):
                 f"N^-alpha R = {scale:g} >= |w0| = {abs(w0):g} at alpha = {alpha:g}, N = {N}"
             )
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
-    ensembles = [models.SingleRingEnsemble.from_measure(mu, N, sym, seed) for N in sizes]
 
     def run(ctx):
         scans = _each_size(ctx, locallaw.linear_statistic_gap, ensembles, tests, trials)
@@ -456,10 +465,12 @@ def _cmd_main_gap(cfg):
 
 def _cmd_ssv_tail(cfg):
     mu = _profile(cfg)
-    sizes, sym, seed = _ensemble(cfg)
-    if len(sizes) > 1:
+    ensembles = _ensembles(cfg, partial(models.SingleRingEnsemble.from_measure, mu))
+    if len(ensembles) > 1:
         # ssv_fit.json holds the fit of one size
+        sizes = [e.N for e in ensembles]
         raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
+    [e] = ensembles
     w_abs = _get(cfg, "grid.w_abs", float, default=1.0)
     if w_abs <= 0:
         raise ConfigError(f"grid.w_abs: need w_abs > 0, got {w_abs:g}")
@@ -468,7 +479,6 @@ def _cmd_ssv_tail(cfg):
     t_grid = None if t_grid is None else np.array(_numbers(t_grid, "params.t_grid"))
     if t_grid is not None and len(t_grid) == 0:
         raise ConfigError("params.t_grid: need one or more t")
-    e = models.SingleRingEnsemble.from_measure(mu, sizes[0], sym, seed)
     try:
         locallaw._check_tail_profile(e)
     except ValueError as exc:
@@ -476,7 +486,7 @@ def _cmd_ssv_tail(cfg):
 
     def run(ctx):
         [(records, fit)] = _each_size(
-            ctx, locallaw.smallest_sv_tail, [e], complex(w_abs), t_grid, trials
+            ctx, locallaw.smallest_sv_tail, ensembles, complex(w_abs), t_grid, trials
         )
         _write_records(ctx.path("ssv.csv"), locallaw.SsvRecord, records)
         _write_json(ctx.path("ssv_fit.json"), fit)
@@ -488,13 +498,9 @@ def _block_ensembles(cfg):
     """The block additive model at each of the ensemble's sizes."""
     mu_s = load_measure(cfg, "measure")
     mu_x = load_measure(cfg, "measure2")
-    sizes, sym, seed = _ensemble(cfg)
-    return [
-        models.BlockAdditiveEnsemble(
-            models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
-        )
-        for N in sizes
-    ]
+    return _ensembles(cfg, lambda N, sym, seed: models.BlockAdditiveEnsemble(
+        models.sigma_from_measure(mu_s, N), models.sigma_from_measure(mu_x, N), N, sym, seed
+    ))
 
 
 def _cmd_block_law(cfg):
@@ -509,10 +515,10 @@ def _cmd_block_law(cfg):
         energies = locallaw.block_energies(ensembles[0], interval, n_energies)
     except ValueError as exc:
         raise ConfigError(f"params.E_interval: {exc}") from exc
-    grid = _scan_grid(cfg, [], [e.N for e in ensembles])
+    etas, trials = _scan_grid(cfg, [e.N for e in ensembles])
 
     def run(ctx):
-        scans = _each_size(ctx, locallaw.block_local_law_scan, ensembles, energies, grid)
+        scans = _each_size(ctx, locallaw.block_local_law_scan, ensembles, energies, etas, trials)
         _write_records(ctx.path("block.csv"), locallaw.BlockRecord, chain(*scans))
 
     return run
@@ -528,7 +534,7 @@ def _cmd_green_sub(cfg):
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
 
     def run(ctx):
-        scans = _each_size(ctx, locallaw.green_subordination_scan, ensembles, zs, trials, window)
+        scans = _each_size(ctx, locallaw.green_subordination_scan, ensembles, zs, window, trials)
         _write_records(ctx.path("subordination.csv"), locallaw.SubDiagRecord, chain(*scans))
 
     return run
@@ -602,7 +608,7 @@ def _parse(config_path, command=None, seed=None):
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
         raise ConfigError(f"config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(cfg).__name__}")

@@ -1,17 +1,18 @@
 """Monte Carlo verification engine for the bulk local laws.
 
-Every scan runs one ensemble and is a deterministic map from (ensemble,
-arguments, stream path) to records: trial t draws from its own child
-generator child_rng(seed, *path, t) (the CLI passes path (i,) at size
-position i), contiguous batches of trials are the tasks of an
-order-independent parallel map, and a failed reference solve is recorded
-as a NaN deviation (a flagged node) instead of being retried with fresh
-randomness.
+Every scan has the signature scan(ens, <points>, trials, path, threads) and
+is a deterministic map from its arguments, threads aside, to records: trial
+t draws from its own child generator child_rng(seed, *path, t) (the CLI
+passes path (i,) at size position i), contiguous batches of trials are the
+tasks of an order-independent parallel map, and a failed reference solve is
+recorded as a NaN deviation (a flagged node) instead of being retried with
+fresh randomness.
 
 Stochastic domination is operationalized by slope fits: a family of scaled
 deviations obeys the claimed bound when its high quantiles do not grow as a
 power of N, i.e. when the fitted log-log slope stays below
-DOMINATION_SLOPE_MAX.
+DOMINATION_SLOPE_MAX.  Every slope, this one and the smallest singular
+value tail's, comes from the one least-squares line ``_line_fit``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import freeconv, linalg, measure, models, ringlaw
 from .measure import ConvergenceError, DiscreteMeasure
 
 __all__ = [
-    "ScanGrid",
     "DevRecord",
     "BlockRecord",
     "SsvRecord",
@@ -103,8 +103,11 @@ def _batched_trials(sample, ens, path, trials, threads, spectra, record) -> list
 
     Trial t draws from child_rng(ens.seed, *path, t); a batch of k trials is
     sampled as one (k, N, N) stack, spectra(stack) returns arrays over the
-    batch, and rows_t holds trial t's entries of them.
+    batch, and rows_t holds trial t's entries of them.  Every scan runs its
+    trials here, so ``trials`` < 1 is a ValueError of each.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     k = -(-BATCH_VALUES // ens.N)
 
     def one_batch(batch):
@@ -146,27 +149,8 @@ def delta_bump_l1() -> float:
 
 
 # ---------------------------------------------------------------------------
-# scan grids, scan records and domination fits
+# scan records, line fits and domination fits
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    """The spectral resolutions eta, the points w (none for a block scan) and
-    the trial count of a scan."""
-
-    eta_values: np.ndarray
-    w_values: np.ndarray
-    trials: int
-
-    def __post_init__(self):
-        etas = np.asarray(self.eta_values, dtype=float)
-        if len(etas) == 0 or np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
-            raise ValueError("eta_values must be positive and strictly decreasing")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        object.__setattr__(self, "eta_values", etas)
-        object.__setattr__(self, "w_values", np.asarray(self.w_values, dtype=np.complex128))
 
 
 # The scan records (DevRecord, BlockRecord, SplitRecord, GapRecord, SsvRecord,
@@ -191,7 +175,7 @@ class BlockRecord:
     dev: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitRecord:
     """Integral-split diagnostic: eta* = N^(-L1), the small-eta mass of
     Im m^w, and the smallest singular value of X - w controlling it."""
@@ -220,6 +204,25 @@ def domination_stats(records) -> dict:
     return stats
 
 
+def _line_fit(x, y, keep):
+    """The least-squares line (slope, intercept) of y against x along the last
+    axis, over the points where ``keep`` holds, in centred form; x, y and keep
+    broadcast.  Values at points not kept are never read, and a row with fewer
+    than two distinct kept x gives NaN for both, without a warning.
+    """
+    x, y, keep = np.broadcast_arrays(x, y, keep)
+    x, y = np.where(keep, x, 0.0), np.where(keep, y, 0.0)
+    n = np.maximum(np.sum(keep, axis=-1, keepdims=True), 1)
+    x_mean = np.sum(x, axis=-1, keepdims=True) / n
+    y_mean = np.sum(y, axis=-1, keepdims=True) / n
+    xc = np.where(keep, x - x_mean, 0.0)
+    sxx = np.sum(xc * xc, axis=-1)
+    sxy = np.sum(xc * (y - y_mean), axis=-1)
+    ok = sxx > 0
+    slope = np.where(ok, sxy / np.where(ok, sxx, 1.0), math.nan)
+    return slope, np.where(ok, y_mean[..., 0] - slope * x_mean[..., 0], math.nan)
+
+
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -240,7 +243,7 @@ def fit_domination(records) -> FitResult:
         raise ValueError("fit_domination needs deviations at >= 3 sizes N")
     x = np.log(np.array(ns, dtype=float))
     y = np.log(np.array([quantiles[n] for n in ns]))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y, True)
     return FitResult(float(slope), float(intercept), bool(slope <= DOMINATION_SLOPE_MAX))
 
 
@@ -265,33 +268,37 @@ def _references(solve, nodes, failed):
     return ref
 
 
-def local_law_scan(ens: models.SingleRingEnsemble, grid: ScanGrid, path, threads: int = 1):
+def local_law_scan(
+    ens: models.SingleRingEnsemble, ws, etas, trials: int, path, threads: int = 1
+):
     """(records, splits): the DevRecords of the deviations
-    N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| over the grid and the SplitRecords
-    of each (trial, w); trial t draws from child_rng(ens.seed, *path, t)."""
+    N eta |m^w(i eta) - m_{Sigma,|w|}(i eta)| at each point w of ws and each
+    eta > 0 of etas, and the SplitRecords of each (trial, w); trial t draws
+    from child_rng(ens.seed, *path, t)."""
     N = ens.N
+    ws, etas = np.asarray(ws, dtype=np.complex128), np.asarray(etas, dtype=float)
     # reference nodes (|w|, i eta): phases that share |w| share a solve
-    w_abs = np.abs(grid.w_values).tolist()
-    nodes = [(r, 1j * eta) for r in w_abs for eta in grid.eta_values.tolist()]
+    w_abs = np.abs(ws).tolist()
+    nodes = [(r, 1j * eta) for r in w_abs for eta in etas.tolist()]
     mu_sym = measure.symmetrize(ens.empirical_measure())
     ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
     eta_star = float(N) ** (-SPLIT_EXPONENT)
 
     def record(trial, *s_w):
         recs, split_recs = [], []
-        for w, r, s in zip(grid.w_values, w_abs, s_w):
+        for w, r, s in zip(ws, w_abs, s_w):
             small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
             split_recs.append(
                 SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
             )
-            for eta in grid.eta_values:
+            for eta in etas:
                 dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
                 recs.append(DevRecord(N, trial, complex(w), eta, dev))
         return recs, split_recs
 
     per_trial = _batched_trials(
-        models.sample_X, ens, path, grid.trials, threads,
-        lambda X: [models.svd(X, w) for w in grid.w_values], record,
+        models.sample_X, ens, path, trials, threads,
+        lambda X: [models.svd(X, w) for w in ws], record,
     )
     return [r for recs, _ in per_trial for r in recs], [s for _, ss in per_trial for s in ss]
 
@@ -425,14 +432,6 @@ class SsvRecord:
     lambda1: float
 
 
-def _tail_slope(lam_scaled: np.ndarray, t_grid: np.ndarray) -> float:
-    probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
-    keep = (probs > 0) & (probs < 1)
-    if np.sum(keep) < 2:
-        return math.nan
-    return float(np.polyfit(np.log(t_grid[keep]), np.log(probs[keep]), 1)[0])
-
-
 def _check_tail_profile(e: models.SingleRingEnsemble):
     """A ValueError for the orthogonal class at the identity profile, where the
     tail statement degenerates."""
@@ -443,12 +442,7 @@ def _check_tail_profile(e: models.SingleRingEnsemble):
 
 
 def smallest_sv_tail(
-    e: models.SingleRingEnsemble,
-    w: complex,
-    t_grid,
-    trials: int,
-    path,
-    threads: int = 1,
+    e: models.SingleRingEnsemble, w: complex, t_grid, trials: int, path, threads: int = 1
 ):
     """(records, fit): the empirical tail P(lambda_1^w <= t/|w|) with a log-log
     slope fit, on t_grid or, when it is None, on quantiles of the sample.
@@ -468,27 +462,26 @@ def smallest_sv_tail(
     if t_grid is None:
         t_grid = np.quantile(lam_scaled, [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
     t_grid = np.asarray(t_grid, dtype=float)
-    probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
-
+    # row 0 is the sample, rows 1.. its BOOTSTRAP resamples
     boot_rng = linalg.child_rng(e.seed, 10**6)
-    slopes = []
-    for _ in range(BOOTSTRAP):
-        resample = boot_rng.choice(lam_scaled, size=len(lam_scaled), replace=True)
-        s = _tail_slope(resample, t_grid)
-        if np.isfinite(s):
-            slopes.append(s)
-    ci = [float(np.percentile(slopes, q)) for q in (2.5, 97.5)] if slopes else [math.nan] * 2
+    rows = np.vstack([lam_scaled, boot_rng.choice(lam_scaled, size=(BOOTSTRAP, len(lam)))])
+    probs = np.mean(rows[:, :, None] <= t_grid, axis=1)
+    keep = (probs > 0) & (probs < 1)  # the log-log fit reads the tail inside (0, 1)
+    log_t, log_p = np.log(np.where(keep, t_grid, 1.0)), np.log(np.where(keep, probs, 1.0))
+    slopes, _ = _line_fit(log_t, log_p, keep)
+    boot = slopes[1:][np.isfinite(slopes[1:])]
+    ci = [float(np.percentile(boot, q)) for q in (2.5, 97.5)] if len(boot) else [math.nan] * 2
     records = [
         SsvRecord(e.N, trial, abs(w), float(t), float(lam1))
         for trial, lam1 in enumerate(lam)
         for t in t_grid
     ]
     fit = {
-        "slope": _tail_slope(lam_scaled, t_grid),
+        "slope": float(slopes[0]),
         "slope_ci": ci,
-        "monotone": bool(np.all(np.diff(probs) >= 0)),
+        "monotone": bool(np.all(np.diff(probs[0]) >= 0)),
         "t_grid": t_grid.tolist(),
-        "tail_probability": probs.tolist(),
+        "tail_probability": probs[0].tolist(),
     }
     return records, fit
 
@@ -525,10 +518,11 @@ def block_energies(e: models.BlockAdditiveEnsemble, interval, n_energies: int) -
 
 
 def block_local_law_scan(
-    ens: models.BlockAdditiveEnsemble, E_values, grid: ScanGrid, path, threads: int = 1
+    ens: models.BlockAdditiveEnsemble, E_values, etas, trials: int, path, threads: int = 1
 ) -> list:
-    """BlockRecords of the deviations N eta (1+eta) |m_H(z) - m_ref(z)| at the
-    energies E_values; trial t draws from child_rng(ens.seed, *path, t).
+    """BlockRecords of the deviations N eta (1+eta) |m_H(z) - m_ref(z)| at
+    z = E + i eta for each energy of E_values and each eta > 0 of etas;
+    trial t draws from child_rng(ens.seed, *path, t).
 
     m_ref is the transform of the free convolution of the symmetrized
     empirical diagonal profiles; ``block_energies`` checks that the
@@ -536,7 +530,7 @@ def block_local_law_scan(
     node in every trial.
     """
     N = ens.N
-    zs = [complex(E, eta) for E in E_values for eta in grid.eta_values]
+    zs = [complex(E, eta) for E in E_values for eta in etas]
     mu_a, mu_b = _block_reference(ens)
     ref = _references(lambda z: freeconv.solve_phi_system(mu_a, mu_b, z).m, zs, NAN)
 
@@ -550,7 +544,7 @@ def block_local_law_scan(
         return recs
 
     chunks = _batched_trials(
-        models.sample_Y, ens, path, grid.trials, threads, lambda Y: [models.svd(Y)], record
+        models.sample_Y, ens, path, trials, threads, lambda Y: [models.svd(Y)], record
     )
     return [r for recs in chunks for r in recs]
 
@@ -567,12 +561,7 @@ class SubDiagRecord:
 
 
 def green_subordination_scan(
-    e: models.BlockAdditiveEnsemble,
-    z_grid,
-    trials: int,
-    bulk_window,
-    path,
-    threads: int = 1,
+    e: models.BlockAdditiveEnsemble, z_grid, bulk_window, trials: int, path, threads: int = 1
 ) -> list:
     """Entrywise Green function subordination diagnostics on a z grid.
 

@@ -11,6 +11,8 @@ of mu_sym [+] delta_r^sym checks the library's shared symmetric axis route.
 The limit eta -> 0 of Im omega2(i eta) checks the certificate's direct
 z = 0 solve, and the Nevanlinna representing measure of F_mu - id checks
 the gap zeros and weights from which the certificate reads s_- and a_-.
+The tail fit by np.polyfit, one bootstrap resample at a time, checks the
+smallest-singular-value tail's one stacked line fit.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlering import ringlaw
+from singlering import linalg, ringlaw
 from singlering.freeconv import solve_delta_conv, solve_phi_system
 from singlering.measure import MeasureError, _brentq, _positive_gap_zeros, radii, stieltjes
 
@@ -197,3 +199,38 @@ def delta_axis_gap(mu1_sym, r, eta):
     while G(hi) <= r2:
         hi *= 2.0
     return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)[0]
+
+
+def polyfit_tail_slope(lam_scaled, t_grid):
+    """Log-log slope of the tail P(lam_scaled <= t) over the t with a probability in (0, 1)."""
+    probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
+    keep = (probs > 0) & (probs < 1)
+    if np.sum(keep) < 2:
+        return math.nan
+    return float(np.polyfit(np.log(t_grid[keep]), np.log(probs[keep]), 1)[0])
+
+
+def polyfit_tail_fit(lam, w, t_grid, seed):
+    """The fit of ``locallaw.smallest_sv_tail`` for the smallest singular values
+    ``lam`` at w: np.polyfit on the sample and on each of 200 resamples,
+    drawn one at a time from the stream the scan uses."""
+    lam_scaled = np.asarray(lam) * abs(w)
+    if t_grid is None:
+        t_grid = np.quantile(lam_scaled, [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+    t_grid = np.asarray(t_grid, dtype=float)
+    probs = np.array([np.mean(lam_scaled <= t) for t in t_grid])
+    boot_rng = linalg.child_rng(seed, 10**6)
+    slopes = []
+    for _ in range(200):
+        resample = boot_rng.choice(lam_scaled, size=len(lam_scaled), replace=True)
+        s = polyfit_tail_slope(resample, t_grid)
+        if np.isfinite(s):
+            slopes.append(s)
+    ci = [float(np.percentile(slopes, q)) for q in (2.5, 97.5)] if slopes else [math.nan] * 2
+    return {
+        "slope": polyfit_tail_slope(lam_scaled, t_grid),
+        "slope_ci": ci,
+        "monotone": bool(np.all(np.diff(probs) >= 0)),
+        "t_grid": t_grid.tolist(),
+        "tail_probability": probs.tolist(),
+    }

@@ -195,13 +195,11 @@ def test_criterion_07_local_law(two_point):
         models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=SEED)
         for n in (128, 256, 512)
     ]
-    grid = locallaw.ScanGrid(
-        locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([1.4 + 0j]), trials=20
-    )
+    etas = locallaw.dyadic_etas(512.0**-0.9, 1.0)
     records = [
         r
         for i, e in enumerate(ensembles)
-        for r in locallaw.local_law_scan(e, grid, (i,), threads=THREADS)[0]
+        for r in locallaw.local_law_scan(e, [1.4 + 0j], etas, 20, (i,), threads=THREADS)[0]
     ]
     fit = locallaw.fit_domination(records)
     max_dev = max(mx for _, mx, _ in locallaw.domination_stats(records).values())
@@ -247,20 +245,18 @@ def test_criterion_09_block_strong_law():
         for n in (128, 256, 512)
     ]
     e = ensembles[-1]
-    grid = locallaw.ScanGrid(
-        locallaw.dyadic_etas(512.0**-0.9, 1.0), np.array([], dtype=complex), trials=10
-    )
+    etas = locallaw.dyadic_etas(512.0**-0.9, 1.0)
     energies = locallaw.block_energies(e, (0.0, 0.0), 1)
     records = [
         r
         for i, ens in enumerate(ensembles)
-        for r in locallaw.block_local_law_scan(ens, energies, grid, (i,), threads=THREADS)
+        for r in locallaw.block_local_law_scan(ens, energies, etas, 10, (i,), threads=THREADS)
     ]
 
     # the scan's reference transform is the closed-form arcsine law
     mu_b = measure.symmetrize(e.sigma_measure())
     ref_err = 0.0
-    for eta in grid.eta_values[:3]:
+    for eta in etas[:3]:
         solver = freeconv.solve_phi_system(mu_b, mu_b, 1j * eta).m
         closed = -1.0 / (np.sqrt(complex(1j * eta - 2)) * np.sqrt(complex(1j * eta + 2)))
         ref_err = max(ref_err, abs(solver - closed))
@@ -281,7 +277,7 @@ def test_criterion_10_subordination_diagnostics():
         np.ones(512), np.ones(512), 512, "unitary", seed=SEED
     )
     recs = locallaw.green_subordination_scan(
-        e, [0.1j], trials=10, bulk_window=(-0.5, 0.5), path=(), threads=THREADS
+        e, [0.1j], bulk_window=(-0.5, 0.5), trials=10, path=(), threads=THREADS
     )
     lam_max = max(r.lambda_d_scaled for r in recs)
     vec_max = max(r.eigvec_sup for r in recs)

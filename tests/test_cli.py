@@ -21,8 +21,9 @@ TWO_POINT = {"atoms": [1.0, 2.0], "weights": [0.5, 0.5]}
 
 
 def write_cfg(path, cfg):
+    """Write cfg as JSON; a str is written as it is, as JSON that json.dump cannot write."""
     with open(path, "w") as fh:
-        json.dump(cfg, fh)
+        fh.write(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -274,6 +275,18 @@ BAD_CONFIGS = [
      "invalid config: params.r: expected a finite number, got 1000"),
     ("radii", {"measure": {"atoms": [1.0, 10**400], "weights": [0.5, 0.5]}},
      "invalid config: measure.atoms: expected a list of numbers, got [1.0, 1000"),
+    # nor one longer than json.load reads, which is a fault of the file
+    pytest.param(
+        "freeconv", '{"measure": %s, "params": {"r": 1%s}}' % (json.dumps(TWO_POINT), "0" * 5000),
+        "invalid config: config: Exceeds the limit (4300 digits)", id="freeconv-5001-digits",
+    ),
+    # a profile too large to allocate: 8 * 10**15 bytes exceed any address space,
+    # so the allocation fails at once whatever the overcommit policy
+    ("local-law", amend(LOCAL_LAW, "ensemble", N_values=[10**15]),
+     "invalid config: ensemble.N_values: Unable to allocate"),
+    ("ssv-tail", amend(SSV, "ensemble", N=10**15), "invalid config: ensemble.N: Unable to allocate"),
+    ("block-law", amend(BLOCK, "ensemble", N_values=[16, 10**15]),
+     "invalid config: ensemble.N_values: Unable to allocate"),
 ]
 
 # configs next to rejected ones that the command's parser accepts

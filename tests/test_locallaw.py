@@ -2,18 +2,18 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import bump_laplacian, flagged, log_potential
+from oracles import bump_laplacian, flagged, log_potential, polyfit_tail_fit
 from singlering import freeconv, linalg, locallaw, measure, models
 from singlering.locallaw import (
     BlockRecord,
     DevRecord,
     GapRecord,
-    ScanGrid,
     SplitRecord,
     SubDiagRecord,
     block_energies,
@@ -97,9 +97,62 @@ class TestGrids:
         with pytest.raises(ValueError):
             dyadic_etas(1.0, 0.5)
 
-    def test_scan_grid_rejects_bad_eta(self):
+    @pytest.mark.parametrize("eta", [0.0, -0.25])
+    def test_scans_reject_nonpositive_eta(self, two_point, eta):
+        e = models.SingleRingEnsemble.from_measure(two_point, 8, "unitary", seed=1)
         with pytest.raises(ValueError):
-            ScanGrid(np.array([0.25, 0.5]), np.array([]), 1)
+            local_law_scan(e, [1.4 + 0j], [0.5, eta], 1, (0,))
+        b = models.BlockAdditiveEnsemble(np.ones(8), np.ones(8), 8, "unitary", seed=1)
+        with pytest.raises(ValueError, match="Im z > 0"):
+            block_local_law_scan(b, [0.0], [0.5, eta], 1, (0,))
+
+
+class TestTrials:
+    """Every scan runs its trials through one check: trials >= 1."""
+
+    def test_each_scan_rejects_zero_trials(self, two_point):
+        e = models.SingleRingEnsemble.from_measure(two_point, 8, "unitary", seed=1)
+        b = models.BlockAdditiveEnsemble(np.ones(8), np.ones(8), 8, "unitary", seed=1)
+        scans = [
+            lambda: local_law_scan(e, [1.4 + 0j], [0.5], 0, (0,)),
+            lambda: linear_statistic_gap(e, [(1.4 + 0j, 0.25, 0.5)], 0, (0,)),
+            lambda: smallest_sv_tail(e, 1.4 + 0j, None, 0, (0,)),
+            lambda: block_local_law_scan(b, [0.0], [0.5], 0, (0,)),
+            lambda: green_subordination_scan(b, [0.25j], (-0.5, 0.5), 0, (0,)),
+        ]
+        for scan in scans:
+            with pytest.raises(ValueError, match="need trials >= 1, got 0"):
+                scan()
+
+
+class TestLineFit:
+    def test_matches_polyfit_on_masked_rows(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(200, 9))
+        y = 1.3 + 0.7 * x + 0.2 * rng.normal(size=x.shape)
+        keep = rng.random(x.shape) < 0.6
+        # values at points not kept are never read
+        x_bad, y_bad = np.where(keep, x, np.inf), np.where(keep, y, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, intercept = locallaw._line_fit(x_bad, y_bad, keep)
+        fitted = 0
+        for i in range(len(x)):
+            if keep[i].sum() < 2:
+                assert math.isnan(slope[i]) and math.isnan(intercept[i])
+                continue
+            ref_slope, ref_intercept = np.polyfit(x[i][keep[i]], y[i][keep[i]], 1)
+            assert slope[i] == pytest.approx(ref_slope, rel=1e-12)
+            assert intercept[i] == pytest.approx(ref_intercept, rel=1e-12)
+            fitted += 1
+        assert fitted > 150
+
+    @pytest.mark.parametrize("keep", [[False] * 3, [True, False, False]])
+    def test_fewer_than_two_points_is_nan_without_warning(self, keep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, intercept = locallaw._line_fit([1.0, 2.0, 3.0], [0.5, -np.inf, 1.0], keep)
+        assert math.isnan(slope) and math.isnan(intercept)
 
 
 class TestFitDomination:
@@ -237,11 +290,13 @@ class TestLocalLawScan:
             models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=21)
             for n in (32, 48)
         ]
-        grid = ScanGrid(dyadic_etas(0.2, 1.0), np.array([1.4 + 0j]), 2)
-        scans = [local_law_scan(e, grid, (i,), threads) for i, e in enumerate(ensembles)]
+        etas = dyadic_etas(0.2, 1.0)
+        scans = [
+            local_law_scan(e, [1.4 + 0j], etas, 2, (i,), threads) for i, e in enumerate(ensembles)
+        ]
         records = [r for recs, _ in scans for r in recs]
         splits = [s for _, ss in scans for s in ss]
-        assert len(records) == 2 * 2 * len(grid.eta_values)
+        assert len(records) == 2 * 2 * len(etas)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
         assert list(domination_stats(records)) == [32, 48]
         assert len(splits) == 2 * 2
@@ -251,7 +306,6 @@ class TestLocalLawScan:
 
     def test_failed_reference_solve_flags_its_nodes(self, two_point, monkeypatch):
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=31)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([1.4 + 0j]), 2)
         solve = freeconv.solve_delta_conv
 
         def failing(mu, r, z, *args, **kwargs):
@@ -261,7 +315,7 @@ class TestLocalLawScan:
 
         monkeypatch.setattr(freeconv, "solve_delta_conv", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            records, _ = local_law_scan(e, grid, (0,))
+            records, _ = local_law_scan(e, [1.4 + 0j], [0.5, 0.25], 2, (0,))
         assert len(records) == 2 * 2
         bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -271,9 +325,8 @@ class TestLocalLawScan:
 
     def test_thread_count_invariance(self, two_point):
         e = models.SingleRingEnsemble.from_measure(two_point, 24, "unitary", seed=22)
-        grid = ScanGrid(np.array([0.5]), np.array([1.4 + 0j]), 3)
-        a, _ = local_law_scan(e, grid, (0,), threads=1)
-        b, _ = local_law_scan(e, grid, (0,), threads=3)
+        a, _ = local_law_scan(e, [1.4 + 0j], [0.5], 3, (0,), threads=1)
+        b, _ = local_law_scan(e, [1.4 + 0j], [0.5], 3, (0,), threads=3)
         assert [(r.N, r.trial, r.eta, r.dev) for r in a] == [
             (r.N, r.trial, r.eta, r.dev) for r in b
         ]
@@ -325,6 +378,20 @@ class TestSmallestSvTail:
         big_t = np.array([100.0])
         assert np.mean(lambda1 * 1.4 <= big_t[0]) == 1.0
 
+    # the given grid holds t at which no sample or resample has a tail in (0, 1)
+    @pytest.mark.parametrize("n,trials,t_grid", [
+        (32, 60, None), (16, 7, None), (32, 80, [-1.0, 0.0, 0.03, 0.05, 0.1, 0.15, 50.0]),
+    ])
+    def test_fit_matches_polyfit_oracle(self, two_point, n, trials, t_grid):
+        e = models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=40)
+        records, fit = smallest_sv_tail(e, 1.4 + 0j, t_grid, trials, path=())
+        lam = [r.lambda1 for r in records[:: len(fit["t_grid"])]]
+        oracle = polyfit_tail_fit(lam, 1.4 + 0j, t_grid, e.seed)
+        for key in ("monotone", "t_grid", "tail_probability"):
+            assert fit[key] == oracle[key]
+        assert fit["slope"] == pytest.approx(oracle["slope"], rel=1e-12)
+        assert fit["slope_ci"] == pytest.approx(oracle["slope_ci"], rel=1e-12)
+
     def test_orthogonal_identity_rejected(self):
         e = models.SingleRingEnsemble(np.ones(8), 8, "orthogonal", seed=25)
         with pytest.raises(ValueError, match="identity"):
@@ -334,19 +401,16 @@ class TestSmallestSvTail:
 class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.zeros(24), 24, "unitary", seed=26)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
-        records = block_local_law_scan(e, [0.0], grid, (0,))
+        records = block_local_law_scan(e, [0.0], [0.5, 0.25], 2, (0,))
         assert max(r.dev for r in records) < 1e-10
 
     def test_arcsine_reference(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=27)
-        grid = ScanGrid(dyadic_etas(0.1, 1.0), np.array([], dtype=complex), 3)
-        records = block_local_law_scan(e, [0.0], grid, (0,), threads=threads)
+        records = block_local_law_scan(e, [0.0], dyadic_etas(0.1, 1.0), 3, (0,), threads=threads)
         assert all(np.isfinite(r.dev) and r.dev < 50 for r in records)
 
     def test_failed_reference_solve_flags_its_nodes(self, monkeypatch):
         e = models.BlockAdditiveEnsemble(np.ones(24), np.ones(24), 24, "unitary", seed=30)
-        grid = ScanGrid(np.array([0.5, 0.25]), np.array([], dtype=complex), 2)
         solve = freeconv.solve_phi_system
 
         def failing(mu1, mu2, z, *args, **kwargs):
@@ -356,7 +420,7 @@ class TestBlockScan:
 
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
-            records = block_local_law_scan(e, [0.0], grid, (0,))
+            records = block_local_law_scan(e, [0.0], [0.5, 0.25], 2, (0,))
         assert len(records) == 2 * 2
         bad = flagged(records)
         assert [(r.trial, r.eta) for r in bad] == [(0, 0.25), (1, 0.25)]
@@ -374,7 +438,7 @@ class TestGreenSubordination:
     def test_small_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(48), np.ones(48), 48, "unitary", seed=29)
         recs = green_subordination_scan(
-            e, [0.25j], trials=3, bulk_window=(-0.5, 0.5), path=(), threads=threads
+            e, [0.25j], bulk_window=(-0.5, 0.5), trials=3, path=(), threads=threads
         )
         assert len(recs) == 3
         for r in recs:
@@ -394,7 +458,7 @@ class TestGreenSubordination:
         monkeypatch.setattr(freeconv, "solve_phi_system", failing)
         with pytest.warns(RuntimeWarning, match="reference solve failed"):
             recs = green_subordination_scan(
-                e, [0.5j, 0.25j], trials=2, bulk_window=(-0.5, 0.5), path=()
+                e, [0.5j, 0.25j], bulk_window=(-0.5, 0.5), trials=2, path=()
             )
         assert [(r.trial, r.z) for r in recs] == [(0, 0.5j), (0, 0.25j), (1, 0.5j), (1, 0.25j)]
         for r in recs:
@@ -478,21 +542,21 @@ def sample_Y(ens, *path):
     return models.sample_Y(ens, linalg.child_rng(ens.seed, *path))
 
 
-def local_law_oracle(ensembles, grid):
+def local_law_oracle(ensembles, ws, etas, trials):
     recs, splits = [], []
     for ni, ens in enumerate(ensembles):
         N = ens.N
         mu_sym = measure.symmetrize(ens.empirical_measure())
         eta_star = float(N) ** (-locallaw.SPLIT_EXPONENT)
-        for trial in range(grid.trials):
+        for trial in range(trials):
             X = sample_X(ens, ni, trial)
-            for w in grid.w_values:
+            for w in ws:
                 s = models.svd(X, w)
                 small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
                 splits.append(
                     SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
                 )
-                for eta in grid.eta_values:
+                for eta in etas:
                     m_ref = freeconv.solve_delta_conv(mu_sym, abs(w), 1j * eta).m
                     dev = N * eta * abs(models.m_w(s, eta) - m_ref)
                     recs.append(DevRecord(N, trial, complex(w), eta, dev))
@@ -516,12 +580,12 @@ def gap_oracle(e, tests, trials):
     return out
 
 
-def block_oracle(e, E, grid):
+def block_oracle(e, E, etas, trials):
     mu_a, mu_b = measure.symmetrize(e.xi_measure()), measure.symmetrize(e.sigma_measure())
     recs = []
-    for trial in range(grid.trials):
+    for trial in range(trials):
         s = models.svd(sample_Y(e, 0, trial))
-        for eta in grid.eta_values:
+        for eta in etas:
             z = complex(E, eta)
             m_ref = freeconv.solve_phi_system(mu_a, mu_b, z).m
             m_H = complex(np.mean(z / (s * s - z * z)))
@@ -572,9 +636,11 @@ class TestBatchesMatchPerTrialOracle:
             models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=33)
             for n in (40, 100)
         ]
-        grid = ScanGrid(np.array([0.5, 0.1]), np.array([1.4 + 0j, 1.4j]), self.TRIALS)
-        scans = [local_law_scan(e, grid, (i,), threads) for i, e in enumerate(ensembles)]
-        oracle = local_law_oracle(ensembles, grid)
+        ws, etas = [1.4 + 0j, 1.4j], [0.5, 0.1]
+        scans = [
+            local_law_scan(e, ws, etas, self.TRIALS, (i,), threads) for i, e in enumerate(ensembles)
+        ]
+        oracle = local_law_oracle(ensembles, ws, etas, self.TRIALS)
         assert [r for recs, _ in scans for r in recs] == oracle[0]
         assert [s for _, splits in scans for s in splits] == oracle[1]
 
@@ -597,15 +663,14 @@ class TestBatchesMatchPerTrialOracle:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_block_local_law_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=36)
-        grid = ScanGrid(np.array([0.5, 0.1]), np.array([], dtype=complex), self.TRIALS)
-        records = block_local_law_scan(e, [0.0], grid, (0,), threads=threads)
-        assert records == block_oracle(e, 0.0, grid)
+        records = block_local_law_scan(e, [0.0], [0.5, 0.1], self.TRIALS, (0,), threads=threads)
+        assert records == block_oracle(e, 0.0, [0.5, 0.1], self.TRIALS)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_green_subordination_scan(self, threads):
         e = models.BlockAdditiveEnsemble(np.ones(40), np.ones(40), 40, "unitary", seed=37)
         window = (-0.5, 0.5)
         recs = green_subordination_scan(
-            e, [0.25j], trials=self.TRIALS, bulk_window=window, path=(), threads=threads
+            e, [0.25j], bulk_window=window, trials=self.TRIALS, path=(), threads=threads
         )
         assert recs == green_oracle(e, 0.25j, self.TRIALS, window)
