@@ -23,6 +23,7 @@ import os
 import sys
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -67,13 +68,15 @@ _NUMBER_TYPES = {int: (int,), float: (int, float)}  # the JSON types of each kin
 _REQUIRED = object()  # the default of a key that must be present
 
 
-def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
+def _get(cfg, path, expected=None, default=_REQUIRED, least=None, above=None, length=None):
     """The value at the dotted ``path``, or ``default`` where it is missing.
 
     ``expected`` is the value's type: ``int`` takes only an integer and
-    ``float`` any JSON number, as a float.  As in ``_numbers``, a number must
-    lie in the float range: json.load also reads NaN, Infinity and integers
-    beyond it.  A number read with ``least`` must be at least that.
+    ``float`` any JSON number, as a float; ``[int]`` and ``[float]`` take a
+    list of them (``length`` of them, if given) through ``_numbers``.  As
+    there, a number must lie in the float range: json.load also reads NaN,
+    Infinity and integers beyond it.  A number read with ``least`` must be at
+    least that, and one read with ``above`` greater than that.
     """
     node = cfg
     for key in path.split("."):
@@ -82,6 +85,8 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
                 raise ConfigError(f"{path}: missing")
             return default
         node = node[key]
+    if isinstance(expected, list):
+        return _numbers(node, path, length, *expected)
     types = _NUMBER_TYPES.get(expected, (expected,))
     if expected is not None and type(node) not in types:
         names = "/".join(t.__name__ for t in types)
@@ -90,6 +95,8 @@ def _get(cfg, path, expected=None, default=_REQUIRED, least=None):
         raise ConfigError(f"{path}: expected a finite number, got {node}")
     if least is not None and node < least:
         raise ConfigError(f"{path}: need {key} >= {least}, got {node}")
+    if above is not None and node <= above:
+        raise ConfigError(f"{path}: need {key} > {above}, got {node:g}")
     return expected(node) if expected in _NUMBER_TYPES else node
 
 
@@ -102,12 +109,20 @@ def load_measure(cfg: dict, path: str) -> DiscreteMeasure:
             params = {k: _get(cfg, f"{path}.{k}", int if k == "n_atoms" else float) for k in keys}
             return measure.reference_measure(kind, **params)
         return DiscreteMeasure(*(
-            np.array(_numbers(_get(cfg, f"{path}.{key}"), f"{path}.{key}"))
-            for key in ("atoms", "weights")
+            np.array(_get(cfg, f"{path}.{key}", [float])) for key in ("atoms", "weights")
         ))
     except measure.ParameterError as exc:
         raise ConfigError(f"{path}.{exc.key}: {exc}") from exc
     except (MeasureError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _at(path, errors=ValueError):
+    """Re-raise an ``errors`` exception of the block as a ConfigError that names path."""
+    try:
+        yield
+    except errors as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -147,14 +162,6 @@ def _profile(cfg):
     return mu
 
 
-def _bulk_ring(mu_sym, r):
-    """``params.r`` must lie in the open ring of mu_sym."""
-    try:
-        freeconv.bulk_ring(mu_sym, r)
-    except ValueError as exc:
-        raise ConfigError(f"params.r: {exc}") from exc
-
-
 def _annulus(cfg, mu):
     """The bulk annulus (lo, hi) = (r_minus + tau, r_plus - tau) of mu's ring, which
     holds |w| of every local law test; tau is ``grid.tau``, or TAU_FRACTION of the width."""
@@ -172,16 +179,19 @@ def _annulus(cfg, mu):
     return r_minus + tau, r_plus - tau
 
 
+def _etas(cfg, eta_min, eta_max):
+    """The dyadic etas from grid.eta_max down to grid.eta_min, whose defaults are the args."""
+    lo = _get(cfg, "grid.eta_min", float, default=eta_min)
+    hi = _get(cfg, "grid.eta_max", float, default=eta_max)
+    with _at("grid"):
+        return locallaw.dyadic_etas(lo, hi)
+
+
 def _scan_grid(cfg, sizes):
     """(etas, trials) of a local law scan: the dyadic etas of the ``grid``
     block, down to max(sizes)^-0.9 by default, and its trial count."""
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
-    eta_max = _get(cfg, "grid.eta_max", float, default=1.0)
-    eta_min = _get(cfg, "grid.eta_min", float, default=max(sizes) ** -0.9)
-    try:
-        return locallaw.dyadic_etas(eta_min, eta_max), trials
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return _etas(cfg, max(sizes) ** -0.9, 1.0), trials
 
 
 def _ensembles(cfg, build):
@@ -189,19 +199,17 @@ def _ensembles(cfg, build):
 
     A profile too large to allocate is a ConfigError that names the sizes.
     """
-    ns = _get(cfg, "ensemble.N_values", default=None)
-    path = "ensemble.N" if ns is None else "ensemble.N_values"
-    sizes = [_get(cfg, path, int)] if ns is None else _numbers(ns, path, kind=int)
+    sizes = _get(cfg, "ensemble.N_values", [int], default=None)
+    path = "ensemble.N" if sizes is None else "ensemble.N_values"
+    sizes = [_get(cfg, path, int)] if sizes is None else sizes
     if not sizes or min(sizes) < 2:
         raise ConfigError(f"{path}: need one or more sizes N >= 2, got {sizes}")
     sym = _get(cfg, "ensemble.symmetry", str, default="unitary")
     if sym not in models.SYMMETRY_CLASSES:
         raise ConfigError(f"ensemble.symmetry: unknown class {sym!r}")
     seed = _get(cfg, "ensemble.seed", int, least=0)
-    try:
+    with _at(path, MemoryError):
         return [build(N, sym, seed) for N in sizes]
-    except MemoryError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _each_size(ctx, scan, ensembles, *args):
@@ -290,10 +298,8 @@ class RunContext:
 
 def _make_out_dir(path):
     """Make the output directory; a path that cannot be one is a ConfigError."""
-    try:
+    with _at("--out", OSError):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out: {exc}") from exc
 
 
 def _write_json(path, obj):
@@ -333,26 +339,16 @@ def _cmd_radii(cfg):
 
 def _cmd_freeconv(cfg):
     mu1 = measure.symmetrize(load_measure(cfg, "measure"))
-    r = _get(cfg, "params.r", float, default=None)
-    mu2 = None
-    if r is None:
-        mu2 = measure.symmetrize(load_measure(cfg, "measure2"))
-    elif r <= 0:
-        raise ConfigError(f"params.r: need r > 0, got {r:g}")
+    r = _get(cfg, "params.r", float, default=None, above=0)
+    mu2 = None if r is not None else measure.symmetrize(load_measure(cfg, "measure2"))
     z_grid = _get(cfg, "params.z_grid", list, default=None)
     if z_grid is None:
-        try:
-            etas = locallaw.dyadic_etas(
-                _get(cfg, "grid.eta_min", float, default=1e-3),
-                _get(cfg, "grid.eta_max", float, default=8.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-        zs = [complex(0.0, e) for e in etas]
+        zs = [complex(0.0, e) for e in _etas(cfg, 1e-3, 8.0)]
     else:
         zs = _spectral_points(z_grid, "params.z_grid", axis=mu2 is None)
         if mu2 is None and 0 in zs:
-            _bulk_ring(mu1, r)  # the boundary value z = 0 needs r inside the ring
+            with _at("params.r"):  # the boundary value z = 0 needs r inside the ring
+                freeconv.bulk_ring(mu1, r)
 
     def run(ctx):
         states = [
@@ -369,10 +365,9 @@ def _cmd_freeconv(cfg):
 def _cmd_certificate(cfg):
     mu_sym = measure.symmetrize(load_measure(cfg, "measure"))
     r = _get(cfg, "params.r", float)
-    _bulk_ring(mu_sym, r)
-    eta_max = _get(cfg, "params.eta_max", float, default=10.0)
-    if eta_max <= 0:
-        raise ConfigError(f"params.eta_max: need eta_max > 0, got {eta_max:g}")
+    with _at("params.r"):
+        freeconv.bulk_ring(mu_sym, r)
+    eta_max = _get(cfg, "params.eta_max", float, default=10.0, above=0)
     grid = _get(cfg, "params.grid", int, default=64, least=2)
 
     def run(ctx):
@@ -410,7 +405,7 @@ def _cmd_local_law(cfg):
     lo, hi = _annulus(cfg, mu)
     ensembles = _ensembles(cfg, partial(models.SingleRingEnsemble.from_measure, mu))
     w_abs = _get(cfg, "grid.w_abs", float, default=0.5 * (lo + hi))
-    phases = _numbers(_get(cfg, "grid.w_phases", default=[0.0]), "grid.w_phases")
+    phases = _get(cfg, "grid.w_phases", [float], default=[0.0])
     if not phases:
         raise ConfigError("grid.w_phases: need one or more phases")
     ws = np.array([w_abs * complex(math.cos(p), math.sin(p)) for p in phases])
@@ -431,16 +426,13 @@ def _cmd_main_gap(cfg):
     mu = _profile(cfg)
     lo, hi = _annulus(cfg, mu)
     ensembles = _ensembles(cfg, partial(models.SingleRingEnsemble.from_measure, mu))
-    w0 = complex(*_numbers(_get(cfg, "params.w0"), "params.w0", 2))
+    w0 = complex(*_get(cfg, "params.w0", [float], length=2))
     if not lo <= abs(w0) <= hi:
         raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus [{lo:g}, {hi:g}]")
-    alphas = _numbers(_get(cfg, "params.alphas"), "params.alphas")
+    alphas = _get(cfg, "params.alphas", [float])
     if not all(0.0 <= a < 0.5 for a in alphas):
         raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
-    radii_cfg = _numbers(
-        _get(cfg, "params.support_radii", default=[0.5] * len(alphas)),
-        "params.support_radii",
-    )
+    radii_cfg = _get(cfg, "params.support_radii", [float], default=[0.5] * len(alphas))
     if len(radii_cfg) != len(alphas):
         raise ConfigError(f"params.support_radii: {len(radii_cfg)} radii for {len(alphas)} alphas")
     if not all(radius > 0 for radius in radii_cfg):
@@ -471,18 +463,14 @@ def _cmd_ssv_tail(cfg):
         sizes = [e.N for e in ensembles]
         raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
     [e] = ensembles
-    w_abs = _get(cfg, "grid.w_abs", float, default=1.0)
-    if w_abs <= 0:
-        raise ConfigError(f"grid.w_abs: need w_abs > 0, got {w_abs:g}")
+    w_abs = _get(cfg, "grid.w_abs", float, default=1.0, above=0)
     trials = _get(cfg, "grid.trials", int, default=500, least=1)
-    t_grid = _get(cfg, "params.t_grid", default=None)
-    t_grid = None if t_grid is None else np.array(_numbers(t_grid, "params.t_grid"))
-    if t_grid is not None and len(t_grid) == 0:
+    t_grid = _get(cfg, "params.t_grid", [float], default=None)
+    if t_grid == []:
         raise ConfigError("params.t_grid: need one or more t")
-    try:
+    t_grid = None if t_grid is None else np.array(t_grid)
+    with _at("measure"):
         locallaw._check_tail_profile(e)
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
 
     def run(ctx):
         [(records, fit)] = _each_size(
@@ -505,16 +493,12 @@ def _block_ensembles(cfg):
 
 def _cmd_block_law(cfg):
     ensembles = _block_ensembles(cfg)
-    interval = _numbers(
-        _get(cfg, "params.E_interval", default=[0.0, 0.0]), "params.E_interval", 2
-    )
+    interval = _get(cfg, "params.E_interval", [float], default=[0.0, 0.0], length=2)
     if interval[1] < interval[0]:
         raise ConfigError(f"params.E_interval: empty energy interval {interval}")
     n_energies = _get(cfg, "params.n_energies", int, default=1, least=1)
-    try:
+    with _at("params.E_interval"):
         energies = locallaw.block_energies(ensembles[0], interval, n_energies)
-    except ValueError as exc:
-        raise ConfigError(f"params.E_interval: {exc}") from exc
     etas, trials = _scan_grid(cfg, [e.N for e in ensembles])
 
     def run(ctx):
@@ -527,8 +511,7 @@ def _cmd_block_law(cfg):
 def _cmd_green_sub(cfg):
     ensembles = _block_ensembles(cfg)
     zs = _spectral_points(_get(cfg, "params.z_values", list), "params.z_values")
-    window = _get(cfg, "params.bulk_window", default=None)
-    window = None if window is None else _numbers(window, "params.bulk_window", 2)
+    window = _get(cfg, "params.bulk_window", [float], default=None, length=2)
     if window is not None and window[0] > window[1]:
         raise ConfigError(f"params.bulk_window: empty singular value window {window}")
     trials = _get(cfg, "grid.trials", int, default=10, least=1)
@@ -546,7 +529,8 @@ _SCAN_SCHEMAS = {"locallaw.csv": locallaw.DevRecord, "block.csv": locallaw.Block
 def run_report(run_dirs, out_dir):
     """Merge scan CSVs from run directories and fit the domination slope.
 
-    With fewer than three matrix sizes only per-N quantiles are emitted.
+    Each size N gets a per-N row, NaN where every dev is flagged; the slope is
+    fitted only over three or more sizes whose quantile is finite and positive.
     """
     if not run_dirs:
         raise ConfigError("report: no run directories given")
@@ -569,7 +553,7 @@ def run_report(run_dirs, out_dir):
 
     stats = locallaw.domination_stats(records)
     rows = [[n, *per_n] for n, per_n in stats.items()]
-    if len(stats) >= 3:
+    if sum(q > 0 for _, _, q in stats.values()) >= 3:  # a NaN quantile is not > 0
         fit = locallaw.fit_domination(records)
         print(
             f"slope {fmt(fit.slope)} intercept {fmt(fit.intercept)} "
@@ -605,11 +589,9 @@ def _parse(config_path, command=None, seed=None):
     command's runner; without a command, only check that every measure
     block loads.
     """
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
-        raise ConfigError(f"config: {exc}") from exc
+    # ValueError: bad JSON, or an integer too long to read
+    with _at("config", (OSError, ValueError)), open(config_path) as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(cfg).__name__}")
     if seed is not None:

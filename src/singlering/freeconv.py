@@ -426,29 +426,17 @@ def bulk_bound_certificate(
     zero_bound_ok = im_w2_zero > (math.sqrt(3.0) / 2.0) * sigma_minus * s_minus
 
     etas = eta_max * 0.5 ** np.arange(grid)
-    upper_margins, lower_margins = [], []
-    w1_abs, w2_abs, im_w1, im_w2, m_abs = [], [], [], [], []
-    upper_ok = True
-    best_constant = 0.0
-    lower_constant = 0.0
-    for eta in etas:
-        st = solve_delta_conv(mu1_sym, r, 1j * eta)
-        dev = abs(st.omega2 - 1j * eta)
-        upper_env = min(sigma_plus * s_plus, r2 / eta)
-        lower_env = sigma_minus * s_minus * b_minus * min(1.0, sigma_minus * s_minus / eta)
-        upper_margins.append(r2 / eta - dev)
-        lower_margins.append(dev - lower_env)
-        upper_ok &= dev <= (r2 / eta) * (1.0 + 1e-12)
-        best_constant = max(best_constant, dev / upper_env)
-        lower_constant = max(lower_constant, lower_env / dev) if dev > 0 else math.inf
-        w1_abs.append(abs(st.omega1))
-        w2_abs.append(abs(st.omega2))
-        im_w1.append(st.omega1.imag)
-        im_w2.append(st.omega2.imag)
-        m_abs.append(abs(st.m))
-
-    lower_ok = bool(np.all(np.array(w2_abs) > 0.0) and lower_constant <= LOWER_CONSTANT_CAP)
-    upper_ok = bool(upper_ok and best_constant <= UPPER_CONSTANT_CAP)
+    states = [solve_delta_conv(mu1_sym, r, 1j * eta) for eta in etas]
+    w1 = np.array([st.omega1 for st in states])
+    w2 = np.array([st.omega2 for st in states])
+    m = np.array([st.m for st in states])
+    dev = np.abs(w2 - 1j * etas)
+    upper_env = np.minimum(sigma_plus * s_plus, r2 / etas)
+    lower_env = sigma_minus * s_minus * b_minus * np.minimum(1.0, sigma_minus * s_minus / etas)
+    best_constant = np.max(dev / upper_env)
+    lower_constant = np.max(lower_env / dev) if np.all(dev > 0) else math.inf
+    lower_ok = np.all(np.abs(w2) > 0.0) and lower_constant <= LOWER_CONSTANT_CAP
+    upper_ok = np.all(dev <= (r2 / etas) * (1.0 + 1e-12)) and best_constant <= UPPER_CONSTANT_CAP
 
     return CertificateReport(
         r=r,
@@ -469,12 +457,12 @@ def bulk_bound_certificate(
         zero_bound_ok=bool(zero_bound_ok),
         best_constant=float(best_constant),
         lower_constant=float(lower_constant),
-        upper_margins=tuple(float(x) for x in upper_margins),
-        lower_margins=tuple(float(x) for x in lower_margins),
-        omega1_abs_max=float(np.max(w1_abs)),
-        omega2_abs_max=float(np.max(w2_abs)),
-        im_omega1_min=float(np.min(im_w1)),
-        im_omega2_min=float(np.min(im_w2)),
-        m_abs_min=float(np.min(m_abs)),
-        m_abs_max=float(np.max(m_abs)),
+        upper_margins=tuple(float(x) for x in r2 / etas - dev),
+        lower_margins=tuple(float(x) for x in dev - lower_env),
+        omega1_abs_max=float(np.max(np.abs(w1))),
+        omega2_abs_max=float(np.max(np.abs(w2))),
+        im_omega1_min=float(np.min(w1.imag)),
+        im_omega2_min=float(np.min(w2.imag)),
+        m_abs_min=float(np.min(np.abs(m))),
+        m_abs_max=float(np.max(np.abs(m))),
     )

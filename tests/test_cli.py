@@ -287,6 +287,9 @@ BAD_CONFIGS = [
     ("ssv-tail", amend(SSV, "ensemble", N=10**15), "invalid config: ensemble.N: Unable to allocate"),
     ("block-law", amend(BLOCK, "ensemble", N_values=[16, 10**15]),
      "invalid config: ensemble.N_values: Unable to allocate"),
+    # the eta bounds are read before the grid check, so a bad one is named once
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4}, "grid": {"eta_max": True}},
+     "invalid config: grid.eta_max: expected int/float, got bool\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -829,6 +832,22 @@ class TestReportCommand:
         assert [r[0] for r in rows] == ["N", "16", "24", "32", "slope", rows[5][0]]
         assert rows[5][2] in ("pass", "fail")
 
+    def test_fully_flagged_size_leaves_too_few_to_fit(self, tmp_path, capsys):
+        # three sizes, but every dev at N = 32 is flagged: two sizes remain to fit
+        run = tmp_path / "run"
+        run.mkdir()
+        rows = [f"{n},{t},1.4,0,0.5,{'nan' if n == 32 else 0.1 * (t + 1)}"
+                for n in (16, 32, 64) for t in (0, 1)]
+        (run / "locallaw.csv").write_text("N,trial,w_re,w_im,eta,dev\n" + "\n".join(rows) + "\n")
+        rep = tmp_path / "rep"
+        assert exit_and_stderr(capsys, ["report", str(run), "--out", str(rep)]) == (EXIT_OK, "")
+        assert read_csv(rep / "summary.csv") == [
+            ["N", "count", "max_dev", "q95_dev"],
+            ["16", "2", "0.20000000000000001", "0.19500000000000001"],
+            ["32", "2", "nan", "nan"],
+            ["64", "2", "0.20000000000000001", "0.19500000000000001"],
+        ]
+
     def test_empty_input_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
 
@@ -848,6 +867,24 @@ class TestReportCommand:
         code, err = exit_and_stderr(capsys, ["report", str(run), "--out", str(tmp_path / "rep")])
         assert code == EXIT_CONFIG
         assert err == f"invalid config: report: {run / 'locallaw.csv'} line 3: {problem}\n"
+
+
+class TestBenchmarkConfigs:
+    """Every config of the benchmark's workloads passes the parser of the
+    command it runs, so a parser change that would stop the benchmark fails
+    here first."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 11])
+    def test_every_workload_config_validates(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads  # a plain import registers the module, which its dataclass needs
+
+        calls = [c for make in workloads.WORKLOADS.values() for c in make(seed) if c.config]
+        assert len(calls) == 8
+        for call in calls:
+            p = write_cfg(tmp_path / "c.json", call.config)
+            argv = ["validate", "--config", p, "--for-command", call.command]
+            assert exit_and_stderr(capsys, argv) == (EXIT_OK, ""), call.label
 
 
 class TestUsage:

@@ -15,8 +15,9 @@ from oracles import (
     neg_recip_stieltjes,
     nevanlinna_rep,
 )
-from singlering import ringlaw
+from singlering import freeconv, ringlaw
 from singlering.freeconv import (
+    TOL,
     ConvergenceError,
     _solve_axis_symmetric,
     _solve_pair,
@@ -29,6 +30,7 @@ from singlering.locallaw import BULK_DENSITY_MIN
 from singlering.measure import (
     DiscreteMeasure,
     MeasureError,
+    reference_measure,
     stieltjes,
     symmetrize,
 )
@@ -120,6 +122,17 @@ class TestSolvePhiSystem:
     def test_real_z_rejected(self, bernoulli):
         with pytest.raises(ValueError):
             solve_phi_system(bernoulli, bernoulli, 0.5)
+
+    def test_newton_off_window_escapes_a_stall(self):
+        # off the axis near the real line, greedy Newton steps stall in a
+        # residual valley; only the plain damped window of _solve_pair, which
+        # first opens at step 60, reaches the tolerance (without it the
+        # engine stops at residual 1e-1 after MAX_ITER steps)
+        mu1 = symmetrize(reference_measure("two_point", a=1.0, b=2.0))
+        mu2 = symmetrize(reference_measure("two_point", a=0.1, b=3.0, p=0.2))
+        st_ = solve_phi_system(mu1, mu2, 1.25 + 0.01j)
+        assert st_.iterations > 60
+        assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
 
 class TestSolveDeltaConv:
@@ -238,6 +251,24 @@ class TestAxisRoute:
             st_ = solve_delta_conv(mu1, r, 1j * eta)
             assert st_.omega2.imag > eta and st_.omega1.imag >= eta
             assert st_.residual <= 1e-12 * max(1.0, abs(st_.omega1), abs(st_.omega2))
+
+    def test_polish_meets_the_tolerance_the_axis_state_misses(self, monkeypatch):
+        # at r far below the ring and tiny eta, |omega1| = 6.5e6 and the Brent
+        # state misses the tolerance; _solve_pair polishes it from that start
+        mu1 = symmetrize(reference_measure("quarter_circle", n_atoms=8))
+        z = 1e-8j
+        brent = freeconv._axis_state(mu1, freeconv._symmetric_pair(1e-4), z)
+        assert brent.residual > TOL * max(1.0, abs(brent.omega1), abs(brent.omega2))
+        polishes = []
+
+        def counted(*args):
+            polishes.append(args)
+            return _solve_pair(*args)
+
+        monkeypatch.setattr(freeconv, "_solve_pair", counted)
+        st_ = solve_delta_conv(mu1, 1e-4, z)
+        assert len(polishes) == 1
+        assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
     def test_generic_pair_matches_engine_in_bulk(self):
         # with E = 0 in the bulk the damped/Newton engine converges from the
