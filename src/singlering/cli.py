@@ -145,7 +145,9 @@ def _numbers(value, path, length=None, kind=float):
 
 
 def _spectral_points(points, path, axis=False):
-    """Pairs as points z with Im z > 0; ``axis`` adds z = 0 (z = i eta, eta >= 0)."""
+    """One or more pairs as points z with Im z > 0; ``axis`` adds z = 0 (z = i eta, eta >= 0)."""
+    if not points:
+        raise ConfigError(f"{path}: need one or more points")
     zs = [complex(*_numbers(p, f"{path}[{i}]", 2)) for i, p in enumerate(points)]
     for i, z in enumerate(zs):
         if not (z.imag > 0 or (axis and z == 0)):
@@ -168,9 +170,7 @@ def _annulus(cfg, mu):
     if len(mu) < 2:
         raise ConfigError("measure: a single atom makes the ring degenerate, r_minus = r_plus")
     r_minus, r_plus = measure.radii(mu)
-    tau = _get(cfg, "grid.tau", float, default=TAU_FRACTION * (r_plus - r_minus))
-    if tau < 0:
-        raise ConfigError(f"grid.tau: tau must be nonnegative, got {tau:g}")
+    tau = _get(cfg, "grid.tau", float, default=TAU_FRACTION * (r_plus - r_minus), least=0)
     if r_minus + tau > r_plus - tau:
         raise ConfigError(
             f"grid.tau: tau = {tau:g} empties the annulus [r_minus + tau, r_plus - tau]"
@@ -430,6 +430,8 @@ def _cmd_main_gap(cfg):
     if not lo <= abs(w0) <= hi:
         raise ConfigError(f"params.w0: |w0| = {abs(w0):g} outside the annulus [{lo:g}, {hi:g}]")
     alphas = _get(cfg, "params.alphas", [float])
+    if not alphas:
+        raise ConfigError("params.alphas: need one or more alphas")
     if not all(0.0 <= a < 0.5 for a in alphas):
         raise ConfigError(f"params.alphas: each alpha must lie in [0, 1/2), got {alphas}")
     radii_cfg = _get(cfg, "params.support_radii", [float], default=[0.5] * len(alphas))

@@ -15,9 +15,8 @@ measures, by one of three routes:
 * for a symmetric pair at z = i eta, both omegas are purely imaginary and
   the system is one real Brent root-find in the gap d = Im omega2 - eta,
   which also holds at the boundary eta = 0;
-* everywhere else a damped alternating iteration with a safeguarded
-  Newton acceleration runs (it also polishes an axis solve that misses
-  the tolerance).
+* everywhere else a safeguarded Newton iteration runs (it also polishes
+  an axis solve that misses the tolerance).
 
 :func:`solve_delta_conv` is the reference law of the hermitized local law,
 mu1_sym [+] delta_r^sym with delta_r^sym = (delta_r + delta_{-r})/2: the
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 TOL = 1e-12  # residual goal of every solve, relative to max(1, |omega1|, |omega2|)
-MAX_ITER = 10_000  # step cap of the generic damped/Newton engine
+MAX_ITER = 10_000  # step cap of the generic safeguarded Newton engine
 LOWER_CONSTANT_CAP = 1e3  # the certificate's lower-bound constant c passes up to this
 UPPER_CONSTANT_CAP = 10.0  # and its upper-bound constant C up to this
 
@@ -105,22 +104,21 @@ def _residual(F1, F2, z, w1, w2):
 
 
 def _solve_pair(F1, dF1, F2, dF2, z, w2):
-    """Damped alternating subordination iteration with Newton acceleration.
+    """Safeguarded Newton iteration for the subordination fixed point.
 
     omega1 is slaved to omega2 through the first defining equation,
     omega1 = z + F1(omega2) - omega2, which makes its residual vanish
     identically and collapses the system to the scalar fixed point
 
-        omega2 = K(omega2) := z + F2(omega1) - omega2,   omega1 as above.
+        omega2 = K(omega2) := z + F2(omega1) - omega1,   omega1 as above.
 
-    K is an analytic self-map of {Im w >= Im z} (Im F(w) >= Im w), so the
-    damped update w + lam (K(w) - w) never leaves the half-plane.  Plain
-    damped iteration contracts at rate 1 - O(Im z) near the real axis, too
-    slowly for tight tolerances, so every step also tries a safeguarded
-    Newton candidate on phi(w) = K(w) - w; steps that leave the half-plane
-    or fail to beat the damped candidate are halved away.
+    K is an analytic self-map of {Im w >= Im z} (Im F(w) >= Im w) whose fixed
+    point there is unique, its Denjoy-Wolff point (Belinschi-Bercovici 2007),
+    so the plain step w -> K(w) is always safe; but it contracts at rate
+    1 - O(Im z) near the real axis, too slowly for tight tolerances.  Each
+    step is therefore Newton's on phi(w) = K(w) - w when that stays in the
+    half-plane and lowers |phi|, and the plain step w + phi(w) otherwise.
     """
-    im_floor = z.imag
 
     def phi(w):
         w1 = z + F1(w) - w
@@ -136,50 +134,19 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2):
         # the plain absolute tolerance
         return TOL * max(1.0, abs(z + F1(w) - w), abs(w))
 
-    lam = 1.0
     p = phi(w2)
-    res = abs(p)
-    best = (res, w2)
     it = 0
-    newton_off = 0  # greedy steps can stall in rootless residual valleys
-    window_best = res
-    while it < MAX_ITER:
-        if res <= goal(w2):
-            break
+    while abs(p) > goal(w2) and it < MAX_ITER:
         it += 1
-
-        cand = w2 + (0.5 if newton_off else lam) * p
-        cand_p = phi(cand)
-        cand_res = abs(cand_p)
-
         d = dphi(w2)
-        if newton_off == 0 and abs(d) > 1e-15:
-            step = -p / d
-            scale = 1.0
-            for _ in range(8):
-                nw = w2 + scale * step
-                if nw.imag >= im_floor:
-                    np_ = phi(nw)
-                    n_res = abs(np_)
-                    if n_res < min(res, cand_res):
-                        cand, cand_p, cand_res = nw, np_, n_res
-                        break
-                scale *= 0.5
+        nw = w2 - p / d if d != 0 else w2
+        np_ = phi(nw) if nw.imag >= z.imag else p
+        if abs(np_) < abs(p):
+            w2, p = nw, np_
+        else:
+            w2 = w2 + p
+            p = phi(w2)
 
-        lam = max(lam / 2.0, 1.0 / 1024.0) if cand_res > res else min(1.0, 1.5 * lam)
-        w2, p, res = cand, cand_p, cand_res
-        if res < best[0]:
-            best = (res, w2)
-        if newton_off:
-            newton_off -= 1
-        elif it % 60 == 0:
-            # Newton made no real progress over the window: fall back to the
-            # plain damped self-map, whose iterates converge globally
-            if best[0] > 0.66 * window_best:
-                newton_off = 300
-            window_best = best[0]
-
-    res, w2 = best
     w1 = z + F1(w2) - w2
     full_res = _residual(F1, F2, z, w1, w2)
     if full_res <= TOL * max(1.0, abs(w1), abs(w2)):
@@ -225,8 +192,8 @@ def _solve_axis_symmetric(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eta: float
     of the root, doubling or halving d finds a sign change and
     ``measure._brentq`` does the rest.  Working in d rather than y = eta + d
     keeps the gap, which shrinks like m2(mu2)/eta, resolved at large eta, and
-    the bracketed root-find is immune to the residual valleys that trap the
-    greedy engine when the convolution has a spectral gap.
+    the bracketed root-find is immune to the residual valleys that slow the
+    safeguarded Newton engine when the convolution has a spectral gap.
     """
     g1, g2 = _axis_gap(mu1), _axis_gap(mu2)
 

@@ -182,7 +182,7 @@ BAD_CONFIGS = [
      "ensemble.symmetry: unknown class 'real'"),
     ("local-law", amend(LOCAL_LAW, "ensemble", N_values=[]),
      "ensemble.N_values: need one or more sizes N >= 2, got []"),
-    ("local-law", amend(LOCAL_LAW, "grid", tau=-0.1), "grid.tau: tau must be nonnegative"),
+    ("local-law", amend(LOCAL_LAW, "grid", tau=-0.1), "grid.tau: need tau >= 0"),
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.3, "s_max": 1.5, "n_radii": 3.5}},
      "params.n_radii: expected int, got float"),
     # configs the run would reject or misread after validate passed
@@ -290,6 +290,13 @@ BAD_CONFIGS = [
     # the eta bounds are read before the grid check, so a bad one is named once
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4}, "grid": {"eta_max": True}},
      "invalid config: grid.eta_max: expected int/float, got bool\n"),
+    # an empty list of test points would run and write a header-only CSV
+    ("main-gap", amend(MAIN_GAP, "params", alphas=[]),
+     "invalid config: params.alphas: need one or more alphas\n"),
+    ("green-sub", amend(GREEN_SUB, "params", z_values=[]),
+     "invalid config: params.z_values: need one or more points\n"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4, "z_grid": []}},
+     "invalid config: params.z_grid: need one or more points\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
