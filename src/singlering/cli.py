@@ -144,6 +144,14 @@ def _numbers(value, path, length=None, kind=float):
     raise ConfigError(f"{path}: expected {what}, got {value!r}")
 
 
+def _squarable(x, path, name):
+    """x, or a ConfigError naming path where x * x overflows: a subordination
+    solve squares each eta and Im z."""
+    if x > math.sqrt(sys.float_info.max):
+        raise ConfigError(f"{path}: need {name} <= {math.sqrt(sys.float_info.max):g}, got {x:g}")
+    return x
+
+
 def _spectral_points(points, path, axis=False):
     """One or more pairs as points z with Im z > 0; ``axis`` adds z = 0 (z = i eta, eta >= 0)."""
     if not points:
@@ -153,6 +161,7 @@ def _spectral_points(points, path, axis=False):
         if not (z.imag > 0 or (axis and z == 0)):
             need = "Im z > 0, or z = i eta with eta >= 0" if axis else "Im z > 0"
             raise ConfigError(f"{path}[{i}]: need {need}; got z = {z}")
+        _squarable(z.imag, f"{path}[{i}]", "Im z")
     return zs
 
 
@@ -182,7 +191,7 @@ def _annulus(cfg, mu):
 def _etas(cfg, eta_min, eta_max):
     """The dyadic etas from grid.eta_max down to grid.eta_min, whose defaults are the args."""
     lo = _get(cfg, "grid.eta_min", float, default=eta_min)
-    hi = _get(cfg, "grid.eta_max", float, default=eta_max)
+    hi = _squarable(_get(cfg, "grid.eta_max", float, default=eta_max), "grid.eta_max", "eta_max")
     with _at("grid"):
         return locallaw.dyadic_etas(lo, hi)
 
@@ -368,6 +377,7 @@ def _cmd_certificate(cfg):
     with _at("params.r"):
         freeconv.bulk_ring(mu_sym, r)
     eta_max = _get(cfg, "params.eta_max", float, default=10.0, above=0)
+    _squarable(eta_max, "params.eta_max", "eta_max")
     grid = _get(cfg, "params.grid", int, default=64, least=2)
 
     def run(ctx):

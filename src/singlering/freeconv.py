@@ -30,7 +30,7 @@ it against the solved subordination function on a dyadic eta grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,32 +79,29 @@ class SubordinationState:
     iterations: int
 
 
-def _transform_pair(mu: DiscreteMeasure):
-    """(F, F') evaluators for an atomic measure; F = -1/m, F' = m'/m^2."""
-    atoms = mu.atoms
-    weights = mu.weights
-
-    def F(w):
-        d = atoms - w
-        m = np.sum(weights / d)
-        return -1.0 / m
-
-    def dF(w):
-        d = atoms - w
-        m = np.sum(weights / d)
-        mp = np.sum(weights / (d * d))
-        return mp / (m * m)
-
-    return F, dF
+def _F(mu: DiscreteMeasure, w):
+    """(F(w), F'(w)) of an atomic measure from one pass: F = -1/m, F' = m'/m^2."""
+    d = mu.atoms - w
+    m = np.sum(mu.weights / d)
+    return -1.0 / m, np.sum(mu.weights / (d * d)) / (m * m)
 
 
-def _residual(F1, F2, z, w1, w2):
-    """Max norm of the two defining equations at (omega1, omega2)."""
-    return max(abs(F1(w2) - w1 - w2 + z), abs(F2(w1) - w1 - w2 + z))
+def _state(mu1, mu2, z, w1, w2, iterations) -> SubordinationState:
+    """The state at (omega1, omega2) from F alone: _F's d * d underflows at |d| < 1e-154."""
+    F1 = -1.0 / np.sum(mu1.weights / (mu1.atoms - w2))
+    F2 = -1.0 / np.sum(mu2.weights / (mu2.atoms - w1))
+    res = max(abs(F1 - w1 - w2 + z), abs(F2 - w1 - w2 + z))
+    return SubordinationState(z, w1, w2, -1.0 / F1, res, iterations)
 
 
-def _solve_pair(F1, dF1, F2, dF2, z, w2):
-    """Safeguarded Newton iteration for the subordination fixed point.
+def _goal(w1, w2) -> float:
+    """TOL scaled by the iterate, as float64 cannot express residuals below eps * |omega|."""
+    return TOL * max(1.0, abs(w1), abs(w2))
+
+
+def _solve_pair(mu1, mu2, z, w2, iterations=0) -> SubordinationState:
+    """Safeguarded Newton iteration for the subordination fixed point, from
+    omega2 = w2; the state counts ``iterations`` plus its own steps.
 
     omega1 is slaved to omega2 through the first defining equation,
     omega1 = z + F1(omega2) - omega2, which makes its residual vanish
@@ -120,42 +117,32 @@ def _solve_pair(F1, dF1, F2, dF2, z, w2):
     half-plane and lowers |phi|, and the plain step w + phi(w) otherwise.
     """
 
-    def phi(w):
-        w1 = z + F1(w) - w
-        return F2(w1) - w1 - w + z
+    def step(w):
+        """(phi(w), phi'(w), omega1) from one evaluation of F1 and of F2."""
+        F1, dF1 = _F(mu1, w)
+        w1 = z + F1 - w
+        F2, dF2 = _F(mu2, w1)
+        return F2 - w1 - w + z, (dF2 - 1.0) * (dF1 - 1.0) - 1.0, w1
 
-    def dphi(w):
-        w1 = z + F1(w) - w
-        return (dF2(w1) - 1.0) * (dF1(w) - 1.0) - 1.0
-
-    def goal(w):
-        # float64 cannot express residuals below eps * |omega|, so the
-        # convergence goal scales with the iterate; at O(1) arguments it is
-        # the plain absolute tolerance
-        return TOL * max(1.0, abs(z + F1(w) - w), abs(w))
-
-    p = phi(w2)
+    p, dp, w1 = step(w2)
     it = 0
-    while abs(p) > goal(w2) and it < MAX_ITER:
+    while abs(p) > _goal(w1, w2) and it < MAX_ITER:
         it += 1
-        d = dphi(w2)
-        nw = w2 - p / d if d != 0 else w2
-        np_ = phi(nw) if nw.imag >= z.imag else p
-        if abs(np_) < abs(p):
-            w2, p = nw, np_
+        nw = w2 - p / dp if dp != 0 else w2
+        trial = step(nw) if nw.imag >= z.imag else None
+        if trial is not None and abs(trial[0]) < abs(p):
+            w2, (p, dp, w1) = nw, trial
         else:
             w2 = w2 + p
-            p = phi(w2)
+            p, dp, w1 = step(w2)
 
-    w1 = z + F1(w2) - w2
-    full_res = _residual(F1, F2, z, w1, w2)
-    if full_res <= TOL * max(1.0, abs(w1), abs(w2)):
-        return w1, w2, full_res, it
+    st = _state(mu1, mu2, z, w1, w2, iterations + it)
+    if st.residual <= _goal(w1, w2):
+        return st
     raise ConvergenceError(
-        f"subordination iteration stalled at residual {full_res:.3e} "
+        f"subordination iteration stalled at residual {st.residual:.3e} "
         f"(tol {TOL:g}) after {it} iterations at z = {z}",
-        residual=full_res,
-        iterations=it,
+        residual=st.residual, iterations=it,
     )
 
 
@@ -215,10 +202,7 @@ def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> Subor
     """The symmetric pair's state at z = i eta, eta >= 0, from the axis root-find."""
     eta = z.imag
     d, it = _solve_axis_symmetric(mu1, mu2, eta)
-    w1, w2 = 1j * (eta + _axis_gap(mu1)(eta + d)), 1j * (eta + d)
-    F1, _ = _transform_pair(mu1)
-    F2, _ = _transform_pair(mu2)
-    return SubordinationState(z, w1, w2, -1.0 / F1(w2), _residual(F1, F2, z, w1, w2), it)
+    return _state(mu1, mu2, z, 1j * (eta + _axis_gap(mu1)(eta + d)), 1j * (eta + d), it)
 
 
 def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
@@ -229,8 +213,6 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
     if z.imag <= 0:
         raise ValueError(f"solve_phi_system needs Im z > 0; got z = {z}")
 
-    F1, dF1 = _transform_pair(mu1)
-    F2, dF2 = _transform_pair(mu2)
     if len(mu1) == 1 or len(mu2) == 1:
         # mu [+] delta_a is the shift m(z) = m_mu(z - a), with no iteration:
         # omega is z - a on the point-mass side and a - 1/m on the other
@@ -238,17 +220,14 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
         a = float(point.atoms[0])
         m = stieltjes(other, z - a)
         w1, w2 = (z - a, a - 1.0 / m) if point is mu1 else (a - 1.0 / m, z - a)
-        return SubordinationState(z, w1, w2, m, _residual(F1, F2, z, w1, w2), 0)
+        return replace(_state(mu1, mu2, z, w1, w2, 0), m=m)
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
-        st = _axis_state(mu1, mu2, z)
-        if st.residual <= TOL * max(1.0, abs(st.omega1), abs(st.omega2)):
+        st = _axis_state(mu1, mu2, z)  # polished from where it stops if it misses the goal
+        if st.residual <= _goal(st.omega1, st.omega2):
             return st
-        brent_it, w0 = st.iterations, st.omega2  # fall through with a warm start
-    else:
-        m2_total = mu1.second_moment() + mu2.second_moment()
-        brent_it, w0 = 0, z + 1j * math.sqrt(max(m2_total, 1e-30))
-    w1, w2, res, it = _solve_pair(F1, dF1, F2, dF2, z, w0)
-    return SubordinationState(z, w1, w2, -1.0 / F1(w2), res, brent_it + it)
+        return _solve_pair(mu1, mu2, z, st.omega2, st.iterations)
+    m2_total = mu1.second_moment() + mu2.second_moment()
+    return _solve_pair(mu1, mu2, z, z + 1j * math.sqrt(max(m2_total, 1e-30)))
 
 
 def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> SubordinationState:
@@ -397,7 +376,8 @@ def bulk_bound_certificate(
     w1 = np.array([st.omega1 for st in states])
     w2 = np.array([st.omega2 for st in states])
     m = np.array([st.m for st in states])
-    dev = np.abs(w2 - 1j * etas)
+    # |omega2 - i eta| = r^2/|omega1|, as delta_r^sym has F(w) = w - r^2/w; no cancellation
+    dev = r2 / np.abs(w1)
     upper_env = np.minimum(sigma_plus * s_plus, r2 / etas)
     lower_env = sigma_minus * s_minus * b_minus * np.minimum(1.0, sigma_minus * s_minus / etas)
     best_constant = np.max(dev / upper_env)

@@ -297,6 +297,17 @@ BAD_CONFIGS = [
      "invalid config: params.z_values: need one or more points\n"),
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4, "z_grid": []}},
      "invalid config: params.z_grid: need one or more points\n"),
+    # an eta or Im z whose square overflows, which a solve divides by
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4}, "grid": {"eta_max": 1e160}},
+     "invalid config: grid.eta_max: need eta_max <= 1.34078e+154, got 1e+160\n"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1.4, "z_grid": [[0.0, 1.0], [0.0, 1e160]]}},
+     "invalid config: params.z_grid[1]: need Im z <= 1.34078e+154, got 1e+160\n"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "eta_max": 1e155}},
+     "invalid config: params.eta_max: need eta_max <= 1.34078e+154, got 1e+155\n"),
+    ("local-law", amend(LOCAL_LAW, "grid", eta_min=1e150, eta_max=1e160),
+     "invalid config: grid.eta_max: need eta_max <= 1.34078e+154, got 1e+160\n"),
+    ("green-sub", amend(GREEN_SUB, "params", z_values=[[0.0, 1e160]]),
+     "invalid config: params.z_values[0]: need Im z <= 1.34078e+154, got 1e+160\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts

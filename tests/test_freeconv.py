@@ -21,7 +21,6 @@ from singlering.freeconv import (
     ConvergenceError,
     _solve_axis_symmetric,
     _solve_pair,
-    _transform_pair,
     bulk_bound_certificate,
     solve_delta_conv,
     solve_phi_system,
@@ -166,6 +165,20 @@ class TestSolvePhiSystem:
         m_ref = -0.10214125739737955 + 0.015677604409107863j  # the damped engine's m
         assert abs(st_.m - m_ref) <= 1e-10 * abs(m_ref)
 
+    def test_one_transform_pass_per_trial_point(self, monkeypatch, bernoulli, two_point_sym):
+        # each step evaluates F1 and F2 (with F') once at the Newton trial point
+        # and once more at the fixed-point step that may replace it
+        calls = []
+        F = freeconv._F
+        monkeypatch.setattr(freeconv, "_F", lambda mu, w: calls.append(w) or F(mu, w))
+        stall = [symmetrize(reference_measure("two_point", a=1.0, b=2.0)),
+                 symmetrize(reference_measure("two_point", a=0.1, b=3.0, p=0.2))]
+        for mu1, mu2, z in ((*stall, 1.25 + 0.01j), (bernoulli, two_point_sym, 0.5 + 0.1j)):
+            calls.clear()
+            st_ = solve_phi_system(mu1, mu2, z)
+            assert st_.iterations > 0
+            assert 0 < len(calls) <= 4 * st_.iterations + 4
+
 
 class TestSolveDeltaConv:
     def test_golden_ratio(self, bernoulli):
@@ -303,7 +316,7 @@ class TestAxisRoute:
         assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
     def test_generic_pair_matches_engine_in_bulk(self):
-        # with E = 0 in the bulk the damped/Newton engine converges from the
+        # with E = 0 in the bulk the safeguarded Newton engine converges from the
         # standard start, so it is an independent route to the same point; it
         # stops at residual 1e-12, which the pair's conditioning amplifies
         rng = np.random.default_rng(5)
@@ -314,12 +327,10 @@ class TestAxisRoute:
                 continue
             z = 1j * 10.0 ** rng.uniform(-6.0, 1.0)
             st_ = solve_phi_system(mu1, mu2, z)
-            F1, dF1 = _transform_pair(mu1)
-            F2, dF2 = _transform_pair(mu2)
             w0 = z + 1j * math.sqrt(mu1.second_moment() + mu2.second_moment())
-            w1, w2, _, _ = _solve_pair(F1, dF1, F2, dF2, z, w0)
-            assert abs(st_.omega2 - w2) <= 1e-8 * abs(w2)
-            assert abs(st_.omega1 - w1) <= 1e-8 * abs(w1)
+            pair = _solve_pair(mu1, mu2, z, w0)
+            assert abs(st_.omega2 - pair.omega2) <= 1e-8 * abs(pair.omega2)
+            assert abs(st_.omega1 - pair.omega1) <= 1e-8 * abs(pair.omega1)
             checked += 1
 
 
@@ -390,6 +401,19 @@ class TestCertificate:
             sel = np.abs(mu_tilde.atoms) >= rep.s_minus * (1.0 - 1e-14)
             a_minus = np.sum(mu_tilde.weights[sel] / mu_tilde.atoms[sel] ** 2)
             assert rep.a_minus == pytest.approx(a_minus, rel=1e-13)
+
+    @pytest.mark.parametrize("eta_max", [1e5, 1e8, 1e12])
+    def test_passes_at_large_eta_max(self, eta_max):
+        # |omega2 - i eta| ~ r^2/eta is read as r^2/|omega1|; subtracting i eta
+        # from omega2 = i (eta + d) loses d to rounding and fails the upper bound
+        for kind, params, r in (
+            ("two_point", {"a": 1.0, "b": 2.0}, 1.4),
+            ("quarter_circle", {"n_atoms": 40}, 0.8),
+            ("uniform", {"n_atoms": 7, "a": 0.5, "b": 1.5}, 1.0),
+        ):
+            mu_sym = symmetrize(reference_measure(kind, **params))
+            rep = bulk_bound_certificate(mu_sym, r, eta_max=eta_max)
+            assert rep.lower_ok and rep.upper_ok and rep.zero_bound_ok
 
     def test_flags_and_grid(self, two_point_sym):
         rep = bulk_bound_certificate(two_point_sym, 1.4, eta_max=10.0, grid=64)
