@@ -145,11 +145,9 @@ def _numbers(value, path, length=None, kind=float):
 
 
 def _squarable(x, path, name):
-    """x, or a ConfigError naming path where x * x overflows: a subordination
-    solve squares each eta and Im z."""
-    if x > math.sqrt(sys.float_info.max):
-        raise ConfigError(f"{path}: need {name} <= {math.sqrt(sys.float_info.max):g}, got {x:g}")
-    return x
+    """x, or a ConfigError naming path where a solve would square x past the float range."""
+    with _at(path):
+        return freeconv._squarable(x, name)
 
 
 def _spectral_points(points, path, axis=False):

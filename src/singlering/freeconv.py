@@ -15,8 +15,7 @@ measures, by one of three routes:
 * for a symmetric pair at z = i eta, both omegas are purely imaginary and
   the system is one real Brent root-find in the gap d = Im omega2 - eta,
   which also holds at the boundary eta = 0;
-* everywhere else a safeguarded Newton iteration runs (it also polishes
-  an axis solve that misses the tolerance).
+* everywhere else a safeguarded Newton iteration runs.
 
 :func:`solve_delta_conv` is the reference law of the hermitized local law,
 mu1_sym [+] delta_r^sym with delta_r^sym = (delta_r + delta_{-r})/2: the
@@ -30,6 +29,7 @@ it against the solved subordination function on a dyadic eta grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +67,7 @@ class SubordinationState:
     """Solution of the subordination system at one spectral point.
 
     residual is the max norm of the two defining equations; m = -1/F with
-    F = F_{mu1}(omega2); iterations counts root-finder and generic-engine
+    F = F_{mu1}(omega2); iterations counts root-finder or generic-engine
     steps.  The fields are the columns of the CLI's freeconv.csv.
     """
 
@@ -94,14 +94,20 @@ def _state(mu1, mu2, z, w1, w2, iterations) -> SubordinationState:
     return SubordinationState(z, w1, w2, -1.0 / F1, res, iterations)
 
 
+def _squarable(x: float, name: str) -> float:
+    """x, or a ValueError where x is NaN or x * x overflows: the solves square each eta, Im z."""
+    if not x <= math.sqrt(sys.float_info.max):
+        raise ValueError(f"need {name} <= {math.sqrt(sys.float_info.max):g}, got {x:g}")
+    return x
+
+
 def _goal(w1, w2) -> float:
     """TOL scaled by the iterate, as float64 cannot express residuals below eps * |omega|."""
     return TOL * max(1.0, abs(w1), abs(w2))
 
 
-def _solve_pair(mu1, mu2, z, w2, iterations=0) -> SubordinationState:
-    """Safeguarded Newton iteration for the subordination fixed point, from
-    omega2 = w2; the state counts ``iterations`` plus its own steps.
+def _solve_pair(mu1, mu2, z, w2) -> SubordinationState:
+    """Safeguarded Newton iteration for the subordination fixed point from omega2 = w2.
 
     omega1 is slaved to omega2 through the first defining equation,
     omega1 = z + F1(omega2) - omega2, which makes its residual vanish
@@ -136,7 +142,7 @@ def _solve_pair(mu1, mu2, z, w2, iterations=0) -> SubordinationState:
             w2 = w2 + p
             p, dp, w1 = step(w2)
 
-    st = _state(mu1, mu2, z, w1, w2, iterations + it)
+    st = _state(mu1, mu2, z, w1, w2, it)
     if st.residual <= _goal(w1, w2):
         return st
     raise ConvergenceError(
@@ -199,10 +205,20 @@ def _solve_axis_symmetric(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eta: float
 
 
 def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
-    """The symmetric pair's state at z = i eta, eta >= 0, from the axis root-find."""
+    """The symmetric pair's state at z = i eta, eta >= 0, in real arithmetic from the axis
+    root d: with y2 = eta + d and y1 = eta + g1(y2), F1(omega2) = omega1 + omega2 - z =
+    i(y1 + d) exactly, so m = i/(y1 + d) and the residual is the second equation's |h(d)|."""
     eta = z.imag
     d, it = _solve_axis_symmetric(mu1, mu2, eta)
-    return _state(mu1, mu2, z, 1j * (eta + _axis_gap(mu1)(eta + d)), 1j * (eta + d), it)
+    y2 = eta + d
+    y1 = eta + _axis_gap(mu1)(y2)
+    res = abs(_axis_gap(mu2)(y1) - d)
+    if res <= _goal(y1, y2):
+        return SubordinationState(z, 1j * y1, 1j * y2, 1j / (y1 + d), res, it)
+    raise ConvergenceError(
+        f"axis root d = {d!r} leaves residual {res:.3e} (tol {TOL:g}) at z = {z}",
+        residual=res, iterations=it,
+    )
 
 
 def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
@@ -212,6 +228,7 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
     z = complex(z)
     if z.imag <= 0:
         raise ValueError(f"solve_phi_system needs Im z > 0; got z = {z}")
+    _squarable(z.imag, "Im z")
 
     if len(mu1) == 1 or len(mu2) == 1:
         # mu [+] delta_a is the shift m(z) = m_mu(z - a), with no iteration:
@@ -222,10 +239,7 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
         w1, w2 = (z - a, a - 1.0 / m) if point is mu1 else (a - 1.0 / m, z - a)
         return replace(_state(mu1, mu2, z, w1, w2, 0), m=m)
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
-        st = _axis_state(mu1, mu2, z)  # polished from where it stops if it misses the goal
-        if st.residual <= _goal(st.omega1, st.omega2):
-            return st
-        return _solve_pair(mu1, mu2, z, st.omega2, st.iterations)
+        return _axis_state(mu1, mu2, z)
     m2_total = mu1.second_moment() + mu2.second_moment()
     return _solve_pair(mu1, mu2, z, z + 1j * math.sqrt(max(m2_total, 1e-30)))
 
@@ -336,6 +350,7 @@ def bulk_bound_certificate(
         raise MeasureError("certificate needs a measure supported at three or more points")
     if grid < 2:
         raise ValueError("grid must have at least 2 dyadic points")
+    _squarable(eta_max, "eta_max")
 
     r_minus, r_plus = bulk_ring(mu1_sym, r)
     s_plus, r_plus_sq = support_stats(mu1_sym)  # the second moment, exact where r_plus**2 rounds

@@ -7,7 +7,9 @@ that the density alone does not pin down, F = -1/m is the subordination
 equations' own transform, Delta f is the Laplacian of the bump that the
 Girko-identity tests pair with log |det|, a scan's flagged records
 are the nodes whose reference solve failed, and the monotone gap equation
-of mu_sym [+] delta_r^sym checks the library's shared symmetric axis route.
+of mu_sym [+] delta_r^sym checks the library's shared symmetric axis route,
+and m of a generic symmetric pair on the axis, to 50 digits in stdlib
+decimal, checks that route in a spectral gap, where float64 has no slack.
 The limit eta -> 0 of Im omega2(i eta) checks the certificate's direct
 z = 0 solve, and the Nevanlinna representing measure of F_mu - id checks
 the gap zeros and weights from which the certificate reads s_- and a_-.
@@ -17,6 +19,7 @@ smallest-singular-value tail's one stacked line fit.
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -199,6 +202,49 @@ def delta_axis_gap(mu1_sym, r, eta):
     while G(hi) <= r2:
         hi *= 2.0
     return _brentq(lambda t: G(t) - r2, lo, hi, xtol=1e-300, rtol=8.9e-16)[0]
+
+
+def axis_m_decimal(mu1_sym, mu2_sym, eta, digits=50):
+    """Im m(i eta) of mu1_sym [+] mu2_sym, both symmetric, eta > 0, as a Decimal
+    good to ``digits`` digits.
+
+    On the axis F_mu(iy) = i(y + g(y)) with g(y) = sum p x^2/(x^2 + y^2) / (y sum
+    p/(x^2 + y^2)), so the gap d = Im omega2 - eta solves h(d) = g2(eta + g1(eta + d))
+    - d = 0; then y1 = eta + g1(eta + d) and m = i/(y1 + d).  h(0+) > 0, and
+    g2(y) <= max x^2/y with y >= eta makes h < 0 past max x2^2/eta.  Halving from
+    there brackets the root within a factor 2, and bisection at the geometric
+    midpoint closes the bracket, with the float atoms and weights taken exactly.
+    """
+    if not eta > 0:
+        raise ValueError(f"need eta > 0; got {eta}")
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        eta = Decimal(eta)
+
+        def gap(mu):
+            x2 = [Decimal(float(x)) ** 2 for x in mu.atoms]
+            p = [Decimal(float(w)) for w in mu.weights]
+
+            def g(y):
+                q = [pk / (xk + y * y) for pk, xk in zip(p, x2)]
+                return sum(qk * xk for qk, xk in zip(q, x2)) / (y * sum(q))
+
+            return g, max(x2)
+
+        (g1, _), (g2, reach2) = gap(mu1_sym), gap(mu2_sym)
+
+        def h(d):
+            return g2(eta + g1(eta + d)) - d
+
+        hi = 2 * reach2 / eta
+        lo = hi / 2
+        while h(lo) <= 0:
+            lo, hi = lo / 2, lo
+        while hi - lo > lo * Decimal(10) ** -(digits + 2):
+            mid = (lo * hi).sqrt()
+            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+        d = (lo + hi) / 2
+        return 1 / (eta + g1(eta + d) + d)
 
 
 def polyfit_tail_slope(lam_scaled, t_grid):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import axis_m_decimal
 from singlering import cli, freeconv, locallaw, ringlaw
 from singlering.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, config_hash, fmt, main
 from singlering.freeconv import ConvergenceError
@@ -486,6 +487,35 @@ class TestFreeconvCommand:
             state = freeconv.solve_phi_system(mu1, mu2, 1j * eta)
             assert complex(float(r["m_re"]), float(r["m_im"])) == state.m
             assert float(r["residual"]) < 1e-10 and state.m.imag > 0
+
+    # two pairs whose convolution has a gap at 0, with the 60-digit Im m(1e-10 i);
+    # Newton polishing a complex-arithmetic axis state stalled on the first (exit 3)
+    # and left the axis on the second, writing m = 1.615e-8 + 1.403e-8i
+    GAPPED = [
+        ({"atoms": [0.1767, 2.2838], "weights": [0.583, 0.417]},
+         {"atoms": [0.5124, 2.4161, 4.6963, 8.4398, 9.4562],
+          "weights": [0.0638, 0.2938, 0.1622, 0.3224, 0.1578]},
+         9.3944870570287064645e-11),
+        ({"atoms": [0.5682, 2.2025], "weights": [0.899, 0.101]},
+         {"atoms": [0.5747, 1.5055, 3.2072, 4.4001, 6.8051],
+          "weights": [0.1482, 0.3325, 0.0792, 0.0858, 0.3543]},
+         1.1829928428089443985e-10),
+    ]
+
+    @pytest.mark.parametrize("mu1, mu2, m_im", GAPPED, ids=["stalled", "off-axis"])
+    def test_gapped_pair_on_the_axis_matches_the_decimal_oracle(self, tmp_path, mu1, mu2, m_im):
+        cfg = {"measure": mu1, "measure2": mu2, "params": {"z_grid": [[0.0, 1e-10]]}}
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["validate", "--config", p, "--for-command", "freeconv"]) == EXIT_OK
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        with open(out / "freeconv.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        mu1, mu2 = (symmetrize(DiscreteMeasure(m["atoms"], m["weights"])) for m in (mu1, mu2))
+        oracle = float(axis_m_decimal(mu1, mu2, 1e-10))
+        assert oracle == pytest.approx(m_im, rel=1e-15)
+        assert float(row["m_re"]) == float(row["omega1_re"]) == float(row["omega2_re"]) == 0.0
+        assert float(row["m_im"]) == pytest.approx(oracle, rel=1e-13, abs=0)
 
 
 class TestPointMassMeasure2:

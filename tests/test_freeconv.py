@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from levy import levy_distance
 from oracles import (
+    axis_m_decimal,
     boundary_density,
     delta_axis_gap,
     extrapolate_density,
@@ -61,6 +62,21 @@ def random_signed_measure(rng, max_atoms=6):
         atoms[0] = 0.0
     w = rng.uniform(0.05, 1.0, size=n)
     return DiscreteMeasure.from_points(atoms, w / w.sum())
+
+
+def gapped_axis_pairs(n=300):
+    """The seeded symmetric pairs of the axis grid: 2 atoms in (0.05, 3) against
+    5 in (0.3, 10), each side with Dirichlet(1) weights; many convolutions have a gap at 0."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(n):
+        a1, w1 = np.sort(rng.uniform(0.05, 3.0, 2)), rng.dirichlet(np.ones(2))
+        a2, w2 = np.sort(rng.uniform(0.3, 10.0, 5)), rng.dirichlet(np.ones(5))
+        pairs.append((symmetrize(DiscreteMeasure(a1, w1)), symmetrize(DiscreteMeasure(a2, w2))))
+    return pairs
+
+
+AXIS_ETAS = tuple(10.0**k for k in range(3, -13, -1))
 
 
 def ring_radii(mu_sym):
@@ -152,6 +168,18 @@ class TestSolvePhiSystem:
     def test_real_z_rejected(self, bernoulli):
         with pytest.raises(ValueError):
             solve_phi_system(bernoulli, bernoulli, 0.5)
+
+    def test_im_z_whose_square_overflows_rejected(self, bernoulli, two_point_sym):
+        # every route squares Im z; past sqrt(max float) it would divide by 0 or overflow
+        for solve in (lambda z: solve_phi_system(two_point_sym, bernoulli, 1.0 + z),
+                      lambda z: solve_phi_system(two_point_sym, bernoulli, z),
+                      lambda z: solve_delta_conv(two_point_sym, 1.4, z)):
+            with pytest.raises(ValueError, match=r"need Im z <= 1.34078e\+154, got 1e\+155"):
+                solve(1e155j)
+            with pytest.raises(ValueError, match="got nan"):
+                solve(complex(0.0, math.nan))
+            st_ = solve(1e154j)
+            assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
     def test_fixed_point_step_rescues_a_newton_stall(self):
         # off the axis near the real line, Newton steps alone stall in a
@@ -297,23 +325,49 @@ class TestAxisRoute:
             assert st_.omega2.imag > eta and st_.omega1.imag >= eta
             assert st_.residual <= 1e-12 * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
-    def test_polish_meets_the_tolerance_the_axis_state_misses(self, monkeypatch):
-        # at r far below the ring and tiny eta, |omega1| = 6.5e6 and the Brent
-        # state misses the tolerance; _solve_pair polishes it from that start
+    def test_axis_state_meets_the_tolerance_without_the_engine(self, monkeypatch):
+        # at r far below the ring and tiny eta, |omega1| = 6.5e6: summed in complex
+        # arithmetic, F's real part rounds to eps-size and the residual misses the
+        # tolerance; the state built from the root in real arithmetic meets it alone
         mu1 = symmetrize(reference_measure("quarter_circle", n_atoms=8))
-        z = 1e-8j
-        brent = freeconv._axis_state(mu1, freeconv._symmetric_pair(1e-4), z)
-        assert brent.residual > TOL * max(1.0, abs(brent.omega1), abs(brent.omega2))
-        polishes = []
-
-        def counted(*args):
-            polishes.append(args)
-            return _solve_pair(*args)
-
-        monkeypatch.setattr(freeconv, "_solve_pair", counted)
-        st_ = solve_delta_conv(mu1, 1e-4, z)
-        assert len(polishes) == 1
+        engine = []
+        monkeypatch.setattr(freeconv, "_solve_pair", lambda *args: engine.append(args))
+        st_ = solve_delta_conv(mu1, 1e-4, 1e-8j)
+        assert not engine
         assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
+        assert st_.omega1.real == st_.omega2.real == st_.m.real == 0.0
+
+    def test_gapped_grid_is_exact_on_the_axis(self):
+        # 4,800 solves, many in a spectral gap at 0, where Newton from a
+        # complex-arithmetic state stalled or left the axis
+        for mu1, mu2 in gapped_axis_pairs():
+            for eta in AXIS_ETAS:
+                st_ = solve_phi_system(mu1, mu2, 1j * eta)
+                assert st_.omega1.real == st_.omega2.real == st_.m.real == 0.0
+                assert st_.omega2.imag > eta and st_.omega1.imag >= eta
+                assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
+
+    # (pair index, eta) on the grid where Newton from the complex state stalled
+    # (first two rows) or returned an m more than 1e-8 off (last two rows)
+    GAPPED_SAMPLE = (
+        (0, 1e-12), (30, 1e-09), (62, 1e-11), (82, 1e-11), (108, 1e-12), (128, 1e-05),
+        (148, 1e-07), (173, 1e-08), (204, 1e-08), (233, 1e-10), (254, 1e-09), (277, 1e-07),
+        (0, 1e-06), (24, 1e-06), (45, 1e-12), (73, 1e-06), (98, 1e-06), (125, 1e-05),
+        (154, 1e-10), (180, 1e-12), (204, 1e-06), (230, 1e-05), (251, 1e-12), (276, 1e-09),
+    )
+
+    def test_m_matches_the_decimal_oracle_in_a_gap(self):
+        pairs = gapped_axis_pairs(max(i for i, _ in self.GAPPED_SAMPLE) + 1)
+        cases = [(*pairs[i], eta) for i, eta in self.GAPPED_SAMPLE]
+        # a pair whose axis state had omega2 = 7.0e7 i and a polish that diverged
+        mu1 = symmetrize(DiscreteMeasure([0.1767, 2.2838], [0.583, 0.417]))
+        mu2 = symmetrize(DiscreteMeasure([0.5124, 2.4161, 4.6963, 8.4398, 9.4562],
+                                         [0.0638, 0.2938, 0.1622, 0.3224, 0.1578]))
+        cases.append((mu1, mu2, 1.514281824020394e-08))
+        for mu1, mu2, eta in cases:
+            m = solve_phi_system(mu1, mu2, 1j * eta).m
+            assert m.real == 0.0
+            assert m.imag == pytest.approx(float(axis_m_decimal(mu1, mu2, eta)), rel=1e-13, abs=0)
 
     def test_generic_pair_matches_engine_in_bulk(self):
         # with E = 0 in the bulk the safeguarded Newton engine converges from the
@@ -414,6 +468,12 @@ class TestCertificate:
             mu_sym = symmetrize(reference_measure(kind, **params))
             rep = bulk_bound_certificate(mu_sym, r, eta_max=eta_max)
             assert rep.lower_ok and rep.upper_ok and rep.zero_bound_ok
+
+    def test_eta_max_whose_square_overflows_rejected(self, two_point_sym):
+        with pytest.raises(ValueError, match=r"need eta_max <= 1.34078e\+154, got 1e\+155"):
+            bulk_bound_certificate(two_point_sym, 1.4, eta_max=1e155)
+        with pytest.raises(ValueError, match="got nan"):
+            bulk_bound_certificate(two_point_sym, 1.4, eta_max=math.nan)
 
     def test_flags_and_grid(self, two_point_sym):
         rep = bulk_bound_certificate(two_point_sym, 1.4, eta_max=10.0, grid=64)
