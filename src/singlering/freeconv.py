@@ -14,7 +14,9 @@ measures, by one of three routes:
 * a point mass on either side is an exact shift, with no iteration;
 * for a symmetric pair at z = i eta, both omegas are purely imaginary and
   the system is one real Brent root-find in the gap d = Im omega2 - eta,
-  which also holds at the boundary eta = 0;
+  which also holds at the boundary eta = 0; its bracket search runs until d
+  leaves the float range, and below the eta where Im omega1 squares past it
+  the solve raises ConvergenceError;
 * everywhere else a safeguarded Newton iteration runs.
 
 :func:`solve_delta_conv` is the reference law of the hermitized local law,
@@ -40,7 +42,6 @@ from .measure import (
     MeasureError,
     _brentq,
     _positive_gap_zeros,
-    _symmetric_pair,
     radii,
     stieltjes,
     support_stats,
@@ -168,13 +169,13 @@ def _axis_gap(mu: DiscreteMeasure):
     return g
 
 
-def _solve_axis_symmetric(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eta: float):
-    """(d, Brent iterations) for the gap d = Im omega2(i eta) - eta > 0 of a
-    symmetric pair, eta >= 0.
+def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
+    """The symmetric pair's state at z = i eta, eta >= 0, in real arithmetic from the gap
+    d = Im omega2 - eta > 0.
 
     On the imaginary axis both subordination functions are purely imaginary:
-    omega2 = i(eta + d) and, by the first defining equation, omega1 =
-    i(eta + g1(eta + d)), with g = ``_axis_gap``.  The second one reads
+    omega2 = i y2 with y2 = eta + d and, by the first defining equation, omega1 =
+    i y1 with y1 = eta + g1(y2), g = ``_axis_gap``.  The second one reads
 
         h(d) = g2(eta + g1(eta + d)) - d = 0,
 
@@ -182,37 +183,39 @@ def _solve_axis_symmetric(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eta: float
     is the unique solution; at eta = 0 it is the boundary value, which exists
     when the rings are compatible (for mu2 = delta_r^sym: r inside mu1's open
     ring).  Starting from the scale m2(mu2)/(eta + sqrt(m2(mu1) + m2(mu2)))
-    of the root, doubling or halving d finds a sign change and
-    ``measure._brentq`` does the rest.  Working in d rather than y = eta + d
-    keeps the gap, which shrinks like m2(mu2)/eta, resolved at large eta, and
-    the bracketed root-find is immune to the residual valleys that slow the
-    safeguarded Newton engine when the convolution has a spectral gap.
+    of the root, d doubles or halves until h changes sign or d leaves
+    (0, inf), and ``measure._brentq`` does the rest.  Working in d rather than
+    y2 keeps the gap, which shrinks like m2(mu2)/eta, resolved at large eta,
+    and the bracketed root-find is immune to the residual valleys that slow
+    the safeguarded Newton engine when the convolution has a spectral gap.
+    In a spectral gap at 0, y1 grows like 1/eta; below the eta where y1^2
+    overflows (about 1e-154), g divides 0 by 0 and the solve raises
+    ConvergenceError.
+
+    F1(omega2) = omega1 + omega2 - z = i(y1 + d) exactly, so m = i/(y1 + d)
+    and the residual is the second equation's |h(d)|.
     """
+    eta = z.imag
     g1, g2 = _axis_gap(mu1), _axis_gap(mu2)
 
     def h(d):
-        return g2(eta + g1(eta + d)) - d
+        try:
+            return g2(eta + g1(eta + d)) - d
+        except ZeroDivisionError:
+            raise ConvergenceError(f"y^2 overflows in the axis solve at eta = {eta}") from None
 
     m2_1, m2_2 = mu1.second_moment(), mu2.second_moment()
     d = m2_2 / (eta + math.sqrt(m2_1 + m2_2))
     up = h(d) > 0.0
-    for _ in range(200):
-        nd = 2.0 * d if up else 0.5 * d
-        if (h(nd) > 0.0) != up:
-            return _brentq(h, *((d, nd) if up else (nd, d)), xtol=1e-300, rtol=8.9e-16)
-        d = nd
-    raise ConvergenceError(f"no axis bracket for the symmetric pair at eta = {eta}")
-
-
-def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> SubordinationState:
-    """The symmetric pair's state at z = i eta, eta >= 0, in real arithmetic from the axis
-    root d: with y2 = eta + d and y1 = eta + g1(y2), F1(omega2) = omega1 + omega2 - z =
-    i(y1 + d) exactly, so m = i/(y1 + d) and the residual is the second equation's |h(d)|."""
-    eta = z.imag
-    d, it = _solve_axis_symmetric(mu1, mu2, eta)
+    nd = 2.0 * d if up else 0.5 * d
+    while 0.0 < nd < math.inf and (h(nd) > 0.0) == up:
+        d, nd = nd, 2.0 * nd if up else 0.5 * nd
+    if not 0.0 < nd < math.inf:
+        raise ConvergenceError(f"no axis bracket for the symmetric pair at eta = {eta}")
+    d, it = _brentq(h, *((d, nd) if up else (nd, d)), xtol=1e-300, rtol=8.9e-16)
     y2 = eta + d
-    y1 = eta + _axis_gap(mu1)(y2)
-    res = abs(_axis_gap(mu2)(y1) - d)
+    y1 = eta + g1(y2)
+    res = abs(g2(y1) - d)
     if res <= _goal(y1, y2):
         return SubordinationState(z, 1j * y1, 1j * y2, 1j / (y1 + d), res, it)
     raise ConvergenceError(
@@ -261,7 +264,7 @@ def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> Subordin
     if z.imag < 0 or (z.imag == 0 and z.real != 0):
         raise ValueError(f"need Im z > 0, or z = i eta with eta >= 0; got z = {z}")
 
-    delta_sym = _symmetric_pair(r)
+    delta_sym = DiscreteMeasure(np.array([-r, r]), np.array([0.5, 0.5]))
     if z != 0:
         return solve_phi_system(mu1_sym, delta_sym, z)
     bulk_ring(mu1_sym, r)
@@ -350,7 +353,8 @@ def bulk_bound_certificate(
         raise MeasureError("certificate needs a measure supported at three or more points")
     if grid < 2:
         raise ValueError("grid must have at least 2 dyadic points")
-    _squarable(eta_max, "eta_max")
+    if _squarable(eta_max, "eta_max") <= 0:
+        raise ValueError(f"need eta_max > 0, got {eta_max:g}")
 
     r_minus, r_plus = bulk_ring(mu1_sym, r)
     s_plus, r_plus_sq = support_stats(mu1_sym)  # the second moment, exact where r_plus**2 rounds

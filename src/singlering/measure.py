@@ -214,21 +214,6 @@ class DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_pair(r: float) -> DiscreteMeasure:
-    """delta_r^sym = (delta_-r + delta_r)/2 for finite r > 0.
-
-    Its atoms increase and its weights sum to 1 by construction, so it skips
-    DiscreteMeasure's checks, and it is symmetric: the subordination solver
-    builds one at every spectral point.
-    """
-    atoms, weights = np.array([-r, r], dtype=float), np.array([0.5, 0.5])
-    atoms.setflags(write=False)
-    weights.setflags(write=False)
-    mu = object.__new__(DiscreteMeasure)
-    mu.__dict__.update(atoms=atoms, weights=weights, _symmetric=True)
-    return mu
-
-
 def symmetrize(mu: DiscreteMeasure) -> DiscreteMeasure:
     """Even part of mu: A maps to (mu(A) + mu(-A)) / 2; mu itself if it is symmetric.
 

@@ -517,6 +517,33 @@ class TestFreeconvCommand:
         assert float(row["m_re"]) == float(row["omega1_re"]) == float(row["omega2_re"]) == 0.0
         assert float(row["m_im"]) == pytest.approx(oracle, rel=1e-13, abs=0)
 
+    # the symmetrized two-point (1, 2) against +-1: 0 lies in a gap, m(i eta) = (5/3) eta i,
+    # whose axis root a bracket search capped at 200 doublings or halvings never reached
+    GAPPED_AGAINST_BERNOULLI = {"measure": TWO_POINT,
+                                "measure2": {"atoms": [1.0], "weights": [1.0]}}
+
+    def test_gapped_pair_solves_at_tiny_eta(self, tmp_path):
+        cfg = dict(self.GAPPED_AGAINST_BERNOULLI, params={"z_grid": [[0.0, 1e-100]]})
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["validate", "--config", p, "--for-command", "freeconv"]) == EXIT_OK
+        out = tmp_path / "run"
+        assert main(["freeconv", "--config", p, "--out", str(out)]) == EXIT_OK
+        with open(out / "freeconv.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        mu1, mu2 = (symmetrize(DiscreteMeasure(cfg[k]["atoms"], cfg[k]["weights"]))
+                    for k in ("measure", "measure2"))
+        oracle = float(axis_m_decimal(mu1, mu2, 1e-100))
+        assert float(row["m_im"]) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    def test_axis_state_past_the_float_range_is_a_numerical_failure(self, tmp_path, capsys):
+        # at eta = 1e-200, Im omega1 ~ 0.6/eta squares to inf and the axis gap divides 0 by 0
+        cfg = dict(self.GAPPED_AGAINST_BERNOULLI, params={"z_grid": [[0.0, 1e-200]]})
+        p = write_cfg(tmp_path / "c.json", cfg)
+        argv = ["freeconv", "--config", p, "--out", str(tmp_path / "run")]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_NUMERICAL, "numerical failure: y^2 overflows in the axis solve at eta = 1e-200\n"
+        )
+
 
 class TestPointMassMeasure2:
     """measure2 = delta_0 makes the convolution an exact shift by 0."""

@@ -20,7 +20,6 @@ from singlering import freeconv, models, ringlaw
 from singlering.freeconv import (
     TOL,
     ConvergenceError,
-    _solve_axis_symmetric,
     _solve_pair,
     bulk_bound_certificate,
     solve_delta_conv,
@@ -76,7 +75,7 @@ def gapped_axis_pairs(n=300):
     return pairs
 
 
-AXIS_ETAS = tuple(10.0**k for k in range(3, -13, -1))
+AXIS_ETAS = tuple(10.0**k for k in range(3, -13, -1)) + (1e-50, 1e-100, 1e-150)
 
 
 def ring_radii(mu_sym):
@@ -241,9 +240,6 @@ class TestSolveDeltaConv:
             r = rng.uniform(r_minus, r_plus)
             eta = 10.0 ** rng.uniform(-6.0, 1.0)
             want = delta_axis_gap(mu1, r, eta)
-            delta_sym = DiscreteMeasure(np.array([-r, r]), np.array([0.5, 0.5]))
-            got = _solve_axis_symmetric(mu1, delta_sym, eta)[0]
-            assert abs(got - want) <= 1e-10 * want
             got = solve_delta_conv(mu1, r, 1j * eta).omega2.imag - eta
             assert abs(got - want) <= 1e-10 * want
             checked += 1
@@ -338,8 +334,9 @@ class TestAxisRoute:
         assert st_.omega1.real == st_.omega2.real == st_.m.real == 0.0
 
     def test_gapped_grid_is_exact_on_the_axis(self):
-        # 4,800 solves, many in a spectral gap at 0, where Newton from a
-        # complex-arithmetic state stalled or left the axis
+        # 5,700 solves, many in a spectral gap at 0, where Newton from a
+        # complex-arithmetic state stalled or left the axis, and where a bracket
+        # search capped at 200 steps stopped short of the root at eta <= 1e-100
         for mu1, mu2 in gapped_axis_pairs():
             for eta in AXIS_ETAS:
                 st_ = solve_phi_system(mu1, mu2, 1j * eta)
@@ -348,12 +345,14 @@ class TestAxisRoute:
                 assert st_.residual <= TOL * max(1.0, abs(st_.omega1), abs(st_.omega2))
 
     # (pair index, eta) on the grid where Newton from the complex state stalled
-    # (first two rows) or returned an m more than 1e-8 off (last two rows)
+    # (first two rows), returned an m more than 1e-8 off (next two rows) or where
+    # a bracket search capped at 200 steps found no sign change (last row)
     GAPPED_SAMPLE = (
         (0, 1e-12), (30, 1e-09), (62, 1e-11), (82, 1e-11), (108, 1e-12), (128, 1e-05),
         (148, 1e-07), (173, 1e-08), (204, 1e-08), (233, 1e-10), (254, 1e-09), (277, 1e-07),
         (0, 1e-06), (24, 1e-06), (45, 1e-12), (73, 1e-06), (98, 1e-06), (125, 1e-05),
         (154, 1e-10), (180, 1e-12), (204, 1e-06), (230, 1e-05), (251, 1e-12), (276, 1e-09),
+        (49, 1e-100), (151, 1e-100), (238, 1e-100), (2, 1e-150), (113, 1e-150), (297, 1e-150),
     )
 
     def test_m_matches_the_decimal_oracle_in_a_gap(self):
@@ -468,6 +467,11 @@ class TestCertificate:
             mu_sym = symmetrize(reference_measure(kind, **params))
             rep = bulk_bound_certificate(mu_sym, r, eta_max=eta_max)
             assert rep.lower_ok and rep.upper_ok and rep.zero_bound_ok
+
+    @pytest.mark.parametrize("eta_max", [0.0, -1.0])
+    def test_nonpositive_eta_max_rejected(self, two_point_sym, eta_max):
+        with pytest.raises(ValueError, match=f"need eta_max > 0, got {eta_max:g}"):
+            bulk_bound_certificate(two_point_sym, 1.4, eta_max=eta_max)
 
     def test_eta_max_whose_square_overflows_rejected(self, two_point_sym):
         with pytest.raises(ValueError, match=r"need eta_max <= 1.34078e\+154, got 1e\+155"):

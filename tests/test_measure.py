@@ -94,14 +94,6 @@ class TestSymmetrize:
     def test_result_is_symmetric(self, mu):
         assert symmetrize(mu).is_symmetric()
 
-    @given(st.floats(1e-3, 1e3))
-    def test_unchecked_point_pair_is_the_checked_one(self, r):
-        pair, checked = measure._symmetric_pair(r), dm([-r, r], [0.5, 0.5])
-        assert np.array_equal(pair.atoms, checked.atoms)
-        assert np.array_equal(pair.weights, checked.weights)
-        assert pair.is_symmetric() and checked.is_symmetric()
-        assert not (pair.atoms.flags.writeable or pair.weights.flags.writeable)
-
 
 class TestStieltjes:
     def test_point_mass_at_i(self):
@@ -387,7 +379,7 @@ class TestBrentq:
     def test_library_equations_delta_axis(self, against_scipy, eta):
         mu_sym = symmetrize(dm([1.0, 2.0], [0.5, 0.5]))
         delta_sym = dm([-1.4, 1.4], [0.5, 0.5])
-        assert freeconv._solve_axis_symmetric(mu_sym, delta_sym, eta)[0] > 0.0
+        assert freeconv._axis_state(mu_sym, delta_sym, 1j * eta).omega2.imag - eta > 0.0
         assert len(against_scipy) == 1
 
     def test_iteration_limit_is_convergence_error(self):
