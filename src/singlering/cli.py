@@ -23,6 +23,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -171,12 +172,18 @@ def _profile(cfg):
     return mu
 
 
+def _radii(mu):
+    """measure.radii(mu); a ValueError of it is a ConfigError naming ``measure``."""
+    with _at("measure"):
+        return measure.radii(mu)
+
+
 def _annulus(cfg, mu):
     """The bulk annulus (lo, hi) = (r_minus + tau, r_plus - tau) of mu's ring, which
     holds |w| of every local law test; tau is ``grid.tau``, or TAU_FRACTION of the width."""
     if len(mu) < 2:
         raise ConfigError("measure: a single atom makes the ring degenerate, r_minus = r_plus")
-    r_minus, r_plus = measure.radii(mu)
+    r_minus, r_plus = _radii(mu)
     tau = _get(cfg, "grid.tau", float, default=TAU_FRACTION * (r_plus - r_minus), least=0)
     if r_minus + tau > r_plus - tau:
         raise ConfigError(
@@ -335,7 +342,7 @@ class RadiiRecord:
 
 def _cmd_radii(cfg):
     mu = _profile(cfg)
-    rec = RadiiRecord(*measure.radii(mu), *measure.support_stats(mu))
+    rec = RadiiRecord(*_radii(mu), *measure.support_stats(mu))
 
     def run(ctx):
         print(f"{fmt(rec.r_minus)} {fmt(rec.r_plus)}")
@@ -348,12 +355,15 @@ def _cmd_freeconv(cfg):
     mu1 = measure.symmetrize(load_measure(cfg, "measure"))
     r = _get(cfg, "params.r", float, default=None, above=0)
     mu2 = None if r is not None else measure.symmetrize(load_measure(cfg, "measure2"))
+    if r is not None:
+        _squarable(r, "params.r", "r")
     z_grid = _get(cfg, "params.z_grid", list, default=None)
     if z_grid is None:
         zs = [complex(0.0, e) for e in _etas(cfg, 1e-3, 8.0)]
     else:
         zs = _spectral_points(z_grid, "params.z_grid", axis=mu2 is None)
         if mu2 is None and 0 in zs:
+            _radii(mu1)
             with _at("params.r"):  # the boundary value z = 0 needs r inside the ring
                 freeconv.bulk_ring(mu1, r)
 
@@ -372,6 +382,7 @@ def _cmd_freeconv(cfg):
 def _cmd_certificate(cfg):
     mu_sym = measure.symmetrize(load_measure(cfg, "measure"))
     r = _get(cfg, "params.r", float)
+    _radii(mu_sym)
     with _at("params.r"):
         freeconv.bulk_ring(mu_sym, r)
     eta_max = _get(cfg, "params.eta_max", float, default=10.0, above=0)
@@ -399,9 +410,11 @@ def _cmd_ring_density(cfg):
         raise ConfigError("params: need 0 < s_min <= s_max")
     if s_min == s_max:
         raise ConfigError(f"params: s_min = s_max = {s_min:g} spans no radius grid")
+    with warnings.catch_warnings():  # the run's profile warns of a single atom, once
+        warnings.simplefilter("ignore")
+        _radii(mu)
 
     def run(ctx):
-        # the profile computes the radii, and warns of a single atom, once
         records = ringlaw.radial_profile(mu, np.linspace(s_min, s_max, n))
         _write_records(ctx.path("ring_density.csv"), ringlaw.RingRecord, records)
 
@@ -650,6 +663,13 @@ def _run(args):
     })
 
 
+def _positive_int(text):
+    """The type of ``--threads``: an integer >= 1; anything else is a usage error."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -676,7 +696,7 @@ def main(argv=None) -> int:
             p.add_argument("--out", required=True)
         if name in _COMMAND_IMPL:
             p.add_argument("--seed", type=int)
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
             p.add_argument("--overwrite", action="store_true")
     args = parser.parse_args(argv)
 

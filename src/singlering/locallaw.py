@@ -288,11 +288,9 @@ def local_law_scan(
         recs, split_recs = [], []
         for w, r, s in zip(ws, w_abs, s_w):
             small = float(np.mean(0.5 * np.log1p(eta_star**2 / s**2)))
-            split_recs.append(
-                SplitRecord(N, trial, complex(w), eta_star, small, models.smallest_sv(s))
-            )
-            for eta in etas:
-                dev = N * eta * abs(models.m_w(s, eta) - ref[(r, 1j * eta)])
+            split_recs.append(SplitRecord(N, trial, complex(w), eta_star, small, float(s.min())))
+            for eta, m in zip(etas, models.resolvent_trace(s, 1j * etas).tolist()):
+                dev = N * eta * abs(m - ref[(r, 1j * eta)])
                 recs.append(DevRecord(N, trial, complex(w), eta, dev))
         return recs, split_recs
 
@@ -456,7 +454,7 @@ def smallest_sv_tail(
 
     lam = np.array(_batched_trials(
         models.sample_X, e, path, trials, threads,
-        lambda X: [models.svd(X, w)], lambda trial, s: models.smallest_sv(s),
+        lambda X: [models.svd(X, w)], lambda trial, s: float(s.min()),
     ))
     lam_scaled = lam * abs(w)
     if t_grid is None:
@@ -535,13 +533,11 @@ def block_local_law_scan(
     ref = _references(lambda z: freeconv.solve_phi_system(mu_a, mu_b, z).m, zs, NAN)
 
     def record(trial, s):
-        recs = []
-        for z in zs:
-            # the +/- pair of eigenvalues of H at s_k gives z / (s_k^2 - z^2)
-            m_H = complex(np.mean(z / (s * s - z * z)))
-            dev = N * z.imag * (1.0 + z.imag) * abs(m_H - ref[z])
-            recs.append(BlockRecord(N, trial, z.real, z.imag, dev))
-        return recs
+        m_H = models.resolvent_trace(s, np.array(zs)).tolist()
+        return [
+            BlockRecord(N, trial, z.real, z.imag, N * z.imag * (1.0 + z.imag) * abs(m - ref[z]))
+            for z, m in zip(zs, m_H)
+        ]
 
     chunks = _batched_trials(
         models.sample_Y, ens, path, trials, threads, lambda Y: [models.svd(Y)], record

@@ -240,7 +240,8 @@ def radii(mu: DiscreteMeasure):
     symmetric one: both moments are even in x.
 
     r_minus = (int x^-2 dmu)^(-1/2), or 0 when an atom sits at the origin;
-    r_plus = (int x^2 dmu)^(1/2).  A single-atom input collapses the ring
+    r_plus = (int x^2 dmu)^(1/2); a moment past the float range that a
+    radius needs is a ValueError.  A single-atom input collapses the ring
     (r_minus == r_plus); that violates the more-than-one-point assumption the
     ring geometry rests on, so it is flagged with a warning.
     """
@@ -248,11 +249,14 @@ def radii(mu: DiscreteMeasure):
         raise ValueError(
             "radii expects a measure supported on nonnegative reals, or a symmetric one"
         )
-    if np.any(mu.atoms == 0.0):
-        r_minus = 0.0
-    else:
-        r_minus = float(np.sum(mu.weights / mu.atoms**2) ** -0.5)
-    r_plus = float(np.sqrt(mu.second_moment()))
+    with np.errstate(over="ignore", divide="ignore"):  # an atom at 0 gives r_minus = inf^-1/2 = 0
+        second, inverse = mu.second_moment(), np.sum(mu.weights / mu.atoms**2)
+    if not (math.isfinite(second) and (math.isfinite(inverse) or 0.0 in mu.atoms)):
+        raise ValueError(
+            f"the ring radii need finite moments, got int x^2 dmu = {second:g} "
+            f"and int x^-2 dmu = {inverse:g}"
+        )
+    r_minus, r_plus = float(inverse**-0.5), float(np.sqrt(second))
     if len(mu) < 2:
         warnings.warn(
             "measure supported at a single point: r_minus == r_plus, "

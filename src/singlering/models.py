@@ -7,8 +7,8 @@ The local laws are statements about the Girko hermitization
 
 whose 2N eigenvalues are plus/minus the N singular values of X - w.  Every
 spectral quantity here is therefore read off one N x N SVD; the 2N x 2N
-matrix is never formed: ``resolvent_observables`` takes the decomposition
-``svd(Y, compute_uv=True)`` that its caller made once per matrix.  Only
+matrix is never formed, and ``resolvent_trace`` is the one formula for
+m(z) = (1/2N) Tr (H - z)^(-1), the number every local law is about.  Only
 the linear eigenvalue statistic (``locallaw.linear_statistic_lhs``) uses
 the eigenvalues of X itself, every test function from one ``eigvals``.
 
@@ -35,8 +35,7 @@ __all__ = [
     "sample_X",
     "sample_Y",
     "svd",
-    "m_w",
-    "smallest_sv",
+    "resolvent_trace",
     "ResolventObservables",
     "resolvent_observables",
 ]
@@ -152,30 +151,22 @@ def svd(X: np.ndarray, w: complex = 0.0, compute_uv: bool = False):
     return np.linalg.svd(X - w * np.eye(X.shape[-1]), compute_uv=compute_uv)
 
 
-def m_w(s: np.ndarray, eta: float) -> complex:
-    """Resolvent trace (1/2N) Tr (H^w - i eta)^(-1) from the singular values.
-
-    The +/- pair of eigenvalues of H^w at s_i contributes
-    i eta / (s_i^2 + eta^2) on average.
-    """
-    if eta <= 0:
-        raise ValueError("m_w needs eta > 0")
-    return complex(np.mean(1j * eta / (s * s + eta * eta)))
-
-
-def smallest_sv(s: np.ndarray) -> float:
-    """lambda_1^w, the smallest singular value of X - w."""
-    return float(np.min(s))
+def resolvent_trace(s: np.ndarray, z):
+    """m(z) = (1/2N) Tr (H - z)^(-1) of the hermitization H with singular values s,
+    at one z or along a 1-D array of them, each with Im z > 0: the +/- pair of
+    eigenvalues of H at s_k contributes z / (s_k^2 - z^2) on average."""
+    z = np.asarray(z)
+    if not np.all(z.imag > 0):
+        raise ValueError("the resolvent trace needs Im z > 0")
+    z = z[..., None]
+    return np.mean(z / (s * s - z * z), axis=-1)
 
 
 @dataclass(frozen=True)
 class ResolventObservables:
     """Tracial and entrywise Green function observables at one z."""
 
-    z: complex
     m_H: complex
-    tau1: complex
-    tau2: complex
     omega_A_c: complex
     omega_B_c: complex
     Lambda_d: float
@@ -185,9 +176,9 @@ class ResolventObservables:
 def resolvent_observables(
     svd_Y, z: complex, xi_diag: np.ndarray, omega_B: complex, bulk_window=None
 ) -> ResolventObservables:
-    """Evaluate m_H, partial traces, approximate subordination functions,
-    the entrywise control parameter Lambda_d against the supplied omega_B,
-    and the sup-norm statistic of bulk eigenvectors, for the resolvent
+    """Evaluate m_H, approximate subordination functions, the entrywise
+    control parameter Lambda_d against the supplied omega_B, and the
+    sup-norm statistic of bulk eigenvectors, for the resolvent
     G = (H - z)^(-1) of H = [[0, Y], [Y*, 0]], from the SVD
     ``svd_Y = (P, s, Q*)`` of Y that ``svd(Y, compute_uv=True)`` returns.
 
@@ -200,9 +191,8 @@ def resolvent_observables(
     ones sum_k s_k/(s_k^2 - z^2) p_k q_k* (resp. q_k p_k*).
     """
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("resolvent observables need Im z > 0")
     P, s, Qh = svd_Y
+    m_H = complex(resolvent_trace(s, z))
     N = len(s)
     xi = np.asarray(xi_diag)
     den = s * s - z * z
@@ -212,9 +202,6 @@ def resolvent_observables(
     g22 = diag_w @ (np.abs(Qh) ** 2)
     g12 = np.einsum("ik,k,ki->i", P, off_w, Qh)
     g21 = np.einsum("ik,k,ki->i", P.conj(), off_w, Qh.conj())
-    tau1 = complex(np.mean(g11))
-    tau2 = complex(np.mean(g22))
-    m_H = 0.5 * (tau1 + tau2)
 
     # normalized traces (1/2N) Tr: Tr(H G) = 2N + z Tr G, and B~ = H - A
     tr_AG = complex(np.sum(xi * g21) + np.sum(xi.conj() * g12)) / (2 * N)
@@ -246,13 +233,4 @@ def resolvent_observables(
     else:
         eigvec_sup = float("nan")
 
-    return ResolventObservables(
-        z=z,
-        m_H=complex(m_H),
-        tau1=tau1,
-        tau2=tau2,
-        omega_A_c=complex(omega_A_c),
-        omega_B_c=complex(omega_B_c),
-        Lambda_d=lam_d,
-        eigvec_sup=eigvec_sup,
-    )
+    return ResolventObservables(m_H, omega_A_c, omega_B_c, lam_d, eigvec_sup)

@@ -137,27 +137,33 @@ def test_criterion_05_circular_law(quarter_circle):
     )
 
 
+def hermitize(Y):
+    """The 2N x 2N Girko matrix [[0, Y], [Y*, 0]], the dense oracle of the SVD route."""
+    N = Y.shape[0]
+    H = np.zeros((2 * N, 2 * N), dtype=complex)
+    H[:N, N:] = Y
+    H[N:, :N] = Y.conj().T
+    return H
+
+
 def test_criterion_06_exact_identities(two_point):
     N, w, K = 64, 1.4, 100.0
     e = models.SingleRingEnsemble.from_measure(two_point, N, "unitary", seed=SEED)
     X = models.sample_X(e, linalg.child_rng(SEED, 0))
     s = models.svd(X, w)
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    H[:N, N:] = X - w * np.eye(N)
-    H[N:, :N] = H[:N, N:].conj().T
-    lam = np.linalg.eigvalsh(H)
+    lam = np.linalg.eigvalsh(hermitize(X - w * np.eye(N)))
 
     sym_err = float(np.max(np.abs(lam - np.sort(np.concatenate([-s, s])))))
     lhs = float(np.mean(np.log(s)))
     term1 = float(np.mean(np.log(np.abs(s - 1j * K))))
     integral, _ = quad(
-        lambda eta: models.m_w(s, eta).imag,
+        lambda eta: models.resolvent_trace(s, 1j * eta).imag,
         0.0,
         K,
         epsabs=1e-13,
         epsrel=1e-13,
         limit=500,
-        points=[models.smallest_sv(s), 1.0, 10.0],
+        points=[s.min(), 1.0, 10.0],
     )
     ksplit_err = abs(lhs - (term1 - integral))
     logdet_err = abs(np.linalg.slogdet(X - w * np.eye(N))[1] - N * lhs)
@@ -166,11 +172,11 @@ def test_criterion_06_exact_identities(two_point):
         e.sigma_diag, np.linspace(0.2, 1.0, N).astype(complex), N, "unitary", seed=SEED
     )
     Y = models.sample_Y(be, linalg.child_rng(SEED, 1))
-    obs = models.resolvent_observables(
-        models.svd(Y, compute_uv=True), 0.3 + 0.2j, be.xi_diag, 1.0j
-    )
-    tau_err = abs(obs.tau1 - obs.tau2)
-    omega_err = abs(obs.omega_A_c + obs.omega_B_c - (0.3 + 0.2j) + 1.0 / obs.m_H)
+    z = 0.3 + 0.2j
+    obs = models.resolvent_observables(models.svd(Y, compute_uv=True), z, be.xi_diag, 1.0j)
+    d = np.diagonal(np.linalg.inv(hermitize(Y) - z * np.eye(2 * N)))
+    tau_err = max(abs(obs.m_H - np.mean(d[:N])), abs(obs.m_H - np.mean(d[N:])))
+    omega_err = abs(obs.omega_A_c + obs.omega_B_c - z + 1.0 / obs.m_H)
 
     ok = (
         ksplit_err <= 1e-9
@@ -184,7 +190,7 @@ def test_criterion_06_exact_identities(two_point):
         ok,
         f"N=64 identities: K-split {ksplit_err:.2e} (<= 1e-9), log-det routes "
         f"{logdet_err:.2e} (<= 1e-9), hermitization = +-sv {sym_err:.2e} (<= 1e-10), "
-        f"tau1=tau2 {tau_err:.2e}, omega identity {omega_err:.2e} (<= 1e-10)",
+        f"m_H vs both partial traces {tau_err:.2e}, omega identity {omega_err:.2e} (<= 1e-10)",
     )
 
 
@@ -211,6 +217,75 @@ def test_criterion_07_local_law(two_point):
         f"local law: slope {fit.slope:+.3f} (<= 0.2), per-N max dev "
         f"{max_dev:.2f} (<= 20), {elapsed:.0f} s with {THREADS} threads (< 600 s)",
     )
+
+
+def scan_spectra(ensembles, sample, w, trials):
+    """[[svd of trial t's draw minus w]] at each size position i, trial t drawing
+    from child_rng(SEED, i, t): the spectra a scan over the ensembles reads."""
+    return [
+        locallaw.parallel_map(
+            lambda t: models.svd(sample(e, linalg.child_rng(SEED, i, t)), w), range(trials), THREADS
+        )
+        for i, e in enumerate(ensembles)
+    ]
+
+
+@pytest.mark.slow
+def test_criterion_07_fit_fails_a_shifted_reference(two_point):
+    # criterion 7's spectra against its reference and against one solved at
+    # |w| = 1.4 (1 + 2 N^-1/2): only the fit catches the second
+    ensembles = [
+        models.SingleRingEnsemble.from_measure(two_point, n, "unitary", seed=SEED)
+        for n in (128, 256, 512)
+    ]
+    etas = locallaw.dyadic_etas(512.0**-0.9, 1.0)
+    spectra = scan_spectra(ensembles, models.sample_X, 1.4, 20)
+
+    def records(radius):
+        recs = []
+        for e, spectrum in zip(ensembles, spectra):
+            mu_sym = measure.symmetrize(e.empirical_measure())
+            ref = np.array(
+                [freeconv.solve_delta_conv(mu_sym, radius(e.N), 1j * eta).m for eta in etas]
+            )
+            for t, s in enumerate(spectrum):
+                devs = e.N * etas * np.abs(models.resolvent_trace(s, 1j * etas) - ref)
+                recs += [locallaw.DevRecord(e.N, t, 1.4 + 0j, eta, d) for eta, d in zip(etas, devs)]
+        return recs
+
+    right = locallaw.fit_domination(records(lambda n: 1.4))
+    shifted_records = records(lambda n: 1.4 * (1.0 + 2.0 / math.sqrt(n)))
+    shifted = locallaw.fit_domination(shifted_records)
+    max_devs = [mx for _, mx, _ in locallaw.domination_stats(shifted_records).values()]
+    print(f"criterion 7 slopes: reference {right.slope:+.3f}, shifted {shifted.slope:+.3f}, "
+          f"shifted per-N max dev {', '.join(f'{d:.2f}' for d in max_devs)}")
+    assert right.passed
+    assert not shifted.passed and max(max_devs) <= 20.0
+
+
+@pytest.mark.slow
+def test_criterion_09_fit_fails_a_misscaled_arcsine():
+    # criterion 9's spectra against the arcsine law on [-2, 2] and on [-2c, 2c]
+    ensembles = [
+        models.BlockAdditiveEnsemble(np.ones(n), np.ones(n), n, "unitary", seed=SEED)
+        for n in (128, 256, 512)
+    ]
+    zs = 1j * locallaw.dyadic_etas(512.0**-0.9, 1.0)
+    spectra = scan_spectra(ensembles, models.sample_Y, 0.0, 10)
+
+    def fit(c):
+        ref = -1.0 / (np.sqrt(zs - 2.0 * c) * np.sqrt(zs + 2.0 * c))
+        recs = [
+            locallaw.BlockRecord(e.N, t, 0.0, z.imag, e.N * z.imag * (1.0 + z.imag) * abs(m - r))
+            for e, spectrum in zip(ensembles, spectra)
+            for t, s in enumerate(spectrum)
+            for z, m, r in zip(zs, models.resolvent_trace(s, zs), ref)
+        ]
+        return locallaw.fit_domination(recs)
+
+    right, misscaled = fit(1.0), fit(1.01)
+    print(f"criterion 9 slopes: arcsine {right.slope:+.3f}, scaled by 1.01 {misscaled.slope:+.3f}")
+    assert right.passed and not misscaled.passed
 
 
 @pytest.fixture(scope="module")

@@ -122,6 +122,8 @@ TWO_SIZES = {"N_values": [16, 24], "seed": 1}
 SUPPORT_AT_512 = amend(MAIN_GAP, "params", alphas=[0.1], support_radii=[2.0])
 
 
+HUGE_RING = {"atoms": [1e200, 2e200], "weights": [0.5, 0.5]}  # its ring is (1.265e200, 1.581e200)
+
 # (command, config, a fragment of the message): the command's parser, which
 # validate and the run share, rejects each config
 BAD_CONFIGS = [
@@ -309,6 +311,18 @@ BAD_CONFIGS = [
      "invalid config: grid.eta_max: need eta_max <= 1.34078e+154, got 1e+160\n"),
     ("green-sub", amend(GREEN_SUB, "params", z_values=[[0.0, 1e160]]),
      "invalid config: params.z_values[0]: need Im z <= 1.34078e+154, got 1e+160\n"),
+    # ring radii past the float range, which would be written as 0 or inf
+    ("radii", {"measure": {"atoms": [1e-200, 2.0], "weights": [0.5, 0.5]}},
+     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = 2 and"),
+    ("ring-density", {"measure": HUGE_RING, "params": {"s_min": 1.3e200, "s_max": 1.5e200}},
+     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+    ("ring-density", {"measure": {"atoms": [1e200], "weights": [1.0]},
+                      "params": {"s_min": 1e199, "s_max": 2e200}},
+     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+    ("certificate", {"measure": HUGE_RING, "params": {"r": 1.5e200}},
+     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+    ("freeconv", {"measure": TWO_POINT, "params": {"r": 1e200}},
+     "invalid config: params.r: need r <= 1.34078e+154, got 1e+200\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -691,8 +705,8 @@ class TestRingDensityCommand:
         assert float(rows[2][4]) > 0.1  # density in the bulk
 
     def test_one_atom_warns_once(self, tmp_path):
-        # the parser computes no radii, so validate stays silent (pytest makes
-        # any warning an error) and the run warns once, from its one profile
+        # the parser's radii check does not warn, so validate stays silent (pytest
+        # makes any warning an error) and the run warns once, from its one profile
         one_atom = {"atoms": [1.0], "weights": [1.0]}
         cfg = {"measure": one_atom, "params": {"s_min": 0.5, "s_max": 1.5}}
         p = write_cfg(tmp_path / "c.json", cfg)
@@ -970,6 +984,18 @@ class TestUsage:
 
     def test_no_command_exits_64(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_64(self, tmp_path, capsys, threads):
+        p = write_cfg(tmp_path / "c.json", {"measure": TWO_POINT})
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["radii", "--config", p, "--out", str(out), f"--threads={threads}"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: singlering radii")
+        assert f"argument --threads: need a positive integer, got '{threads}'" in err
+        assert not out.exists()
 
     def test_module_entry_point_imports_cleanly(self, tmp_path):
         # `python -m singlering.cli` must not find the module already

@@ -170,6 +170,21 @@ class TestRadii:
         with pytest.raises(ValueError, match="nonnegative reals, or a symmetric one"):
             radii(dm([-1.0, 2.0], [0.5, 0.5]))
 
+    @pytest.mark.parametrize("atoms,moments", [
+        ([1e-200, 2.0], "dmu = 2 and int x^-2 dmu = inf"),
+        ([1e200, 2e200], "dmu = inf and int x^-2 dmu = 0"),
+        ([0.0, 1e200], "dmu = inf and int x^-2 dmu = inf"),
+    ])
+    def test_moment_past_the_float_range_rejected(self, atoms, moments):
+        # not a radius of 0 or inf; no overflow warning escapes
+        with pytest.raises(ValueError, match="the ring radii need finite moments") as exc:
+            radii(dm(atoms, [0.5, 0.5]))
+        assert str(exc.value).endswith(moments)
+
+    def test_atom_at_zero_reads_no_inverse_moment(self):
+        # 1e-200 alone would overflow int x^-2; the atom at 0 sets r_minus = 0
+        assert radii(dm([0.0, 1e-200, 1.0], [0.25, 0.25, 0.5])) == (0.0, math.sqrt(0.5))
+
     @given(measures(lo=0.1, hi=3.0))
     def test_symmetric_measure_has_the_radii_of_its_positive_half(self, mu):
         for nu in (mu, DiscreteMeasure.from_points([0.0, *mu.atoms], [0.1, *0.9 * mu.weights])):

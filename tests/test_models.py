@@ -9,11 +9,10 @@ from singlering.linalg import child_rng, haar_unitary
 from singlering.models import (
     BlockAdditiveEnsemble,
     SingleRingEnsemble,
-    m_w,
     resolvent_observables,
+    resolvent_trace,
     sample_X,
     sample_Y,
-    smallest_sv,
     svd,
 )
 
@@ -123,13 +122,15 @@ class TestHermitization:
 
 
 class TestMw:
+    """m^w(i eta), the resolvent trace of H^w on the imaginary axis."""
+
     def test_single_pair(self):
-        assert m_w(np.array([1.0]), 1.0) == pytest.approx(0.5j, abs=1e-14)
+        assert resolvent_trace(np.array([1.0]), 1j * 1.0) == pytest.approx(0.5j, abs=1e-14)
 
     def test_large_eta(self, sample64):
         s = svd(sample64, 1.4)
         for eta in (1e3, 1e4):
-            assert abs(m_w(s, eta) - 1j / eta) <= 10.0 / eta**3
+            assert abs(resolvent_trace(s, 1j * eta) - 1j / eta) <= 10.0 / eta**3
 
     def test_matches_direct_resolvent_trace(self, two_point):
         e = SingleRingEnsemble.from_measure(two_point, 16, "unitary", seed=8)
@@ -137,25 +138,34 @@ class TestMw:
         H = hermitize(X - 1.3 * np.eye(16))
         eta = 0.37
         direct = np.trace(np.linalg.inv(H - 1j * eta * np.eye(32))) / 32
-        assert m_w(svd(X, 1.3), eta) == pytest.approx(direct, abs=1e-12)
+        assert resolvent_trace(svd(X, 1.3), 1j * eta) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_nonpositive_eta(self, sample64):
         with pytest.raises(ValueError):
-            m_w(svd(sample64, 1.4), 0.0)
+            resolvent_trace(svd(sample64, 1.4), 1j * 0.0)
+
+    def test_array_of_points_is_each_point(self, sample64):
+        s = svd(sample64, 1.4)
+        zs = np.array([0.5j, 0.3 + 0.01j, -1.2 + 2.0j])
+        got = resolvent_trace(s, zs)
+        assert got.shape == (3,)
+        assert got.tolist() == [complex(resolvent_trace(s, z)) for z in zs]
+        with pytest.raises(ValueError):
+            resolvent_trace(s, np.array([0.5j, 0.3]))
 
 
 class TestSmallestSv:
     def test_symmetric_spectrum(self):
-        assert smallest_sv(svd(np.diag([2.0 + 0j, 1.0]))) == 1.0
+        assert svd(np.diag([2.0 + 0j, 1.0])).min() == 1.0
 
     def test_singular(self):
-        assert smallest_sv(svd(np.diag([1.0 + 0j, 2.0]), 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert svd(np.diag([1.0 + 0j, 2.0]), 1.0).min() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_svd(self, sample64):
         # against min |lambda| of the 2N x 2N hermitization
         w = 1.4
         lam = np.linalg.eigvalsh(hermitize(sample64 - w * np.eye(64)))
-        assert smallest_sv(svd(sample64, w)) == pytest.approx(np.min(np.abs(lam)), abs=1e-10)
+        assert svd(sample64, w).min() == pytest.approx(np.min(np.abs(lam)), abs=1e-10)
 
 
 class TestKSplitIdentity:
@@ -170,13 +180,13 @@ class TestKSplitIdentity:
         lhs = float(np.mean(np.log(s)))
         term1 = float(np.mean(np.log(np.abs(s - 1j * K))))
         integral, _ = quad(
-            lambda eta: m_w(s, eta).imag,
+            lambda eta: resolvent_trace(s, 1j * eta).imag,
             0.0,
             K,
             epsabs=1e-13,
             epsrel=1e-13,
             limit=500,
-            points=[smallest_sv(s), 1.0, 10.0],
+            points=[s.min(), 1.0, 10.0],
         )
         assert lhs == pytest.approx(term1 - integral, abs=1e-9)
 
@@ -232,8 +242,6 @@ def dense_observables(Y, z, xi, omega_B):
     )
     return {
         "m_H": tr_G,
-        "tau1": np.mean(d[:N]),
-        "tau2": np.mean(d[N:]),
         "omega_A_c": z - tr_AG / tr_G,
         "omega_B_c": z - tr_BG / tr_G,
         "Lambda_d": lam_d,
@@ -254,8 +262,8 @@ class TestResolventObservables:
         det = z * z - abs(h) ** 2
         G = np.array([[-z, -h], [-np.conj(h), -z]]) / det
         assert obs.m_H == pytest.approx(0.5 * (G[0, 0] + G[1, 1]), abs=1e-12)
-        assert obs.tau1 == pytest.approx(G[0, 0], abs=1e-12)
-        assert obs.tau2 == pytest.approx(G[1, 1], abs=1e-12)
+        assert obs.m_H == pytest.approx(G[0, 0], abs=1e-12)
+        assert obs.m_H == pytest.approx(G[1, 1], abs=1e-12)
         denom = abs(e.xi_diag[0]) ** 2 - omega_B**2
         lam_d = max(
             abs(G[0, 0] - omega_B / denom),
@@ -271,10 +279,13 @@ class TestResolventObservables:
         e = BlockAdditiveEnsemble(
             np.linspace(0.5, 2.0, 8), np.linspace(0.2, 1.0, 8), 8, "unitary", seed=rng_seed
         )
+        z = 0.1 + 0.3j
         for trial in range(20):
-            svd_Y = svd(sample_Y(e, child_rng(rng_seed, trial)), compute_uv=True)
-            obs = resolvent_observables(svd_Y, 0.1 + 0.3j, e.xi_diag, 1.0j)
-            assert obs.tau1 == pytest.approx(obs.tau2, abs=1e-10)
+            Y = sample_Y(e, child_rng(rng_seed, trial))
+            obs = resolvent_observables(svd(Y, compute_uv=True), z, e.xi_diag, 1.0j)
+            d = np.diagonal(np.linalg.inv(hermitize(Y) - z * np.eye(16)))
+            assert obs.m_H == pytest.approx(np.mean(d[:8]), abs=1e-10)
+            assert obs.m_H == pytest.approx(np.mean(d[8:]), abs=1e-10)
 
     def test_subordination_identity(self):
         e = BlockAdditiveEnsemble(np.ones(16), np.ones(16), 16, "unitary", seed=15)
