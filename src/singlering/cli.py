@@ -606,11 +606,13 @@ COMMANDS = (*_COMMAND_IMPL, "report", "validate")
 
 
 def _parse(config_path, command=None, seed=None):
-    """Read the config and parse it exactly as ``command`` does; nothing is solved or sampled.
+    """Read the config and parse it exactly as ``command`` does.
 
-    ``seed`` replaces ``ensemble.seed`` first.  Returns the config and the
-    command's runner; without a command, only check that every measure
-    block loads.
+    Nothing is sampled, and only ``block-law`` solves: its bulk check of
+    ``params.E_interval`` makes one subordination solve per energy, whose
+    ConvergenceError is a numerical failure of the parse.  ``seed``
+    replaces ``ensemble.seed`` first.  Returns the config and the command's
+    runner; without a command, only check that every measure block loads.
     """
     # ValueError: bad JSON, or an integer too long to read
     with _at("config", (OSError, ValueError)), open(config_path) as fh:

@@ -148,8 +148,7 @@ def _solve_pair(mu1, mu2, z, w2) -> SubordinationState:
         return st
     raise ConvergenceError(
         f"subordination iteration stalled at residual {st.residual:.3e} "
-        f"(tol {TOL:g}) after {it} iterations at z = {z}",
-        residual=st.residual, iterations=it,
+        f"(tol {TOL:g}) after {it} iterations at z = {z}"
     )
 
 
@@ -219,8 +218,7 @@ def _axis_state(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> Subor
     if res <= _goal(y1, y2):
         return SubordinationState(z, 1j * y1, 1j * y2, 1j / (y1 + d), res, it)
     raise ConvergenceError(
-        f"axis root d = {d!r} leaves residual {res:.3e} (tol {TOL:g}) at z = {z}",
-        residual=res, iterations=it,
+        f"axis root d = {d!r} leaves residual {res:.3e} (tol {TOL:g}) at z = {z}"
     )
 
 
@@ -295,10 +293,10 @@ class CertificateReport:
         c^-1 sigma_- s_- b_- min{1, sigma_- s_-/eta}
             <= |omega2(i eta) - i eta| <= C min{sigma_+ s_+, r^2/eta},
 
-    the zero-boundary bound Im omega2(0) > (sqrt(3)/2) sigma_- s_-, and the
-    boundedness of omega1, omega2 and m along the grid.  Constants are
-    reported empirically; upper_ok additionally requires the constant-one
-    bound |omega2(i eta) - i eta| <= r^2/eta at every grid point.
+    and the zero-boundary bound Im omega2(0) > (sqrt(3)/2) sigma_- s_-.  The
+    constants c and C are reported empirically; upper_ok additionally
+    requires the constant-one bound |omega2(i eta) - i eta| <= r^2/eta at
+    every grid point, whose margins upper_margins holds.
     """
 
     r: float
@@ -320,13 +318,6 @@ class CertificateReport:
     best_constant: float
     lower_constant: float
     upper_margins: tuple
-    lower_margins: tuple
-    omega1_abs_max: float
-    omega2_abs_max: float
-    im_omega1_min: float
-    im_omega2_min: float
-    m_abs_min: float
-    m_abs_max: float
 
 
 def bulk_ring(mu1_sym: DiscreteMeasure, r: float):
@@ -394,7 +385,6 @@ def bulk_bound_certificate(
     states = [solve_delta_conv(mu1_sym, r, 1j * eta) for eta in etas]
     w1 = np.array([st.omega1 for st in states])
     w2 = np.array([st.omega2 for st in states])
-    m = np.array([st.m for st in states])
     # |omega2 - i eta| = r^2/|omega1|, as delta_r^sym has F(w) = w - r^2/w; no cancellation
     dev = r2 / np.abs(w1)
     upper_env = np.minimum(sigma_plus * s_plus, r2 / etas)
@@ -424,11 +414,4 @@ def bulk_bound_certificate(
         best_constant=float(best_constant),
         lower_constant=float(lower_constant),
         upper_margins=tuple(float(x) for x in r2 / etas - dev),
-        lower_margins=tuple(float(x) for x in dev - lower_env),
-        omega1_abs_max=float(np.max(np.abs(w1))),
-        omega2_abs_max=float(np.max(np.abs(w2))),
-        im_omega1_min=float(np.min(w1.imag)),
-        im_omega2_min=float(np.min(w2.imag)),
-        m_abs_min=float(np.min(np.abs(m))),
-        m_abs_max=float(np.max(np.abs(m))),
     )

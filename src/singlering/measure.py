@@ -55,12 +55,8 @@ class ParameterError(MeasureError):
 
 class ConvergenceError(RuntimeError):
     """A numerical solve failed: a fixed-point iteration stalled short of its
-    tolerance, or a root-find lost its bracket; carries the last residual."""
-
-    def __init__(self, message, residual=math.nan, iterations=0):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    tolerance, or a root-find lost its bracket; the message names the residual
+    or the point where it failed."""
 
 
 def _brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
@@ -114,12 +110,8 @@ def _brentq(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
         if math.isnan(fcur):
-            raise ConvergenceError(f"f is NaN at x = {xcur}", iterations=it + 1)
-    raise ConvergenceError(
-        f"root-find did not converge in {maxiter} iterations; last x = {xcur}",
-        residual=abs(fcur),
-        iterations=maxiter,
-    )
+            raise ConvergenceError(f"f is NaN at x = {xcur}")
+    raise ConvergenceError(f"root-find did not converge in {maxiter} iterations; last x = {xcur}")
 
 
 def _as_array(x, name):
@@ -148,7 +140,8 @@ def _merge_sorted(atoms, weights):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Probability measure sum_i w_i delta_{x_i} with strictly increasing x_i."""
+    """Probability measure sum_i w_i delta_{x_i} with strictly increasing x_i
+    and a second moment int x^2 dmu in the float range."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -168,6 +161,11 @@ class DiscreteMeasure:
             raise MeasureError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {weights.sum()!r}"
             )
+        with np.errstate(over="ignore"):
+            second = float(np.dot(weights, atoms * atoms))
+        if not math.isfinite(second):
+            raise MeasureError(f"int x^2 dmu = {second:g} is past the float range")
+        object.__setattr__(self, "_second_moment", second)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         atoms.setflags(write=False)
@@ -206,7 +204,7 @@ class DiscreteMeasure:
         return self.atoms[np.minimum(idx, len(self.atoms) - 1)]
 
     def second_moment(self) -> float:
-        return float(np.dot(self.weights, self.atoms**2))
+        return self._second_moment
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +238,9 @@ def radii(mu: DiscreteMeasure):
     symmetric one: both moments are even in x.
 
     r_minus = (int x^-2 dmu)^(-1/2), or 0 when an atom sits at the origin;
-    r_plus = (int x^2 dmu)^(1/2); a moment past the float range that a
-    radius needs is a ValueError.  A single-atom input collapses the ring
+    r_plus = (int x^2 dmu)^(1/2), which ``DiscreteMeasure`` keeps finite.  An
+    int x^-2 dmu past the float range, with no atom at 0, is a ValueError
+    rather than r_minus = 0.  A single-atom input collapses the ring
     (r_minus == r_plus); that violates the more-than-one-point assumption the
     ring geometry rests on, so it is flagged with a warning.
     """
@@ -249,9 +248,10 @@ def radii(mu: DiscreteMeasure):
         raise ValueError(
             "radii expects a measure supported on nonnegative reals, or a symmetric one"
         )
+    second = mu.second_moment()
     with np.errstate(over="ignore", divide="ignore"):  # an atom at 0 gives r_minus = inf^-1/2 = 0
-        second, inverse = mu.second_moment(), np.sum(mu.weights / mu.atoms**2)
-    if not (math.isfinite(second) and (math.isfinite(inverse) or 0.0 in mu.atoms)):
+        inverse = np.sum(mu.weights / mu.atoms**2)
+    if not (math.isfinite(inverse) or 0.0 in mu.atoms):
         raise ValueError(
             f"the ring radii need finite moments, got int x^2 dmu = {second:g} "
             f"and int x^-2 dmu = {inverse:g}"

@@ -14,7 +14,8 @@ The limit eta -> 0 of Im omega2(i eta) checks the certificate's direct
 z = 0 solve, and the Nevanlinna representing measure of F_mu - id checks
 the gap zeros and weights from which the certificate reads s_- and a_-.
 The tail fit by np.polyfit, one bootstrap resample at a time, checks the
-smallest-singular-value tail's one stacked line fit.
+smallest-singular-value tail's one stacked line fit, and the dense 2N x 2N
+hermitization checks the spectra and resolvents read from an SVD.
 """
 
 import math
@@ -64,6 +65,15 @@ def bump_laplacian(s):
     s2 = s * s
     v = np.where(s < 1.0, -12.0 * (1.0 - s2) ** 2 + 24.0 * s2 * (1.0 - s2), 0.0)
     return v if v.ndim else float(v)
+
+
+def hermitize(Y):
+    """The 2N x 2N Girko matrix [[0, Y], [Y*, 0]], the dense oracle of the SVD route."""
+    N = Y.shape[0]
+    H = np.zeros((2 * N, 2 * N), dtype=complex)
+    H[:N, N:] = Y
+    H[N:, :N] = Y.conj().T
+    return H
 
 
 def _neville_to_zero(xs, ys):

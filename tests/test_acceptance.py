@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import boundary_density, flagged, log_potential, ring_mass
+from oracles import boundary_density, flagged, hermitize, log_potential, ring_mass
 from singlering import cli, freeconv, linalg, locallaw, measure, models, ringlaw
 
 SEED = 3
@@ -31,21 +31,6 @@ def verdict(num, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {detail}"
     print(line, flush=True)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def bernoulli():
-    return measure.DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-@pytest.fixture(scope="module")
-def two_point():
-    return measure.reference_measure("two_point", a=1.0, b=2.0, p=0.5)
-
-
-@pytest.fixture(scope="module")
-def quarter_circle():
-    return measure.reference_measure("quarter_circle", n_atoms=2000)
 
 
 def test_criterion_01_golden_ratio_subordination(bernoulli):
@@ -114,11 +99,11 @@ def test_criterion_04_certificate(two_point):
     )
 
 
-def test_criterion_05_circular_law(quarter_circle):
+def test_criterion_05_circular_law(quarter_circle_2000):
     t0 = time.time()
-    L = log_potential(quarter_circle, 0.5)
-    rho = ringlaw.radial_profile(quarter_circle, [0.5])[0].rho
-    mass = ring_mass(quarter_circle, tau=0.02)
+    L = log_potential(quarter_circle_2000, 0.5)
+    rho = ringlaw.radial_profile(quarter_circle_2000, [0.5])[0].rho
+    mass = ring_mass(quarter_circle_2000, tau=0.02)
     elapsed = time.time() - t0
     e_L = abs(L + 0.375)
     rel_rho = abs(rho - 1.0 / math.pi) * math.pi
@@ -135,15 +120,6 @@ def test_criterion_05_circular_law(quarter_circle):
         f"{rel_rho:.4f} (<= 2%), ring mass {mass:.4f} in [0.94, 1.001], "
         f"{elapsed:.0f} s (< 120 s)",
     )
-
-
-def hermitize(Y):
-    """The 2N x 2N Girko matrix [[0, Y], [Y*, 0]], the dense oracle of the SVD route."""
-    N = Y.shape[0]
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    H[:N, N:] = Y
-    H[N:, :N] = Y.conj().T
-    return H
 
 
 def test_criterion_06_exact_identities(two_point):

@@ -311,18 +311,30 @@ BAD_CONFIGS = [
      "invalid config: grid.eta_max: need eta_max <= 1.34078e+154, got 1e+160\n"),
     ("green-sub", amend(GREEN_SUB, "params", z_values=[[0.0, 1e160]]),
      "invalid config: params.z_values[0]: need Im z <= 1.34078e+154, got 1e+160\n"),
-    # ring radii past the float range, which would be written as 0 or inf
+    # an inner ring radius past the float range, which would be written as 0
     ("radii", {"measure": {"atoms": [1e-200, 2.0], "weights": [0.5, 0.5]}},
      "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = 2 and"),
+    # a measure whose int x^2 dmu overflows, which every radius, solve and sample reads
     ("ring-density", {"measure": HUGE_RING, "params": {"s_min": 1.3e200, "s_max": 1.5e200}},
-     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
     ("ring-density", {"measure": {"atoms": [1e200], "weights": [1.0]},
                       "params": {"s_min": 1e199, "s_max": 2e200}},
-     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
     ("certificate", {"measure": HUGE_RING, "params": {"r": 1.5e200}},
-     "invalid config: measure: the ring radii need finite moments, got int x^2 dmu = inf"),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
     ("freeconv", {"measure": TWO_POINT, "params": {"r": 1e200}},
      "invalid config: params.r: need r <= 1.34078e+154, got 1e+200\n"),
+    # the same measure where the command reads no ring radius
+    ("freeconv", {"measure": HUGE_RING, "params": {"r": 1.0}},
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
+    ("freeconv", {"measure": TWO_POINT, "measure2": HUGE_RING, "params": {"z_grid": [[0.5, 0.1]]}},
+     "invalid config: measure2: int x^2 dmu = inf is past the float range\n"),
+    ("green-sub", dict(GREEN_SUB, measure=HUGE_RING),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
+    ("block-law", dict(BLOCK, measure=HUGE_RING),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
+    ("ssv-tail", amend(dict(SSV, measure=HUGE_RING), "grid", w_abs=1.4e200),
+     "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -478,6 +478,32 @@ class TestCertificate:
             bulk_bound_certificate(two_point_sym, 1.4, eta_max=1e155)
         with pytest.raises(ValueError, match="got nan"):
             bulk_bound_certificate(two_point_sym, 1.4, eta_max=math.nan)
+
+    @pytest.mark.parametrize("w1_scale, w2_zero_scale, failing, best, lower, im_zero", [
+        (1.0, 1.0, None, 0.9763, 0.1746, 1.2910),
+        (0.5, 1.0, "upper_ok", 1.9525, 0.0873, 1.2910),  # |omega2 - i eta| doubles past r^2/eta
+        (1e4, 1.0, "lower_ok", 9.763e-5, 1746.1, 1.2910),  # lower_constant past its cap 1e3
+        (1.0, 0.5, "zero_bound_ok", 0.9763, 0.1746, 0.6455),  # below (sqrt(3)/2) s_- sigma_- = 0.866
+    ])
+    def test_each_verdict_fails_on_a_perturbed_solve(
+        self, monkeypatch, two_point_sym, w1_scale, w2_zero_scale, failing, best, lower, im_zero
+    ):
+        solve = freeconv.solve_delta_conv
+
+        def perturbed(mu, r, z):
+            st_ = solve(mu, r, z)
+            if z == 0:
+                return replace(st_, omega2=st_.omega2 * w2_zero_scale)
+            return replace(st_, omega1=st_.omega1 * w1_scale)
+
+        monkeypatch.setattr(freeconv, "solve_delta_conv", perturbed)
+        rep = bulk_bound_certificate(two_point_sym, 1.4)
+        verdicts = {"lower_ok": rep.lower_ok, "upper_ok": rep.upper_ok,
+                    "zero_bound_ok": rep.zero_bound_ok}
+        assert verdicts == {name: name != failing for name in verdicts}
+        assert rep.best_constant == pytest.approx(best, rel=1e-4)
+        assert rep.lower_constant == pytest.approx(lower, rel=1e-4)
+        assert rep.im_omega2_zero == pytest.approx(im_zero, rel=1e-4)
 
     def test_flags_and_grid(self, two_point_sym):
         rep = bulk_bound_certificate(two_point_sym, 1.4, eta_max=10.0, grid=64)

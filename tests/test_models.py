@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import hermitize
 from singlering.linalg import child_rng, haar_unitary
 from singlering.models import (
     BlockAdditiveEnsemble,
@@ -15,15 +16,6 @@ from singlering.models import (
     sample_Y,
     svd,
 )
-
-
-def hermitize(Y):
-    """The 2N x 2N Girko matrix [[0, Y], [Y*, 0]], kept here as the oracle."""
-    N = Y.shape[0]
-    H = np.zeros((2 * N, 2 * N), dtype=np.complex128)
-    H[:N, N:] = Y
-    H[N:, :N] = Y.conj().T
-    return H
 
 
 @pytest.fixture(scope="module")
