@@ -388,6 +388,8 @@ def _cmd_certificate(cfg):
     eta_max = _get(cfg, "params.eta_max", float, default=10.0, above=0)
     _squarable(eta_max, "params.eta_max", "eta_max")
     grid = _get(cfg, "params.grid", int, default=64, least=2)
+    with _at("params"):
+        freeconv._bulk_bounds(mu_sym, r, eta_max, grid)
 
     def run(ctx):
         report = freeconv.bulk_bound_certificate(mu_sym, r, eta_max=eta_max, grid=grid)
@@ -403,13 +405,9 @@ def _cmd_certificate(cfg):
 
 def _cmd_ring_density(cfg):
     mu = _profile(cfg)
-    s_min = _get(cfg, "params.s_min", float)
-    s_max = _get(cfg, "params.s_max", float)
+    s_min = _get(cfg, "params.s_min", float, above=0)
+    s_max = _get(cfg, "params.s_max", float, above=s_min)
     n = _get(cfg, "params.n_radii", int, default=17, least=2)
-    if not 0 < s_min <= s_max:
-        raise ConfigError("params: need 0 < s_min <= s_max")
-    if s_min == s_max:
-        raise ConfigError(f"params: s_min = s_max = {s_min:g} spans no radius grid")
     with warnings.catch_warnings():  # the run's profile warns of a single atom, once
         warnings.simplefilter("ignore")
         _radii(mu)
@@ -486,7 +484,7 @@ def _cmd_ssv_tail(cfg):
         sizes = [e.N for e in ensembles]
         raise ConfigError(f"ensemble.N_values: this command runs one size, got {sizes}")
     [e] = ensembles
-    w_abs = _get(cfg, "grid.w_abs", float, default=1.0, above=0)
+    w_abs = _squarable(_get(cfg, "grid.w_abs", float, default=1.0, above=0), "grid.w_abs", "w_abs")
     trials = _get(cfg, "grid.trials", int, default=500, least=1)
     t_grid = _get(cfg, "params.t_grid", [float], default=None)
     if t_grid == []:
@@ -552,8 +550,8 @@ _SCAN_SCHEMAS = {"locallaw.csv": locallaw.DevRecord, "block.csv": locallaw.Block
 def run_report(run_dirs, out_dir):
     """Merge scan CSVs from run directories and fit the domination slope.
 
-    Each size N gets a per-N row, NaN where every dev is flagged; the slope is
-    fitted only over three or more sizes whose quantile is finite and positive.
+    Each size N gets a per-N row, NaN where every dev is flagged; the fit's
+    rows follow when ``locallaw.fit_domination`` finds enough sizes to fit.
     """
     if not run_dirs:
         raise ConfigError("report: no run directories given")
@@ -574,10 +572,9 @@ def run_report(run_dirs, out_dir):
         raise ConfigError(f"report: mixed scans {sorted(records_by_name)} cannot be merged")
     _, records = records_by_name.popitem()
 
-    stats = locallaw.domination_stats(records)
-    rows = [[n, *per_n] for n, per_n in stats.items()]
-    if sum(q > 0 for _, _, q in stats.values()) >= 3:  # a NaN quantile is not > 0
-        fit = locallaw.fit_domination(records)
+    rows = [[n, *per_n] for n, per_n in locallaw.domination_stats(records).items()]
+    fit = locallaw.fit_domination(records)
+    if fit is not None:
         print(
             f"slope {fmt(fit.slope)} intercept {fmt(fit.intercept)} "
             f"{'PASS' if fit.passed else 'FAIL'} (threshold {locallaw.DOMINATION_SLOPE_MAX:g})"
@@ -628,19 +625,6 @@ def _parse(config_path, command=None, seed=None):
         if path in cfg:
             load_measure(cfg, path)
     return cfg, None
-
-
-# ConfigError and MeasureError are ValueErrors, as are the library's argument checks
-_FAILURES = (ValueError, ConvergenceError, FloatingPointError)
-
-
-def _failure(exc) -> int:
-    """Report a failed run or validation on stderr; return its exit code."""
-    if isinstance(exc, ValueError):
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"numerical failure: {exc}", file=sys.stderr)
-    return EXIT_NUMERICAL
 
 
 def _run(args):
@@ -712,8 +696,11 @@ def main(argv=None) -> int:
             run_report(args.run_dirs, args.out)
         else:
             _run(args)
-    except _FAILURES as exc:
-        return _failure(exc)
+    except (ValueError, ConvergenceError) as exc:
+        # ConfigError and MeasureError are ValueErrors, as are the library's argument checks
+        config = isinstance(exc, ValueError)
+        print(f"{'invalid config' if config else 'numerical failure'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG if config else EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -242,7 +242,7 @@ def solve_phi_system(mu1: DiscreteMeasure, mu2: DiscreteMeasure, z: complex) -> 
     if z.real == 0.0 and mu1.is_symmetric() and mu2.is_symmetric():
         return _axis_state(mu1, mu2, z)
     m2_total = mu1.second_moment() + mu2.second_moment()
-    return _solve_pair(mu1, mu2, z, z + 1j * math.sqrt(max(m2_total, 1e-30)))
+    return _solve_pair(mu1, mu2, z, z + 1j * math.sqrt(m2_total))
 
 
 def solve_delta_conv(mu1_sym: DiscreteMeasure, r: float, z: complex) -> SubordinationState:
@@ -331,13 +331,11 @@ def bulk_ring(mu1_sym: DiscreteMeasure, r: float):
     return r_minus, r_plus
 
 
-def bulk_bound_certificate(
-    mu1_sym: DiscreteMeasure,
-    r: float,
-    eta_max: float = 10.0,
-    grid: int = 64,
-) -> CertificateReport:
-    """Evaluate the bulk bound certificate for mu1_sym [+] delta_r^sym."""
+def _bulk_bounds(mu1_sym: DiscreteMeasure, r: float, eta_max: float, grid: int):
+    """(scalars, etas): the certificate's CertificateReport fields that need no
+    solve, and its dyadic eta grid, after every check of the arguments.  The
+    smallest eta, eta_max 2^(1 - grid), must be positive and keep r^2/eta and
+    sigma_- s_-/eta, which the envelopes divide, in the float range."""
     if not mu1_sym.is_symmetric():
         raise MeasureError("certificate needs a symmetric measure")
     if len(mu1_sym) < 3:
@@ -375,37 +373,47 @@ def bulk_bound_certificate(
     sel = zeros >= s_minus * (1.0 - 1e-14)
     a_minus = 2.0 * float(np.sum(zero_w[sel] / zeros[sel] ** 2))
     t_minus = sigma_minus * s_minus
-    b_minus = min(1.0, a_minus, a_minus * t_minus**2 / r2)
-    omega_hat_abs = math.sqrt(gap_sq / a_minus)
-
-    im_w2_zero = solve_delta_conv(mu1_sym, r, 0.0).omega2.imag
-    zero_bound_ok = im_w2_zero > (math.sqrt(3.0) / 2.0) * sigma_minus * s_minus
 
     etas = eta_max * 0.5 ** np.arange(grid)
+    eta_min = float(etas[-1])
+    if not (eta_min > 0 and max(r2, t_minus) / eta_min < math.inf):
+        raise ValueError(
+            f"need the smallest eta = eta_max 2^(1 - grid) > 0 with r^2/eta and "
+            f"sigma_- s_-/eta in the float range, got eta = {eta_min:g}"
+        )
+    b_minus = min(1.0, a_minus, a_minus * t_minus**2 / r2)
+    return dict(
+        r=r, r_minus=r_minus, r_plus=r_plus, s_plus=s_plus, sigma_minus=sigma_minus,
+        sigma_plus=sigma_plus, s_minus=s_minus, t_minus=t_minus, a_minus=a_minus,
+        b_minus=b_minus, omega_hat_abs=math.sqrt(gap_sq / a_minus),
+    ), etas
+
+
+def bulk_bound_certificate(
+    mu1_sym: DiscreteMeasure, r: float, eta_max: float = 10.0, grid: int = 64
+) -> CertificateReport:
+    """Evaluate the bulk bound certificate for mu1_sym [+] delta_r^sym; a
+    ValueError from ``_bulk_bounds`` comes before any solve."""
+    scalars, etas = _bulk_bounds(mu1_sym, r, eta_max, grid)
+    r2, t_minus = r * r, scalars["t_minus"]
+
+    im_w2_zero = solve_delta_conv(mu1_sym, r, 0.0).omega2.imag
+    zero_bound_ok = im_w2_zero > (math.sqrt(3.0) / 2.0) * t_minus
+
     states = [solve_delta_conv(mu1_sym, r, 1j * eta) for eta in etas]
     w1 = np.array([st.omega1 for st in states])
     w2 = np.array([st.omega2 for st in states])
     # |omega2 - i eta| = r^2/|omega1|, as delta_r^sym has F(w) = w - r^2/w; no cancellation
     dev = r2 / np.abs(w1)
-    upper_env = np.minimum(sigma_plus * s_plus, r2 / etas)
-    lower_env = sigma_minus * s_minus * b_minus * np.minimum(1.0, sigma_minus * s_minus / etas)
+    upper_env = np.minimum(scalars["sigma_plus"] * scalars["s_plus"], r2 / etas)
+    lower_env = t_minus * scalars["b_minus"] * np.minimum(1.0, t_minus / etas)
     best_constant = np.max(dev / upper_env)
     lower_constant = np.max(lower_env / dev) if np.all(dev > 0) else math.inf
     lower_ok = np.all(np.abs(w2) > 0.0) and lower_constant <= LOWER_CONSTANT_CAP
     upper_ok = np.all(dev <= (r2 / etas) * (1.0 + 1e-12)) and best_constant <= UPPER_CONSTANT_CAP
 
     return CertificateReport(
-        r=r,
-        r_minus=r_minus,
-        r_plus=r_plus,
-        s_plus=s_plus,
-        sigma_minus=sigma_minus,
-        sigma_plus=sigma_plus,
-        s_minus=s_minus,
-        t_minus=t_minus,
-        a_minus=a_minus,
-        b_minus=b_minus,
-        omega_hat_abs=omega_hat_abs,
+        **scalars,
         im_omega2_zero=im_w2_zero,
         eta_grid=tuple(float(e) for e in etas),
         lower_ok=bool(lower_ok),

@@ -230,8 +230,9 @@ class FitResult:
     passed: bool
 
 
-def fit_domination(records) -> FitResult:
-    """Least squares of log DOMINATION_QUANTILE-quantile deviation against log N.
+def fit_domination(records) -> FitResult | None:
+    """Least squares of log DOMINATION_QUANTILE-quantile deviation against log N
+    over the sizes whose quantile is finite and positive; None below three.
 
     Passing (slope <= DOMINATION_SLOPE_MAX) certifies the absence of
     power-law growth in N, the finite-size surrogate of stochastic domination
@@ -240,7 +241,7 @@ def fit_domination(records) -> FitResult:
     quantiles = {n: q for n, (_, _, q) in domination_stats(records).items()}
     ns = sorted(n for n, v in quantiles.items() if np.isfinite(v) and v > 0)
     if len(ns) < 3:
-        raise ValueError("fit_domination needs deviations at >= 3 sizes N")
+        return None
     x = np.log(np.array(ns, dtype=float))
     y = np.log(np.array([quantiles[n] for n in ns]))
     slope, intercept = _line_fit(x, y, True)
@@ -280,7 +281,7 @@ def local_law_scan(
     # reference nodes (|w|, i eta): phases that share |w| share a solve
     w_abs = np.abs(ws).tolist()
     nodes = [(r, 1j * eta) for r in w_abs for eta in etas.tolist()]
-    mu_sym = measure.symmetrize(ens.empirical_measure())
+    mu_sym = measure.symmetrize(models.uniform_measure(ens.sigma_diag))
     ref = _references(lambda node: freeconv.solve_delta_conv(mu_sym, *node).m, nodes, NAN)
     eta_star = float(N) ** (-SPLIT_EXPONENT)
 
@@ -393,7 +394,7 @@ def linear_statistic_gap(
     Every test reads the one spectrum of each trial, and its deterministic
     side is computed once and shared across trials.
     """
-    mu = e.empirical_measure()
+    mu = models.uniform_measure(e.sigma_diag)
     norm = delta_bump_l1()
     sides = [
         (complex(w0), alpha, linear_statistic_rhs(mu, w0, alpha, radius, n=e.N),
@@ -448,9 +449,11 @@ def smallest_sv_tail(
     The records are the SsvRecords of each (trial, t); the fit holds the
     slope, its bootstrap CI, whether the tail is monotone, the t grid and
     the tail probabilities.  The identity profile of the orthogonal class
-    is a ValueError.
+    is a ValueError, as is |w| past sqrt(max float), where lambda_1 nears |w|
+    and lambda_1 |w| overflows.
     """
     _check_tail_profile(e)
+    freeconv._squarable(abs(w), "|w|")
 
     lam = np.array(_batched_trials(
         models.sample_X, e, path, trials, threads,
@@ -490,8 +493,8 @@ def smallest_sv_tail(
 
 
 def _block_reference(e: models.BlockAdditiveEnsemble):
-    mu_b = measure.symmetrize(e.sigma_measure())
-    mu_a = measure.symmetrize(e.xi_measure())
+    mu_b = measure.symmetrize(models.uniform_measure(e.sigma_diag))
+    mu_a = measure.symmetrize(models.uniform_measure(e.xi_diag))
     return mu_a, mu_b
 
 

@@ -16,7 +16,8 @@ X is sampled as diag(sigma) W with one Haar W.  For X = U diag(sigma) V*
 and W = V* U this is U* X U, so it has the eigenvalues of X and, jointly
 in w, the singular values of X - w; since V* U is Haar when U and V are
 independent Haar matrices of either symmetry class, every statistic of
-those spectra has the law it has under U diag(sigma) V*.
+those spectra has the law it has under U diag(sigma) V*.  The scans solve
+against the law ``uniform_measure`` of their diagonal profiles.
 """
 
 from __future__ import annotations
@@ -34,22 +35,26 @@ __all__ = [
     "BlockAdditiveEnsemble",
     "sample_X",
     "sample_Y",
+    "uniform_measure",
     "svd",
     "resolvent_trace",
     "ResolventObservables",
     "resolvent_observables",
 ]
 
-SYMMETRY_CLASSES = ("unitary", "orthogonal")
+# each symmetry class and its Haar sampler (n, rng) -> W, looked up at each
+# draw so that a wrapper put on it later (perfbench/spans.py) sees every draw
+_HAAR = {
+    "unitary": lambda n, rng: haar_unitary(n, rng),
+    "orthogonal": lambda n, rng: haar_orthogonal(n, rng),
+}
+SYMMETRY_CLASSES = tuple(_HAAR)
 CLUSTER_GAP = 1e-10  # singular values closer than this times s_max share a cluster
 
 
-def _haar(n, symmetry, rng):
-    if symmetry == "unitary":
-        return haar_unitary(n, rng)
-    if symmetry == "orthogonal":
-        return haar_orthogonal(n, rng)
-    raise ValueError(f"unknown symmetry class {symmetry!r}")
+def uniform_measure(values) -> DiscreteMeasure:
+    """Weight 1/n on each |value| of the n values: the law of a diagonal profile."""
+    return DiscreteMeasure.from_points(np.abs(values), np.full(len(values), 1.0 / len(values)))
 
 
 def sigma_from_measure(mu: DiscreteMeasure, N: int) -> np.ndarray:
@@ -85,9 +90,6 @@ class SingleRingEnsemble:
     def from_measure(cls, mu, N, symmetry="unitary", seed=0):
         return cls(sigma_from_measure(mu, N), N, symmetry, seed)
 
-    def empirical_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure.from_points(self.sigma_diag, np.full(self.N, 1.0 / self.N))
-
 
 @dataclass(frozen=True)
 class BlockAdditiveEnsemble:
@@ -114,14 +116,6 @@ class BlockAdditiveEnsemble:
         object.__setattr__(self, "sigma_diag", s)
         object.__setattr__(self, "xi_diag", x)
 
-    def sigma_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure.from_points(
-            np.abs(self.sigma_diag), np.full(self.N, 1.0 / self.N)
-        )
-
-    def xi_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure.from_points(np.abs(self.xi_diag), np.full(self.N, 1.0 / self.N))
-
 
 def sample_X(e: SingleRingEnsemble, rng) -> np.ndarray:
     """One draw of diag(sigma) W, W Haar: U* X U for X = U diag(sigma) V*, W = V* U.
@@ -129,14 +123,14 @@ def sample_X(e: SingleRingEnsemble, rng) -> np.ndarray:
     It carries the eigenvalues of X and, jointly in w, the singular values of X - w.
     A sequence of k generators gives a (k, N, N) stack, one draw from each.
     """
-    return e.sigma_diag[:, None] * _haar(e.N, e.symmetry, rng)
+    return e.sigma_diag[:, None] * _HAAR[e.symmetry](e.N, rng)
 
 
 def sample_Y(e: BlockAdditiveEnsemble, rng) -> np.ndarray:
     """One draw of the N x N block Y = U diag(sigma) V* + diag(xi), U drawn
     before V; a sequence of k generators gives a (k, N, N) stack."""
-    U = _haar(e.N, e.symmetry, rng)
-    V = _haar(e.N, e.symmetry, rng)
+    haar = _HAAR[e.symmetry]
+    U, V = haar(e.N, rng), haar(e.N, rng)
     return (U * e.sigma_diag) @ np.swapaxes(V, -1, -2).conj() + np.diag(e.xi_diag)
 
 

@@ -66,8 +66,14 @@ def _ring_point(mu_sigma: DiscreteMeasure, r_minus: float, r_plus: float, s: flo
     y = 0.0 if s >= r_plus else math.inf if s <= r_minus else _inverse_radius(p, x, s)
     if y == 0.0:
         return 1.0, math.log(s), 0.0
-    if y == math.inf:
+    if y == math.inf and x[0] > 0:
         return 0.0, float(np.dot(p, np.log(mu_sigma.atoms))), 0.0
+    if y == math.inf:
+        # an atom p0 at 0 puts r_minus = 0 and s below the reach of y, where
+        # to leading order y = (1 - p0)/(p0 s^2), t = p0 and A = (1 - p0)/y
+        p0, p, x = float(p[0]), p[1:], x[1:]
+        c = p0 * math.log(p0) + (1.0 - p0) * math.log1p(-p0) + float(np.dot(p, np.log(x)))
+        return p0, p0 * math.log(s) + 0.5 * c, p0 * float(np.sum(p / x)) / (math.pi * (1.0 - p0))
     d = 1.0 + y * x
     t, a = float(np.dot(p, 1.0 / d)), float(np.dot(p, x / d))
     L = 0.5 * (math.log(a) + float(np.dot(p, np.log1p(y * x))))
@@ -97,5 +103,6 @@ def radial_profile(mu_sigma: DiscreteMeasure, s_values) -> list:
     records = []
     for s in map(float, s_values):
         F, L, rho = _ring_point(mu_sigma, r_minus, r_plus, s)
-        records.append(RingRecord(s, L, F / s, 2.0 * math.pi * rho - F / (s * s), rho))
+        dL = F / s  # F/s^2 as dL/s: s * s underflows to 0 below s = 1e-162
+        records.append(RingRecord(s, L, dL, 2.0 * math.pi * rho - dL / s, rho))
     return records

@@ -220,7 +220,7 @@ def test_criterion_07_fit_fails_a_shifted_reference(two_point):
     def records(radius):
         recs = []
         for e, spectrum in zip(ensembles, spectra):
-            mu_sym = measure.symmetrize(e.empirical_measure())
+            mu_sym = measure.symmetrize(models.uniform_measure(e.sigma_diag))
             ref = np.array(
                 [freeconv.solve_delta_conv(mu_sym, radius(e.N), 1j * eta).m for eta in etas]
             )
@@ -305,7 +305,7 @@ def test_criterion_09_block_strong_law():
     ]
 
     # the scan's reference transform is the closed-form arcsine law
-    mu_b = measure.symmetrize(e.sigma_measure())
+    mu_b = measure.symmetrize(models.uniform_measure(e.sigma_diag))
     ref_err = 0.0
     for eta in etas[:3]:
         solver = freeconv.solve_phi_system(mu_b, mu_b, 1j * eta).m

@@ -128,7 +128,7 @@ HUGE_RING = {"atoms": [1e200, 2e200], "weights": [0.5, 0.5]}  # its ring is (1.2
 # validate and the run share, rejects each config
 BAD_CONFIGS = [
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.5, "s_max": 1.4}},
-     "s_min <= s_max"),
+     "params.s_max: need s_max > 1.5, got 1.4"),
     ("main-gap", amend(MAIN_GAP, "params", w0=[3.0, 0.0]), "params.w0: |w0| = 3"),
     ("local-law",
      {"measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
@@ -190,7 +190,7 @@ BAD_CONFIGS = [
      "params.n_radii: expected int, got float"),
     # configs the run would reject or misread after validate passed
     ("ring-density", {"measure": TWO_POINT, "params": {"s_min": 1.4, "s_max": 1.4}},
-     "params: s_min = s_max = 1.4 spans no radius grid"),
+     "params.s_max: need s_max > 1.4, got 1.4"),
     ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "grid": 1}},
      "params.grid: need grid >= 2, got 1"),
     ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "eta_max": -1}},
@@ -335,6 +335,27 @@ BAD_CONFIGS = [
      "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
     ("ssv-tail", amend(dict(SSV, measure=HUGE_RING), "grid", w_abs=1.4e200),
      "invalid config: measure: int x^2 dmu = inf is past the float range\n"),
+    # a smallest eta of 0, or one that puts r^2/eta past the float range, which
+    # the certificate's envelopes divide by
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "grid": 1100}},
+     "invalid config: params: need the smallest eta = eta_max 2^(1 - grid) > 0 with r^2/eta"
+     " and sigma_- s_-/eta in the float range, got eta = 0\n"),
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "eta_max": 1e-300}},
+     "invalid config: params: need the smallest eta = eta_max 2^(1 - grid) > 0 with r^2/eta"
+     " and sigma_- s_-/eta in the float range, got eta = 1.08418e-319\n"),
+    # lambda_1 |w| nears |w|^2
+    ("ssv-tail", amend(SSV, "grid", w_abs=1e200),
+     "invalid config: grid.w_abs: need w_abs <= 1.34078e+154, got 1e+200\n"),
+    # a file that is JSON but not an object, and measures that cannot be built
+    ("radii", "[]", "invalid config: config: expected a JSON object, got list\n"),
+    ("radii", {"measure": {"atoms": [1.0, 2.0], "weights": [1.0]}},
+     "invalid config: measure: atoms and weights must have equal length\n"),
+    ("radii", {"measure": {"atoms": [], "weights": []}},
+     "invalid config: measure: measure needs at least one atom\n"),
+    ("radii", {"measure": {"kind": "two_point", "a": 1.0, "b": 2.0, "p": 1.5}},
+     "invalid config: measure: two_point weight p must lie in (0,1)\n"),
+    ("radii", {"measure": {"kind": "uniform", "a": 1.0, "b": 1.0}},
+     "invalid config: measure: uniform needs b > a\n"),
 ]
 
 # configs next to rejected ones that the command's parser accepts
@@ -351,6 +372,8 @@ GOOD_CONFIGS = [
     ("main-gap", dict(MAIN_GAP, ensemble=TWO_SIZES)),
     ("green-sub", dict(GREEN_SUB, ensemble=TWO_SIZES)),
     ("main-gap", dict(SUPPORT_AT_512, ensemble={"N": 512, "seed": 1})),
+    # the smallest eta, 10 * 2^-1026, keeps r^2/eta = 1.96/eta finite
+    ("certificate", {"measure": TWO_POINT, "params": {"r": 1.4, "grid": 1027}}),
 ]
 
 
@@ -459,6 +482,25 @@ class TestCertificateCommand:
         # the z = 0 solve and one per grid point
         assert traced["freeconv.solve_delta_conv"][0] == 9
         assert {name.split(".")[0] for name in traced} <= {"cli", *layers}
+
+
+@pytest.mark.parametrize("symmetry", ["unitary", "orthogonal"])
+def test_traced_run_counts_each_haar_draw(tmp_path, symmetry):
+    # models looks its Haar samplers up at each draw, so the wrappers that
+    # perfbench/spans.py puts on the linalg functions see them: the 4 trials
+    # of N = 16 are one batch, sampled by one call
+    root = Path(__file__).resolve().parents[1]
+    p = write_cfg(tmp_path / "c.json", amend(SSV, "ensemble", symmetry=symmetry))
+    trace = tmp_path / "trace.json"
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "spans.py"), str(trace),
+         "ssv-tail", "--config", p, "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    traced = json.loads(trace.read_text())["spans"]
+    assert traced["models.sample_X"][0] == traced[f"linalg.haar_{symmetry}"][0] == 1
 
 
 class TestFreeconvCommand:
@@ -602,6 +644,18 @@ class TestPointMassMeasure2:
         assert all(math.isfinite(x) for x in cell.values())
         assert cell["omegaA_gap"] < 1e-10 and cell["omegaB_gap"] < 1e-10
 
+    def test_green_sub_window_without_singular_values(self, tmp_path):
+        # every singular value is 1: a window above it leaves the eigenvector
+        # statistic NaN, and the reference diagnostics finite
+        cfg = amend(dict(GREEN_SUB, measure2=self.ZERO), "params", bulk_window=[1.5, 2.0])
+        p = write_cfg(tmp_path / "c.json", cfg)
+        out = tmp_path / "run"
+        assert main(["green-sub", "--config", p, "--out", str(out)]) == EXIT_OK
+        header, *rows = read_csv(out / "subordination.csv")
+        cell = dict(zip(header, map(float, rows[0])))
+        assert math.isnan(cell.pop("eigvec_sup"))
+        assert all(math.isfinite(x) for x in cell.values())
+
 
 class TestOutputFaults:
     def test_out_naming_a_file_is_one_config_line(self, tmp_path, capsys):
@@ -728,6 +782,23 @@ class TestRingDensityCommand:
             assert main(["ring-density", "--config", p, "--out", str(out)]) == EXIT_OK
         assert [w.category for w in record] == [UserWarning]
         assert len(read_csv(out / "ring_density.csv")) == 1 + 17
+
+    @pytest.mark.parametrize("mu,s_min,F", [
+        (TWO_POINT, 1e-200, 0.0),  # inside the hole: F = 0
+        ({"atoms": [0.0, 1.0], "weights": [0.3, 0.7]}, 1e-170, 0.3),  # r_minus = 0: F = p0
+    ])
+    def test_radius_whose_square_underflows(self, tmp_path, capsys, mu, s_min, F):
+        # L'' = 2 pi rho - F/s^2 is read as 2 pi rho - L'/s, so s * s is never formed
+        cfg = {"measure": mu, "params": {"s_min": s_min, "s_max": 0.5}}
+        p = write_cfg(tmp_path / "c.json", cfg)
+        out = tmp_path / "run"
+        argv = ["ring-density", "--config", p, "--out", str(out)]
+        assert exit_and_stderr(capsys, argv) == (EXIT_OK, "")
+        header, first, *_ = read_csv(out / "ring_density.csv")
+        cell = dict(zip(header, map(float, first)))
+        assert cell["s"] == s_min and math.isfinite(cell["L"])
+        assert cell["dL"] == F / s_min
+        assert cell["d2L"] == (-math.inf if F else 0.0)
 
 
 class TestLocalLawRuns:
@@ -951,6 +1022,39 @@ class TestReportCommand:
 
     def test_empty_input_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+
+    def test_run_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "locallaw.csv"
+        f.write_text("N,trial,w_re,w_im,eta,dev\n")
+        argv = ["report", str(f), "--out", str(tmp_path / "rep")]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_CONFIG, f"invalid config: report: {f} is not a directory\n"
+        )
+
+    def test_foreign_header_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "block.csv").write_text("N,trial,w_re,w_im,eta,dev\n16,0,1.4,0,1,0.1\n")
+        argv = ["report", str(run), "--out", str(tmp_path / "rep")]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_CONFIG,
+            f"invalid config: report: {run / 'block.csv'} has unknown schema "
+            "('N', 'trial', 'w_re', 'w_im', 'eta', 'dev')\n",
+        )
+        assert not (tmp_path / "rep").exists()
+
+    def test_local_and_block_runs_do_not_merge(self, tmp_path, capsys):
+        ll, block = tmp_path / "ll", tmp_path / "block"
+        ll.mkdir()
+        block.mkdir()
+        (ll / "locallaw.csv").write_text("N,trial,w_re,w_im,eta,dev\n16,0,1.4,0,1,0.1\n")
+        (block / "block.csv").write_text("N,trial,E,eta,dev\n16,0,0.1,1,0.1\n")
+        argv = ["report", str(ll), str(block), "--out", str(tmp_path / "rep")]
+        assert exit_and_stderr(capsys, argv) == (
+            EXIT_CONFIG,
+            "invalid config: report: mixed scans ['block.csv', 'locallaw.csv'] cannot be merged\n",
+        )
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_csv_exits_2(self, tmp_path):
         empty = tmp_path / "emptyrun"

@@ -479,6 +479,20 @@ class TestCertificate:
         with pytest.raises(ValueError, match="got nan"):
             bulk_bound_certificate(two_point_sym, 1.4, eta_max=math.nan)
 
+    @pytest.mark.parametrize("eta_max, grid, eta", [
+        (10.0, 1100, "0"),  # 10 * 2^-1099 underflows
+        (1e-300, 64, "1.08418e-319"),  # r^2/eta overflows
+    ])
+    def test_smallest_eta_past_the_float_range_rejected_before_any_solve(
+        self, monkeypatch, two_point_sym, eta_max, grid, eta
+    ):
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(freeconv, "solve_delta_conv", no_solve)
+        with pytest.raises(ValueError, match=f"in the float range, got eta = {eta}$"):
+            bulk_bound_certificate(two_point_sym, 1.4, eta_max=eta_max, grid=grid)
+
     @pytest.mark.parametrize("w1_scale, w2_zero_scale, failing, best, lower, im_zero", [
         (1.0, 1.0, None, 0.9763, 0.1746, 1.2910),
         (0.5, 1.0, "upper_ok", 1.9525, 0.0873, 1.2910),  # |omega2 - i eta| doubles past r^2/eta

@@ -175,8 +175,7 @@ class TestFitDomination:
         assert not fit.passed
 
     def test_needs_three_sizes(self):
-        with pytest.raises(ValueError):
-            fit_domination([DevRecord(64, 0, 0j, 0.1, 1.0)])
+        assert fit_domination([DevRecord(64, 0, 0j, 0.1, 1.0)]) is None
 
     def test_stats_skip_flagged_devs(self):
         # the count holds every record of a size; max and quantile only the
@@ -397,6 +396,12 @@ class TestSmallestSvTail:
         with pytest.raises(ValueError, match="identity"):
             smallest_sv_tail(e, 1.0, t_grid=None, trials=2, path=())
 
+    def test_w_whose_square_overflows_rejected(self, two_point):
+        # lambda_1 nears |w|, and lambda_1 |w| would overflow
+        e = models.SingleRingEnsemble.from_measure(two_point, 8, "unitary", seed=25)
+        with pytest.raises(ValueError, match=r"need \|w\| <= 1.34078e\+154, got 1e\+200"):
+            smallest_sv_tail(e, 1e200j, t_grid=None, trials=2, path=())
+
 
 class TestBlockScan:
     def test_degenerate_xi_zero_is_exact(self):
@@ -546,7 +551,7 @@ def local_law_oracle(ensembles, ws, etas, trials):
     recs, splits = [], []
     for ni, ens in enumerate(ensembles):
         N = ens.N
-        mu_sym = measure.symmetrize(ens.empirical_measure())
+        mu_sym = measure.symmetrize(models.uniform_measure(ens.sigma_diag))
         eta_star = float(N) ** (-locallaw.SPLIT_EXPONENT)
         for trial in range(trials):
             X = sample_X(ens, ni, trial)
@@ -566,7 +571,7 @@ def gap_oracle(e, tests, trials):
     """One sample and one spectrum per (test, trial), the tests in turn."""
     out = []
     for w0, alpha, radius in tests:
-        rhs = linear_statistic_rhs(e.empirical_measure(), w0, alpha, radius, n=e.N)
+        rhs = linear_statistic_rhs(models.uniform_measure(e.sigma_diag), w0, alpha, radius, n=e.N)
         scale = float(e.N) ** (1.0 - 2.0 * alpha) / delta_bump_l1()
         for trial in range(trials):
             lam = np.linalg.eigvals(sample_X(e, trial))
@@ -580,7 +585,7 @@ def gap_oracle(e, tests, trials):
 
 
 def block_oracle(e, E, etas, trials):
-    mu_a, mu_b = measure.symmetrize(e.xi_measure()), measure.symmetrize(e.sigma_measure())
+    mu_a, mu_b = (measure.symmetrize(models.uniform_measure(d)) for d in (e.xi_diag, e.sigma_diag))
     recs = []
     for trial in range(trials):
         s = models.svd(sample_Y(e, 0, trial))
@@ -593,7 +598,7 @@ def block_oracle(e, E, etas, trials):
 
 
 def green_oracle(e, z, trials, window):
-    mu_a, mu_b = measure.symmetrize(e.xi_measure()), measure.symmetrize(e.sigma_measure())
+    mu_a, mu_b = (measure.symmetrize(models.uniform_measure(d)) for d in (e.xi_diag, e.sigma_diag))
     st = freeconv.solve_phi_system(mu_a, mu_b, z)
     recs = []
     for trial in range(trials):

@@ -190,6 +190,20 @@ class TestRadialProfile:
             with pytest.raises(ValueError, match="s > 0"):
                 radial_profile(two_point, s_values)
 
+    def test_atom_at_zero_below_the_reach_of_y(self):
+        # with an atom p0 at 0, r_minus = 0 and y(s) grows like 1/s^2 past what
+        # the root-find reaches (here s <= 1e-14); the leading order there
+        # continues the solved profile: F = p0, L - p0 log s and rho constant
+        p0 = 0.2
+        mu = DiscreteMeasure(np.array([0.0, 0.5, 2.0]), np.array([p0, 0.5, 0.3]))
+        solved, *tiny = radial_profile(mu, [1e-12, 1e-15, 1e-100, 1e-300])
+        for rec in tiny:
+            assert rec.dL * rec.s == pytest.approx(p0, rel=1e-14)
+            assert rec.L - p0 * math.log(rec.s) == pytest.approx(
+                solved.L - p0 * math.log(solved.s), rel=1e-12
+            )
+            assert rec.rho == pytest.approx(solved.rho, rel=1e-12)
+
     def test_radii_once_per_profile(self, two_point):
         # the ring radii are computed once per call, however many radii;
         # linear_statistic_rhs reads its 64 Gauss nodes from one profile
@@ -211,5 +225,5 @@ def test_monte_carlo_trace_consistency(quarter_circle_2000):
     e = models.SingleRingEnsemble.from_measure(quarter_circle_2000, N, "unitary", seed=4)
     X = models.sample_X(e, linalg.child_rng(4, 0))
     trace_log = float(np.mean(np.log(models.svd(X, w))))
-    L = log_potential(e.empirical_measure(), abs(w))
+    L = log_potential(models.uniform_measure(e.sigma_diag), abs(w))
     assert abs(trace_log - L) <= 5.0 / math.sqrt(N)
