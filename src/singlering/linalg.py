@@ -2,7 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` objects (row major, one matrix or a
 (k, n, n) stack): complex128 for U(n), float64 for O(n), so the orthogonal
-class runs in real arithmetic; Haar sampling is the phase-fixed QR.
+class runs in real arithmetic; Haar sampling is a product of Householder
+reflectors drawn from Gaussians, accumulated in blocks with matmuls.
 
 Randomness contract: every stochastic routine takes a ``numpy.random
 .Generator``, or a sequence of k of them for a stack, one draw from each.
@@ -33,29 +34,64 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _rephased_qr(n: int, rng, draw) -> np.ndarray:
-    """Q of Z = QR with each column rephased so that diag(R) > 0, which makes Q
-    unique and exactly Haar for iid Gaussian Z = draw(rng); a sequence of k
-    generators gives the (k, n, n) stack of their draws, in one QR call."""
+# reflectors per compact-WY block of the Haar accumulation
+_BLOCK = 32
+
+
+def _householder_haar(n: int, rng, dtype) -> np.ndarray:
+    """Haar draw W = H_0 ... H_{n-1} diag(-phase_j) from Gaussian reflectors.
+
+    x_j ~ N(0, I_{n-j}) of ``dtype`` (n(n+1)/2 Gaussians per matrix),
+    v_j = x_j + phase_j |x_j| e_1 with phase_j = x_j[0] / |x_j[0]| (1 where
+    x_j[0] = 0), and H_j the reflector of v_j: this is the rephased Q of a
+    Householder QR of an iid Gaussian matrix, whose trailing block after H_0
+    is again iid Gaussian and independent of the first column, so W is
+    exactly Haar (Stewart 1980, Mezzadri 2007).  The product is accumulated
+    backwards in blocks of ``_BLOCK`` reflectors, each applied as I - V T V*
+    to the trailing submatrix, which is still the identity outside the block.
+    A sequence of k generators gives the (k, n, n) stack of their draws.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     single = isinstance(rng, np.random.Generator)
-    Q, R = np.linalg.qr(np.stack([draw(r) for r in ([rng] if single else rng)]))
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    Q = Q * phases[..., None, :]
-    return Q[0] if single else Q
+    rngs = [rng] if single else list(rng)
+    # row j of R holds x_j^T in columns j..n-1; W depends only on the direction
+    # of each x_j, so the complex Gaussian needs no 1/sqrt(2)
+    R = np.zeros((len(rngs), n, n), dtype)
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    per = R.itemsize // 8  # float64 draws per entry
+    for t, r in enumerate(rngs):
+        R[t][upper] = r.standard_normal(per * n * (n + 1) // 2).view(dtype)
+    flat = R.view(np.float64)  # |x_j| sums the real and imaginary parts alike
+    norm = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    diag = np.arange(n)
+    d = R[:, diag, diag]
+    absd = np.abs(d)
+    phase = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
+    R[:, diag, diag] += phase * norm
+    W = np.zeros_like(R)
+    W[:, diag, diag] = 1.0
+    for j0 in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        b = min(_BLOCK, n - j0)
+        Rb = R[:, j0 : j0 + b, j0:]
+        Vb, Vh = Rb.swapaxes(-1, -2), Rb.conj()
+        # T^-1 = triu(V* V) with its diagonal halved, H_j = I - 2 v_j v_j* / |v_j|^2
+        G = Vh @ Vb
+        T = np.linalg.inv(np.triu(G) - 0.5 * np.eye(b) * G)
+        # V* W[j0:, j0:], as W[j0:, j0:] = diag(I, W[j0 + b:, j0 + b:])
+        C = np.concatenate([Vh[:, :, :b], Vh[:, :, b:] @ W[:, j0 + b :, j0 + b :]], axis=-1)
+        W[:, j0:, j0:] -= Vb @ (T @ C)
+    W *= -phase[:, None, :]
+    return W[0] if single else W
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed element of U(n), from an iid standard complex Gaussian
-    matrix; a sequence of k generators gives a (k, n, n) stack, one per generator."""
-    return _rephased_qr(
-        n, rng, lambda r: (r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))) / np.sqrt(2.0)
-    )
+    """Haar-distributed element of U(n), as a complex128 matrix; a sequence of
+    k generators gives a (k, n, n) stack, one per generator."""
+    return _householder_haar(n, rng, np.complex128)
 
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:
     """Haar-distributed element of O(n), as a float64 matrix; a sequence of
     generators gives a stack as in :func:`haar_unitary`."""
-    return _rephased_qr(n, rng, lambda r: r.standard_normal((n, n)))
+    return _householder_haar(n, rng, np.float64)

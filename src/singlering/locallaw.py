@@ -58,8 +58,8 @@ NAN = complex(math.nan, math.nan)  # the reference value of a failed solve
 
 
 # numpy's linalg gufuncs release the GIL only when one call returns more than
-# 500 values, so a pool task stacks ceil(BATCH_VALUES / N) trials of size N
-# and makes each LAPACK call (Haar QR, SVD, eigenvalues) once on the stack
+# 500 values, so a pool task stacks ceil(BATCH_VALUES / N) trials of size N and
+# makes each call (the Haar draw's matmuls, SVD, eigenvalues) once on the stack
 BATCH_VALUES = 512
 
 

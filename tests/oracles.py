@@ -15,7 +15,9 @@ z = 0 solve, and the Nevanlinna representing measure of F_mu - id checks
 the gap zeros and weights from which the certificate reads s_- and a_-.
 The tail fit by np.polyfit, one bootstrap resample at a time, checks the
 smallest-singular-value tail's one stacked line fit, and the dense 2N x 2N
-hermitization checks the spectra and resolvents read from an SVD.
+hermitization checks the spectra and resolvents read from an SVD.  The
+rephased QR of an iid Gaussian matrix is the reference Haar sampler, in
+distribution, for the library's product of Gaussian Householder reflectors.
 """
 
 import math
@@ -74,6 +76,25 @@ def hermitize(Y):
     H[:N, N:] = Y
     H[N:, :N] = Y.conj().T
     return H
+
+
+def _rephased_qr(Z):
+    """Q of Z = QR with each column rephased so that diag(R) > 0, which makes Q
+    unique and exactly Haar for an iid Gaussian Z."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
+
+
+def qr_haar_unitary(n, rng):
+    """Haar element of U(n) from an iid standard complex Gaussian matrix."""
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _rephased_qr(Z / np.sqrt(2.0))
+
+
+def qr_haar_orthogonal(n, rng):
+    """Haar element of O(n) from an iid standard real Gaussian matrix."""
+    return _rephased_qr(rng.standard_normal((n, n)))
 
 
 def _neville_to_zero(xs, ys):

@@ -210,7 +210,7 @@ class TestLinearStatistics:
         tests = [(1.4 + 0j, 0.0, 0.5), (1.4 + 0j, 0.25, 0.8)]
         for (_, alpha, radius), direct in zip(tests, linear_statistic_lhs(X, tests)):
             assert direct > 0
-            assert girko_statistic(X, 1.4 + 0j, alpha, radius, 64) == pytest.approx(
+            assert girko_statistic(X, 1.4 + 0j, alpha, radius, 128) == pytest.approx(
                 direct, abs=1e-4
             )
 
